@@ -16,6 +16,8 @@ import enum
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .rings import Endomorphism, FiniteRing, RingElement, RingError, identity_endomorphism
 from .skewpoly import (
     LaurentSkewPoly,
@@ -240,15 +242,16 @@ def is_reversible(ring: FiniteRing) -> Verdict:
 
 def is_symmetric(ring: FiniteRing) -> Verdict:
     """abc = 0 implies bac = 0."""
-    mul, zero = ring.mul_table, ring.zero
-    n = ring.size
-    for a in range(n):
-        for b in range(n):
-            ab, ba = mul[a][b], mul[b][a]
-            for c in range(n):
-                if mul[ab][c] == zero and mul[ba][c] != zero:
-                    w = Witness(kind="elements", elements=(a, b, c), values=(mul[ba][c],))
-                    return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH, w)
+    mul = np.asarray(ring.mul_table)
+    kills = mul == ring.zero  # kills[x, c]: x·c = 0
+    for a in range(ring.size):
+        # over (b, c): (a·b)·c = 0 but (b·a)·c != 0
+        bad = np.argwhere(kills[mul[a]] & ~kills[mul[:, a]])
+        if bad.size:
+            b, c = bad[0].tolist()
+            ba = ring.mul(b, a)
+            w = Witness(kind="elements", elements=(a, b, c), values=(ring.mul(ba, c),))
+            return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH, w)
     return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH)
 
 

@@ -165,41 +165,14 @@ def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(x) for x in bad[0])
 
 
-def _validate_tables(
-    n: int,
-    add: np.ndarray,
-    mul: np.ndarray,
-    labels: tuple[str, ...],
-) -> tuple[int, tuple[int, ...], int | None]:
-    """Exhaustively check all ring axioms; return (zero, neg_table, one)."""
+def _scan_axioms(add: np.ndarray, mul: np.ndarray, labels: tuple[str, ...]) -> None:
+    """Check associativity and distributivity at every triple; raise AxiomError
+    for the first violation: additive associativity over all (a,b,c) first,
+    then multiplicative associativity, then both distributive laws per a.
 
-    for name, t in (("add", add), ("mul", mul)):
-        if t.shape != (n, n):
-            raise AxiomError(f"{name} table must be {n}x{n}, got {t.shape}")
-        if t.min() < 0 or t.max() >= n:
-            raise AxiomError(f"{name} table entry out of range 0..{n - 1}")
-
-    if not np.array_equal(add, add.T):
-        a, b = _first_mismatch(add, add.T)
-        raise AxiomError(
-            f"addition not commutative at (a,b)=({labels[a]},{labels[b]})"
-        )
-
-    idx = np.arange(n)
-    zero_rows = [z for z in range(n) if np.array_equal(add[z], idx)]
-    if len(zero_rows) != 1:
-        raise AxiomError("addition has no (or no unique) identity element")
-    zero = zero_rows[0]
-
-    neg = [-1] * n
-    for a in range(n):
-        inv = np.flatnonzero(add[a] == zero)
-        if inv.size != 1:
-            raise AxiomError(f"element {labels[a]} has no unique additive inverse")
-        neg[a] = int(inv[0])
-
-    # Associativity and distributivity, chunked by the first axis so memory
-    # stays O(n^2) even at the size cap.
+    Chunked by the first axis so memory stays O(n^2) even at the size cap.
+    """
+    n = len(add)
     for a in range(n):
         lhs = add[add[a], :]
         rhs = add[a][add]
@@ -247,13 +220,110 @@ def _validate_tables(
                 f"but {labels[b]}·{labels[a]}+{labels[c]}·{labels[a]} = {labels[int(rhs[b, c])]}"
             )
 
-    ones = [
-        i
-        for i in range(n)
-        if np.array_equal(mul[i], idx) and np.array_equal(mul[:, i], idx)
-    ]
-    one = ones[0] if ones else None
-    return zero, tuple(neg), one
+
+def _additive_generators(add: np.ndarray) -> list[int]:
+    """A generating set of the commutative magma (R,+), picked greedily: the
+    least index outside the closure of the generators taken so far.
+
+    In a group each new generator at least doubles the closure, so there are
+    at most log2(n) of them.  Work is O(n^2): every pair of closed elements
+    is summed once.
+    """
+    n = len(add)
+    inside = np.zeros(n, dtype=bool)
+    closed = np.empty(n, dtype=np.int64)  # closed[:k]: all their pairwise sums are taken
+    k = 0
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        queue = [g]
+        while queue:
+            z = queue.pop()
+            closed[k] = z
+            k += 1
+            reached = np.zeros(n, dtype=bool)
+            reached[add[z, closed[:k]]] = True
+            queue.extend(np.flatnonzero(reached & ~inside).tolist())
+            inside |= reached
+    return gens
+
+
+def _axioms_hold_on(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
+    """Associativity and distributivity, checked on the additive generators
+    only (see ``_validate_tables`` for why that is complete)."""
+    for g in gens:
+        # Light's test with g in the middle: (x+g)+y = x+(g+y)
+        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
+            return False
+    for g in gens:
+        # a·(b+g) = a·b + a·g, and (b+g)·a = b·a + g·a
+        if not np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]]):
+            return False
+        if not np.array_equal(mul[add[:, g]], add[mul, mul[None, g]]):
+            return False
+    g = np.asarray(gens)
+    gg = mul[np.ix_(g, g)]
+    return np.array_equal(mul[gg[:, :, None], g], mul[g[:, None, None], gg])
+
+
+def _validate_tables(
+    n: int,
+    add: np.ndarray,
+    mul: np.ndarray,
+    labels: tuple[str, ...],
+) -> tuple[int, tuple[int, ...], int | None]:
+    """Exhaustively check all ring axioms; return (zero, neg_table, one).
+
+    Commutativity, the unique zero and unique inverses of ``+`` are checked
+    at every pair.  The cubic axioms are then reduced to a generating set G
+    of (R,+) (``_additive_generators``, |G| <= log2 n), which is complete:
+
+    - Additive associativity (Light's test): the b with (a+b)+c = a+(b+c)
+      for all a, c are closed under + in any magma, so b in G suffices.
+    - Distributivity: once (R,+) is an abelian group, the c with
+      a(b+c) = ab+ac for all a, b are closed under +, so c in G suffices;
+      the same holds for the right law.
+    - Multiplicative associativity: under both distributive laws
+      (ab)c - a(bc) is additive in each argument, so it vanishes everywhere
+      iff it vanishes on G^3.
+
+    When any of these fails, ``_scan_axioms`` checks every triple in order,
+    so the error names the first violated axiom and its least instance.
+    """
+
+    for name, t in (("add", add), ("mul", mul)):
+        if t.shape != (n, n):
+            raise AxiomError(f"{name} table must be {n}x{n}, got {t.shape}")
+        if t.min() < 0 or t.max() >= n:
+            raise AxiomError(f"{name} table entry out of range 0..{n - 1}")
+
+    if not np.array_equal(add, add.T):
+        a, b = _first_mismatch(add, add.T)
+        raise AxiomError(
+            f"addition not commutative at (a,b)=({labels[a]},{labels[b]})"
+        )
+
+    idx = np.arange(n)
+    zero_rows = np.flatnonzero((add == idx).all(axis=1))
+    if len(zero_rows) != 1:
+        raise AxiomError("addition has no (or no unique) identity element")
+    zero = int(zero_rows[0])
+
+    is_zero = add == zero
+    no_inverse = np.flatnonzero(is_zero.sum(axis=1) != 1)
+    if no_inverse.size:
+        raise AxiomError(f"element {labels[no_inverse[0]]} has no unique additive inverse")
+    neg = is_zero.argmax(axis=1)
+
+    if not _axioms_hold_on(add, mul, _additive_generators(add)):
+        _scan_axioms(add, mul, labels)
+
+    ones = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
+    one = int(ones[0]) if ones.size else None
+    return zero, tuple(neg.tolist()), one
 
 
 def _build_ring(
@@ -276,15 +346,15 @@ def _build_ring(
             raise AxiomError(f"expected {n} labels, got {len(labels)}")
     _check_labels(labels)
 
-    add = np.asarray([[int(x) for x in row] for row in add_table], dtype=np.int64)
-    mul = np.asarray([[int(x) for x in row] for row in mul_table], dtype=np.int64)
+    add = np.asarray(add_table, dtype=np.int64)
+    mul = np.asarray(mul_table, dtype=np.int64)
     zero, neg, one = _validate_tables(n, add, mul, labels)
 
     return FiniteRing(
         ring_id=_next_ring_id(),
         size=n,
-        add_table=tuple(tuple(int(x) for x in row) for row in add),
-        mul_table=tuple(tuple(int(x) for x in row) for row in mul),
+        add_table=tuple(map(tuple, add.tolist())),
+        mul_table=tuple(map(tuple, mul.tolist())),
         neg_table=neg,
         zero=zero,
         one=one,
@@ -311,8 +381,9 @@ def make_zmod(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
         raise RingError("modulus must be positive")
     if n > size_cap:
         raise SizeCapError(f"carrier size {n} exceeds the cap of {size_cap}")
-    add = [[(a + b) % n for b in range(n)] for a in range(n)]
-    mul = [[(a * b) % n for b in range(n)] for a in range(n)]
+    idx = np.arange(n)
+    add = (idx[:, None] + idx) % n
+    mul = (idx[:, None] * idx) % n
     return _build_ring(add, mul, tuple(str(i) for i in range(n)), f"Z{n}", size_cap)
 
 
@@ -325,22 +396,22 @@ def make_direct_product(
     if n > size_cap:
         raise SizeCapError(f"carrier size {n} exceeds the cap of {size_cap}")
 
-    def enc(i: int, j: int) -> int:
-        return i * n2 + j
+    add = _pair_table(np.asarray(r1.add_table), np.asarray(r2.add_table)[None, :, None, :])
+    mul = _pair_table(np.asarray(r1.mul_table), np.asarray(r2.mul_table)[None, :, None, :])
+    labels = tuple(f"({x},{y})" for x in r1.element_labels for y in r2.element_labels)
+    return _build_ring(add, mul, labels, f"{r1.label}(+){r2.label}", size_cap)
 
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    labels = [""] * n
-    for i1 in range(n1):
-        for i2 in range(n2):
-            a = enc(i1, i2)
-            labels[a] = f"({r1.element_labels[i1]},{r2.element_labels[i2]})"
-            for j1 in range(n1):
-                for j2 in range(n2):
-                    b = enc(j1, j2)
-                    add[a][b] = enc(r1.add_table[i1][j1], r2.add_table[i2][j2])
-                    mul[a][b] = enc(r1.mul_table[i1][j1], r2.mul_table[i2][j2])
-    return _build_ring(add, mul, tuple(labels), f"{r1.label}(+){r2.label}", size_cap)
+
+def _pair_table(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The table of a carrier of pairs (x, y), flattened as ``x * m + y``.
+
+    ``first[x1, x2]`` gives the first component of the entry for the operands
+    (x1, y1) and (x2, y2), and ``second`` (broadcastable to axes x1, y1, x2, y2,
+    with m = ``second.shape[-1]`` values of y) gives the second.
+    """
+    m = second.shape[-1]
+    n = len(first) * m
+    return (first[:, None, :, None] * m + second).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,28 +541,15 @@ def make_trivial_extension(
     if size > size_cap:
         raise SizeCapError(f"carrier size {size} exceeds the cap of {size_cap}")
 
-    def enc(r: int, mm: int) -> int:
-        return r * m + mm
-
-    add = [[0] * size for _ in range(size)]
-    mul = [[0] * size for _ in range(size)]
-    labels = [""] * size
-    madd = module.add_table
-    lact, ract = module.left_action, module.right_action
-    for r1 in range(n):
-        for m1 in range(m):
-            a = enc(r1, m1)
-            labels[a] = f"({ring.element_labels[r1]},{module.element_labels[m1]})"
-            for r2 in range(n):
-                for m2 in range(m):
-                    b = enc(r2, m2)
-                    add[a][b] = enc(ring.add_table[r1][r2], madd[m1][m2])
-                    mul[a][b] = enc(
-                        ring.mul_table[r1][r2], madd[lact[r1][m2]][ract[m1][r2]]
-                    )
-    return _build_ring(
-        add, mul, tuple(labels), f"T({ring.label},{module.label})", size_cap
+    madd = np.asarray(module.add_table)
+    lact, ract = np.asarray(module.left_action), np.asarray(module.right_action)
+    add = _pair_table(np.asarray(ring.add_table), madd[None, :, None, :])
+    # second component r1·m2 + m1·r2, over axes (r1, m1, r2, m2)
+    mul = _pair_table(
+        np.asarray(ring.mul_table), madd[lact[:, None, None, :], ract[None, :, :, None]]
     )
+    labels = tuple(f"({r},{x})" for r in ring.element_labels for x in module.element_labels)
+    return _build_ring(add, mul, labels, f"T({ring.label},{module.label})", size_cap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,9 +627,9 @@ def make_quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, tuple[int
     rep_pos = {r: k for k, r in enumerate(reps)}
     proj = tuple(rep_pos[rep[a]] for a in range(n))
 
-    q = len(reps)
-    add = [[proj[ring.add_table[reps[x]][reps[y]]] for y in range(q)] for x in range(q)]
-    mul = [[proj[ring.mul_table[reps[x]][reps[y]]] for y in range(q)] for x in range(q)]
+    on_reps = np.ix_(reps, reps)
+    add = np.asarray(proj)[np.asarray(ring.add_table)[on_reps]]
+    mul = np.asarray(proj)[np.asarray(ring.mul_table)[on_reps]]
     labels = tuple(ring.element_labels[r] for r in reps)
     quot = _build_ring(add, mul, labels, f"{ring.label}/I{len(ideal.members)}")
     return quot, proj
@@ -658,6 +716,27 @@ def _orbit(images: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, 
     return t, p, tuple(maps[: t + p])
 
 
+def _first_non_homomorphic(
+    domain: FiniteRing, codomain: FiniteRing, images: tuple[int, ...]
+) -> tuple[bool, int, int] | None:
+    """The least (a,b) with f(a+b) != f(a)+f(b) or f(a·b) != f(a)·f(b), as
+    (additive failure?, a, b); the additive law is reported first at a tie."""
+    f = np.asarray(images)
+    pairs = (f[:, None], f[None, :])
+    dom_add, dom_mul = np.asarray(domain.add_table), np.asarray(domain.mul_table)
+    if codomain is domain:  # table_endomorphism: convert each table once
+        cod_add, cod_mul = dom_add, dom_mul
+    else:
+        cod_add, cod_mul = np.asarray(codomain.add_table), np.asarray(codomain.mul_table)
+    not_additive = f[dom_add] != cod_add[pairs]
+    not_multiplicative = f[dom_mul] != cod_mul[pairs]
+    bad = np.argwhere(not_additive | not_multiplicative)
+    if bad.size == 0:
+        return None
+    a, b = bad[0].tolist()
+    return bool(not_additive[a, b]), a, b
+
+
 def table_endomorphism(
     ring: FiniteRing, images, label: str = "endo"
 ) -> Endomorphism:
@@ -670,18 +749,18 @@ def table_endomorphism(
             raise AxiomError(f"image {x} out of range")
     labels = ring.element_labels
     add, mul = ring.add_table, ring.mul_table
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if imgs[add[a][b]] != add[imgs[a]][imgs[b]]:
-                raise AxiomError(
-                    f"map not additive at (a,b)=({labels[a]},{labels[b]}): "
-                    f"f(a+b) = {labels[imgs[add[a][b]]]} but f(a)+f(b) = {labels[add[imgs[a]][imgs[b]]]}"
-                )
-            if imgs[mul[a][b]] != mul[imgs[a]][imgs[b]]:
-                raise AxiomError(
-                    f"map not multiplicative at (a,b)=({labels[a]},{labels[b]}): "
-                    f"f(a·b) = {labels[imgs[mul[a][b]]]} but f(a)·f(b) = {labels[mul[imgs[a]][imgs[b]]]}"
-                )
+    failure = _first_non_homomorphic(ring, ring, imgs)
+    if failure is not None:
+        additive, a, b = failure
+        if additive:
+            raise AxiomError(
+                f"map not additive at (a,b)=({labels[a]},{labels[b]}): "
+                f"f(a+b) = {labels[imgs[add[a][b]]]} but f(a)+f(b) = {labels[add[imgs[a]][imgs[b]]]}"
+            )
+        raise AxiomError(
+            f"map not multiplicative at (a,b)=({labels[a]},{labels[b]}): "
+            f"f(a·b) = {labels[imgs[mul[a][b]]]} but f(a)·f(b) = {labels[mul[imgs[a]][imgs[b]]]}"
+        )
     injective = len(set(imgs)) == ring.size
     preserves = None if ring.one is None else imgs[ring.one] == ring.one
     t, p, maps = _orbit(imgs, ring.size)
@@ -738,12 +817,10 @@ def make_isomorphism(
         raise AxiomError("an isomorphism needs equal carrier sizes")
     if len(set(imgs)) != domain.size:
         raise AxiomError("map is not a bijection")
-    for a in range(domain.size):
-        for b in range(domain.size):
-            if imgs[domain.add_table[a][b]] != codomain.add_table[imgs[a]][imgs[b]]:
-                raise AxiomError(f"map not additive at ({a},{b})")
-            if imgs[domain.mul_table[a][b]] != codomain.mul_table[imgs[a]][imgs[b]]:
-                raise AxiomError(f"map not multiplicative at ({a},{b})")
+    failure = _first_non_homomorphic(domain, codomain, imgs)
+    if failure is not None:
+        additive, a, b = failure
+        raise AxiomError(f"map not {'additive' if additive else 'multiplicative'} at ({a},{b})")
     if imgs[domain.zero] != codomain.zero:
         raise AxiomError("map does not send zero to zero")
     if domain.one is not None and codomain.one is not None:
@@ -816,11 +893,11 @@ def relabel_ring(
     n = ring.size
     if sorted(p) != list(range(n)):
         raise AxiomError("relabelling must be a permutation of the carrier")
-    inv = [0] * n
-    for x, y in enumerate(p):
-        inv[y] = x
-    add = [[p[ring.add_table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
-    mul = [[p[ring.mul_table[inv[x]][inv[y]]] for y in range(n)] for x in range(n)]
+    to_new = np.asarray(p)
+    inv = np.argsort(to_new)
+    on_old = np.ix_(inv, inv)
+    add = to_new[np.asarray(ring.add_table)[on_old]]
+    mul = to_new[np.asarray(ring.mul_table)[on_old]]
     labels = [""] * n
     for i in range(n):
         labels[p[i]] = ring.element_labels[i]
@@ -920,34 +997,24 @@ def make_galois_field(p: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Finit
             break
     assert modulus is not None  # degree-k irreducibles always exist
 
-    def digits(idx: int) -> list[int]:
-        out = []
-        for _ in range(k):
-            out.append(idx % p)
-            idx //= p
-        return out
-
-    def index(coeffs: list[int]) -> int:
-        out = 0
-        for c in reversed(coeffs[:k] + [0] * (k - len(coeffs))):
-            out = out * p + c
-        return out
-
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    labels = []
-    for a in range(n):
-        da = digits(a)
-        labels.append("(" + ",".join(str(c) for c in da) + ")")
-        for b in range(n):
-            db = digits(b)
-            add[a][b] = index([(x + y) % p for x, y in zip(da, db)])
-            conv = [0] * (2 * k - 1)
-            for i, x in enumerate(da):
-                for j, y in enumerate(db):
-                    conv[i + j] = (conv[i + j] + x * y) % p
-            _, rem = _poly_divmod(conv, modulus, p)
-            mul[a][b] = index(rem + [0] * (k - len(rem)))
+    idx = np.arange(n)
+    weight = p ** np.arange(k)
+    digit = idx[:, None] // weight % p  # digit[a, i]: coefficient of x^i in a
+    labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digit.tolist())
+    add = np.zeros((n, n), dtype=np.int64)
+    for i in range(k):
+        add += (digit[:, None, i] + digit[None, :, i]) % p * weight[i]
+    # scale[c, b] = c·b for c in Z_p
+    scale = np.arange(p)[:, None, None] * digit % p @ weight
+    # x·b: shift the coefficients up, then replace x^k by -(modulus - x^k)
+    minus_low = sum((-c) % p * int(w) for c, w in zip(modulus, weight))
+    times_x = add[idx % weight[-1] * p, scale[digit[:, -1], minus_low]]
+    # a·b = sum over j of a_j·(x^j·b), accumulated one coefficient of a at a time
+    mul = np.zeros((n, n), dtype=np.int64)
+    power = idx  # x^j·b for every b
+    for j in range(k):
+        mul = add[mul, scale[digit[:, j, None], power]]
+        power = times_x[power]
 
     mod_str = "x^" + str(k)
     for i in range(k - 1, -1, -1):
@@ -956,7 +1023,7 @@ def make_galois_field(p: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Finit
             if modulus[i] > 1 and i > 0:
                 term = f"{modulus[i]}{term}"
             mod_str += f"+{term}"
-    return _build_ring(add, mul, tuple(labels), f"GF({n})[{mod_str}]", size_cap)
+    return _build_ring(add, mul, labels, f"GF({n})[{mod_str}]", size_cap)
 
 
 def frobenius(field_ring: FiniteRing) -> Endomorphism:

@@ -119,6 +119,13 @@ def test_laurent_and_series_consistency_quick():
         assert rep.ok, "\n".join(rep.lines)
 
 
+def test_laurent_consistency_at_degree_one_uses_the_shifted_window():
+    # plain degree 1 has the same number of coefficients as window (1,0,1,0)
+    rep = run_laurent_consistency(build_field_frobenius(), degree=1)
+    assert rep.ok, "\n".join(rep.lines)
+    assert "Laurent window (1, 0, 1, 0) agrees with plain degree 1" in rep.lines[0]
+
+
 def test_manifest_matches_builders():
     with resources.as_file(
         resources.files("skewarm").joinpath("data/corpus.json")
