@@ -22,11 +22,6 @@ from . import deciders as dec
 from . import formats
 from .deciders import FAMILY_PROPERTIES, PropertyId
 from .rings import RingError, SizeCapError, endo_orbit
-from .skewpoly import (
-    LaurentSkewPoly,
-    SkewPoly,
-    TruncatedSkewSeries,
-)
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -38,14 +33,18 @@ BUDGET_ENV_VAR = "SKEWARM_TUPLE_BUDGET"
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
+        budget, source = args.budget, "--budget"
+    else:
+        env = os.environ.get(BUDGET_ENV_VAR)
+        if not env:
+            return dec.DEFAULT_TUPLE_BUDGET
         try:
-            return int(env)
+            budget, source = int(env), BUDGET_ENV_VAR
         except ValueError as err:
             raise formats.FormatError(f"bad {BUDGET_ENV_VAR}: {err}") from err
-    return dec.DEFAULT_TUPLE_BUDGET
+    if budget < 0:
+        raise formats.FormatError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _witness_text(ring, endo, prop: PropertyId, witness: dec.Witness) -> list[str]:
@@ -61,16 +60,7 @@ def _witness_text(ring, endo, prop: PropertyId, witness: dec.Witness) -> list[st
                 "certifying products: " + ", ".join(labels[v] for v in witness.values)
             )
         return lines
-    if witness.kind == "poly":
-        zero = ring.zero
-        p = SkewPoly(ring, endo, (zero,) * witness.p_min + tuple(witness.p_coeffs))
-        q = SkewPoly(ring, endo, (zero,) * witness.q_min + tuple(witness.q_coeffs))
-    elif witness.kind == "laurent":
-        p = LaurentSkewPoly(ring, endo, witness.p_min, witness.p_coeffs)
-        q = LaurentSkewPoly(ring, endo, witness.q_min, witness.q_coeffs)
-    else:
-        p = TruncatedSkewSeries(ring, endo, witness.p_coeffs, witness.order, witness.p_min)
-        q = TruncatedSkewSeries(ring, endo, witness.q_coeffs, witness.order, witness.q_min)
+    p, q = dec._witness_polys(ring, endo, witness)
     lines.append(f"p = {p.render()}")
     lines.append(f"q = {q.render()}")
     if witness.pair is not None:

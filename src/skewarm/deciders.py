@@ -8,13 +8,22 @@ witness that replays bit-exactly through the public skew-polynomial
 arithmetic.  Enumeration order is fixed (degree blocks, then coefficient
 tuples lexicographically from the lowest index), so the returned witness is
 always the least one and verdicts are schedule-independent.
+
+The search decides each p against a whole block of q at once
+(``_least_violation``) and still returns the least witness: a block holds
+every q of one shape in enumeration order, because it is built from
+``_iter_tuples``; the prefix rule and the hypothesis only drop rows that fail
+the hypothesis, and the conclusion mask only drops rows that satisfy the
+conclusion, so neither can drop a witness; and the first surviving row is the
+least q for that p.  The scalar ``_conclusion_violation`` then names the
+violated pair on that one q.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -274,7 +283,7 @@ def _require_over(ring: FiniteRing, alpha: Endomorphism) -> None:
 # --------------------------------------------------------------------------
 # enumeration helpers
 
-def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int, allow=None):
+def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int):
     """Nonzero coefficient tuples of a given length in lexicographic order.
 
     ``zero`` is the ring's zero element index (not necessarily 0, e.g. after
@@ -282,18 +291,12 @@ def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int, allow=None)
     nonzero coefficient, zero-prefixed groups first; when zero is index 0 —
     true for every standard constructor — this is exactly raw lexicographic
     order.  ``last_nonzero`` restricts to exact-degree tuples.
-    ``allow(pos, value)`` is consulted once per (first-nonzero position,
-    value) and may veto the whole subtree; it must only veto tuples that
-    cannot satisfy the caller's hypothesis, so pruning never changes which
-    witness is found first.
     """
     values = [v for v in range(n) if v != zero]
     for f in range(length - 1, -1, -1):
         prefix = (zero,) * f
         tail = length - 1 - f
         for v in values:
-            if allow is not None and not allow(f, v):
-                continue
             head = prefix + (v,)
             if tail == 0:
                 yield head
@@ -317,42 +320,119 @@ def _strip(coeffs: tuple[int, ...], zero: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Scanner:
-    """Shared tables and caches for one decider invocation."""
+class _Block:
+    """Every candidate q of one shape, in enumeration order, as a uint8 array."""
 
-    def __init__(self, ring: FiniteRing, endo: Endomorphism):
-        self.ring = ring
+    def __init__(self, n: int, length: int, last_nonzero: bool, zero: int):
+        tuples = _iter_tuples(n, length, last_nonzero, zero)
+        self.coeffs = np.fromiter(chain.from_iterable(tuples), dtype=np.uint8).reshape(
+            -1, length
+        )
+        first = (self.coeffs != zero).argmax(axis=1)
+        self.heads = self.coeffs[np.arange(len(self.coeffs)), first]
+
+    def row(self, index: int) -> tuple[int, ...]:
+        return tuple(self.coeffs[index].tolist())
+
+
+class _Scanner:
+    """Tables and caches for one decider invocation.
+
+    ``ks`` holds the twist exponents k of the sandwich hypothesis
+    p (r x^k) q = 0; ``None`` selects the plain hypothesis pq = 0.  The
+    Python tables serve the scalar scan that names a witness; the uint8
+    numpy copies (the 256-element size cap keeps every index in range) serve
+    the block kernel ``_least_violation``.
+    """
+
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId, ks):
         self.endo = endo
+        self.variant = variant
+        self.ks = ks
         self.n = ring.size
-        self.add = ring.add_table
         self.mul = ring.mul_table
         self.zero = ring.zero
-        self.bound = endo.preperiod + endo.period
-        self.period = endo.period
         self.pow_maps = endo.pow_maps
         self.red = endo.reduce_exponent
         self.nonzero = [r for r in range(ring.size) if r != ring.zero]
-        self._ann = None
-        self._allow_cache: dict = {}
+        self.nonzero_np = np.asarray(self.nonzero, dtype=np.intp)
+        self.add_np = np.asarray(ring.add_table, dtype=np.uint8)
+        self.mul_np = np.asarray(ring.mul_table, dtype=np.uint8)
+        self.pow_np = np.asarray(endo.pow_maps, dtype=np.uint8)
+        self.ann = None if ks is None else self._annihilator_table()
+        self._blocks: dict = {}
+        self._allowed: dict = {}
+        self._bad: dict = {}
 
-    def annihilates(self, a: int, b: int) -> bool:
-        """Whether a·R·b = 0 (precomputed bitmap)."""
-        if self._ann is None:
-            n, mul, zero = self.n, self.mul, self.zero
-            nz = self.nonzero
-            ann = []
-            for x in range(n):
-                rowset = 0
-                row = mul[x]
-                for y in range(n):
-                    if all(mul[row[r]][y] == zero for r in nz):
-                        rowset |= 1 << y
-                ann.append(rowset)
-            self._ann = ann
-        return bool(self._ann[a] >> b & 1)
+    def _annihilator_table(self) -> np.ndarray:
+        """ann[a, b]: a·R·b = 0, one row of a at a time to bound memory."""
+        mul, zero, nz = self.mul_np, self.zero, self.nonzero_np
+        ann = np.empty((self.n, self.n), dtype=bool)
+        for a in range(self.n):
+            ann[a] = (mul[mul[a, nz]] == zero).all(axis=0)
+        return ann
 
     def power(self, e: int, x: int) -> int:
         return self.pow_maps[self.red(e)][x]
+
+    def power_row(self, e: int) -> np.ndarray:
+        return self.pow_np[self.red(e)]
+
+    def block(self, length: int, last_nonzero: bool) -> _Block:
+        key = (length, last_nonzero)
+        if key not in self._blocks:
+            self._blocks[key] = _Block(self.n, length, last_nonzero, self.zero)
+        return self._blocks[key]
+
+    def allowed_heads(self, a: int, e: int) -> np.ndarray | None:
+        """allowed[v]: whether a q with first nonzero coefficient v may pass
+        the hypothesis against a p whose first nonzero coefficient a sits at
+        exponent e; ``None`` when no v may.
+
+        The lowest coefficient of pq is the single term a·α^e(v), and that of
+        p (r x^k) q is a·α^e(r)·α^(e+k)(v), so a nonzero value there fails
+        the hypothesis; the rule therefore only drops failing pairs.  For a
+        surjective twist α^e(r) ranges over R, so the rule is a·R·α^k(v) = 0
+        over one period of k and does not depend on e.
+        """
+        mul, zero = self.mul_np, self.zero
+        surj = self.ks is not None and self.endo.is_surjective
+        key = a if surj else (a, self.red(e))
+        if key in self._allowed:
+            return self._allowed[key]
+        if self.ks is None:
+            tab = mul[a][self.power_row(e)] == zero
+        elif surj:
+            tab = self.ann[a][self.pow_np].all(axis=0)
+        else:
+            u = np.unique(mul[a][self.power_row(e)[self.nonzero_np]])
+            tab = np.ones(self.n, dtype=bool)
+            for k in self.ks:
+                tab &= (mul[u][:, self.power_row(e + k)] == zero).all(axis=0)
+        tab[zero] = False
+        self._allowed[key] = tab if tab.any() else None
+        return self._allowed[key]
+
+    def bad_values(self, a: int, e: int) -> np.ndarray:
+        """bad[b]: a coefficient b of q violates the conclusion against the
+        coefficient a of p at exponent e, whatever b's own exponent; the
+        scalar counterpart is ``_conclusion_violation``."""
+        key = (a, self.red(e))
+        bad = self._bad.get(key)
+        if bad is None:
+            variant, mul, zero = self.variant, self.mul_np, self.zero
+            if variant in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
+                bad = mul[a] != zero
+            elif variant is PropertyId.ALPHA_SKEW_ARMENDARIZ:
+                bad = mul[a][self.power_row(e)] != zero
+            elif variant in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
+                bad = ~self.ann[a]
+            elif variant is PropertyId.ALPHA_QUASI_ARMENDARIZ:
+                bad = ~self.ann[a][self.pow_np].all(axis=0)
+            else:  # the q-alpha-skew family (plain, laurent, series)
+                bad = ~self.ann[a][self.power_row(e)]
+            self._bad[key] = bad
+        return bad
 
 
 def _budget_guard(space: int, budget: int) -> None:
@@ -360,67 +440,61 @@ def _budget_guard(space: int, budget: int) -> None:
         raise BudgetExceededError(space, budget)
 
 
-def _plain_product_zero(sc: _Scanner, ap, bq) -> bool:
-    """Early-exit check that the skew product of two coefficient tuples is zero."""
-    add, mul, zero = sc.add, sc.mul, sc.zero
-    dp, dq = len(ap) - 1, len(bq) - 1
-    pm = [sc.pow_maps[sc.red(i)] for i in range(dp + 1)]
-    for e in range(dp + dq + 1):
-        s = zero
-        for i in range(max(0, e - dq), min(dp, e) + 1):
-            a = ap[i]
-            if a == zero:
-                continue
-            b = bq[e - i]
-            if b == zero:
-                continue
-            s = add[s][mul[a][pm[i][b]]]
-        if s != zero:
-            return False
-    return True
+def _least_violation(sc: _Scanner, ap, amin: int, block: _Block) -> int | None:
+    """Index of the least q in ``block`` such that (p, q) passes the
+    hypothesis and violates the conclusion, or None.
 
-
-def _sandwich_all_zero(sc: _Scanner, ap, amin, bq, bmin, ks) -> bool:
-    """Whether p (r x^k) q = 0 for all r != 0 and all k in ``ks``.
-
-    Products are exact; ``amin``/``bmin`` are the exponents of the first
-    coefficients (negative only for automorphisms).
+    Every q of the block is decided at once: first the rows whose head value
+    the prefix rule (``allowed_heads``) keeps and that violate the
+    conclusion somewhere (both are table lookups), then the hypothesis on the
+    survivors, one product coefficient at a time, dropping the rows that
+    fail after each.  For the sandwich hypothesis the products are exact
+    over every r != 0 at once: a (|R|-1) x rows array per coefficient and
+    twist exponent k.  The plain hypothesis pq = 0 is the same computation
+    with the single "sandwich" u_i = a_i and k = 0.
     """
-    add, mul, zero = sc.add, sc.mul, sc.zero
-    nonzero_r = sc.nonzero
-    lb = len(bq)
-    red, pow_maps = sc.red, sc.pow_maps
-    asupp = [(i, a) for i, a in enumerate(ap) if a != zero]
-    width = len(ap) + lb - 1
+    zero = sc.zero
+    supp = [(i, a) for i, a in enumerate(ap) if a != zero]
+    allowed = sc.allowed_heads(supp[0][1], amin + supp[0][0])
+    if allowed is None:
+        return None
+    bad = sc.bad_values(supp[0][1], amin + supp[0][0])
+    for i, a in supp[1:]:
+        bad = bad | sc.bad_values(a, amin + i)
+    rows = np.flatnonzero(allowed[block.heads] & bad[block.coeffs].any(axis=1))
+    if not rows.size:
+        return None
+
+    mul, add = sc.mul_np, sc.add_np
+    qs = block.coeffs[rows].T  # qs[j]: coefficient j of every surviving q
+    lq = len(qs)
+    if sc.ks is None:
+        us, ks = np.array([[a for _, a in supp]], dtype=np.uint8), (0,)
+    else:
+        # us[r, c] = a_i·α^(amin+i)(r) for the c-th support term (i, a_i)
+        us = np.stack(
+            [mul[a][sc.power_row(amin + i)[sc.nonzero_np]] for i, a in supp], axis=1
+        )
+        ks = sc.ks
     for k in ks:
-        rows = []
-        for i, a in asupp:
-            pa = pow_maps[red(amin + i)]
-            pb = pow_maps[red(amin + i + k)]
-            rows.append((i, a, pa, [pb[b] for b in bq]))
-        for r in nonzero_r:
-            buckets = [zero] * width
-            for i, a, pa, tw in rows:
-                u = mul[a][pa[r]]
-                if u == zero:
-                    continue
-                urow = mul[u]
-                for j in range(lb):
-                    tb = tw[j]
-                    if tb != zero:
-                        e = i + j
-                        buckets[e] = add[buckets[e]][urow[tb]]
-            for x in buckets:
-                if x != zero:
-                    return False
-    return True
-
-
-def _first_nonzero(t, zero: int) -> int:
-    for i, v in enumerate(t):
-        if v != zero:
-            return i
-    return -1
+        # terms[c][r, b] = us[r, c]·α^(amin+i+k)(b)
+        terms = [
+            (i, mul[us[:, c]][:, sc.power_row(amin + i + k)]) for c, (i, _) in enumerate(supp)
+        ]
+        for e in range(len(ap) + lq - 1):
+            s = None
+            for i, tab in terms:
+                if 0 <= e - i < lq:
+                    t = tab[:, qs[e - i]]
+                    s = t if s is None else add[s, t]
+            if s is None:
+                continue
+            keep = (s == zero).all(axis=0)
+            if not keep.all():
+                rows, qs = rows[keep], qs[:, keep]
+                if not rows.size:
+                    return None
+    return int(rows[0])
 
 
 def _conclusion_violation(sc: _Scanner, variant, ap, amin, bq, bmin, tset):
@@ -495,69 +569,27 @@ def check_armendariz_family(
     n = ring.size
     _budget_guard(n ** (2 * (degree + 1)), budget)
 
-    sc = _Scanner(ring, alpha)
+    orbit = range(alpha.preperiod + alpha.period)  # every distinct power of alpha
+    sc = _Scanner(ring, alpha, variant, orbit if variant in _SANDWICH_HYP else None)
     envelope = Envelope(degree=degree)
-    sandwich_hyp = variant in _SANDWICH_HYP
-    ks = range(sc.bound)
-    tset = range(sc.bound)
     zero = sc.zero
-    mul = sc.mul
-    surj = alpha.is_surjective
-
-    def make_allow(a_head: int, imin: int):
-        # necessary condition from the single-term lowest coefficient of
-        # p (r x^k) q; sound to skip because a pruned pair fails the hypothesis
-        cache = sc._allow_cache
-        if sandwich_hyp:
-            key = (a_head, imin if not surj else 0)
-
-            def allow(_f, v):
-                ck = (key, v)
-                hit = cache.get(ck)
-                if hit is None:
-                    if surj:
-                        hit = all(sc.annihilates(a_head, sc.power(k, v)) for k in ks)
-                    else:
-                        pm = sc.pow_maps[sc.red(imin)]
-                        hit = all(
-                            mul[mul[a_head][pm[r]]][sc.power(imin + k, v)] == zero
-                            for k in ks
-                            for r in sc.nonzero
-                        )
-                    cache[ck] = hit
-                return hit
-
-        else:
-            pm = sc.pow_maps[sc.red(imin)]
-
-            def allow(_f, v):
-                return mul[a_head][pm[v]] == zero
-
-        return allow
-
     for dp in range(degree + 1):
         for dq in range(degree + 1):
+            block = sc.block(dq + 1, last_nonzero=True)
             for ap in _iter_tuples(n, dp + 1, last_nonzero=True, zero=zero):
-                imin = _first_nonzero(ap, zero)
-                allow = make_allow(ap[imin], imin)
-                for bq in _iter_tuples(n, dq + 1, last_nonzero=True, zero=zero, allow=allow):
-                    if sandwich_hyp:
-                        if not _sandwich_all_zero(sc, ap, 0, bq, 0, ks):
-                            continue
-                    elif not _plain_product_zero(sc, ap, bq):
-                        continue
-                    hit = _conclusion_violation(sc, variant, ap, 0, bq, 0, tset)
-                    if hit is not None:
-                        pair, mono, off = hit
-                        w = Witness(
-                            kind="poly",
-                            p_coeffs=_strip(ap, zero),
-                            q_coeffs=_strip(bq, zero),
-                            pair=pair,
-                            monomial=mono,
-                            offending=off,
-                        )
-                        return _verdict(variant, ring, alpha, envelope, w)
+                row = _least_violation(sc, ap, 0, block)
+                if row is not None:
+                    bq = block.row(row)
+                    pair, mono, off = _conclusion_violation(sc, variant, ap, 0, bq, 0, orbit)
+                    w = Witness(
+                        kind="poly",
+                        p_coeffs=_strip(ap, zero),
+                        q_coeffs=_strip(bq, zero),
+                        pair=pair,
+                        monomial=mono,
+                        offending=off,
+                    )
+                    return _verdict(variant, ring, alpha, envelope, w)
     return _verdict(variant, ring, alpha, envelope)
 
 
@@ -580,49 +612,27 @@ def check_laurent_q_alpha_skew(
     lp, lq = m + nn + 1, t + s + 1
     _budget_guard(n**lp * n**lq, budget)
 
-    sc = _Scanner(ring, alpha)
+    prop = PropertyId.LAURENT_Q_ALPHA_SKEW
+    sc = _Scanner(ring, alpha, prop, range(-alpha.period, alpha.period))
     envelope = Envelope(window=(m, nn, t, s))
-    ks = range(-sc.period, sc.period)
-    zero = sc.zero
-
-    def make_allow(a_head: int):
-        cache = sc._allow_cache
-
-        def allow(_f, v):
-            ck = (a_head, v)
-            hit = cache.get(ck)
-            if hit is None:
-                hit = all(
-                    sc.annihilates(a_head, sc.pow_maps[e][v]) for e in range(sc.period)
-                )
-                cache[ck] = hit
-            return hit
-
-        return allow
-
-    for ap in _iter_tuples(n, lp, last_nonzero=False, zero=zero):
-        imin = _first_nonzero(ap, zero)
-        allow = make_allow(ap[imin])
-        for bq in _iter_tuples(n, lq, last_nonzero=False, zero=zero, allow=allow):
-            if not _sandwich_all_zero(sc, ap, -m, bq, -t, ks):
-                continue
-            hit = _conclusion_violation(
-                sc, PropertyId.LAURENT_Q_ALPHA_SKEW, ap, -m, bq, -t, ()
+    block = sc.block(lq, last_nonzero=False)
+    for ap in _iter_tuples(n, lp, last_nonzero=False, zero=sc.zero):
+        row = _least_violation(sc, ap, -m, block)
+        if row is not None:
+            bq = block.row(row)
+            pair, mono, off = _conclusion_violation(sc, prop, ap, -m, bq, -t, ())
+            w = Witness(
+                kind="laurent",
+                p_coeffs=ap,
+                p_min=-m,
+                q_coeffs=bq,
+                q_min=-t,
+                pair=pair,
+                monomial=mono,
+                offending=off,
             )
-            if hit is not None:
-                pair, mono, off = hit
-                w = Witness(
-                    kind="laurent",
-                    p_coeffs=ap,
-                    p_min=-m,
-                    q_coeffs=bq,
-                    q_min=-t,
-                    pair=pair,
-                    monomial=mono,
-                    offending=off,
-                )
-                return _verdict(PropertyId.LAURENT_Q_ALPHA_SKEW, ring, alpha, envelope, w)
-    return _verdict(PropertyId.LAURENT_Q_ALPHA_SKEW, ring, alpha, envelope)
+            return _verdict(prop, ring, alpha, envelope, w)
+    return _verdict(prop, ring, alpha, envelope)
 
 
 def check_powerseries_q_alpha_skew(
@@ -658,66 +668,27 @@ def check_powerseries_q_alpha_skew(
     n = ring.size
     _budget_guard(n ** (2 * width), budget)
 
-    sc = _Scanner(ring, alpha)
+    ks = range(-alpha.period, alpha.period) if laurent else range(alpha.preperiod + alpha.period)
+    sc = _Scanner(ring, alpha, prop, ks)
     envelope = Envelope(truncation=truncation, min_exp=lo if laurent else None)
-    zero = sc.zero
-    surj = alpha.is_surjective
-    ks = range(-sc.period, sc.period) if laurent else range(sc.bound)
-
-    def make_allow(a_head: int, e_head: int):
-        cache = sc._allow_cache
-        if surj:
-            # one full twist period covers every reachable exponent residue
-            def allow(_f, v):
-                key = (a_head, v)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = all(
-                        sc.annihilates(a_head, sc.pow_maps[e][v])
-                        for e in range(sc.period)
-                    )
-                    cache[key] = hit
-                return hit
-
-        else:
-            pm = sc.pow_maps[sc.red(e_head)]
-            mul = sc.mul
-
-            def allow(_f, v):
-                key = (a_head, e_head, v)
-                hit = cache.get(key)
-                if hit is None:
-                    hit = all(
-                        mul[mul[a_head][pm[r]]][sc.power(e_head + k, v)] == zero
-                        for k in ks
-                        for r in sc.nonzero
-                    )
-                    cache[key] = hit
-                return hit
-
-        return allow
-
-    for ap in _iter_tuples(n, width, last_nonzero=False, zero=zero):
-        ia = _first_nonzero(ap, zero)
-        allow = make_allow(ap[ia], lo + ia)
-        for bq in _iter_tuples(n, width, last_nonzero=False, zero=zero, allow=allow):
-            if not _sandwich_all_zero(sc, ap, lo, bq, lo, ks):
-                continue
-            hit = _conclusion_violation(sc, prop, ap, lo, bq, lo, ())
-            if hit is not None:
-                pair, mono, off = hit
-                w = Witness(
-                    kind="series",
-                    p_coeffs=ap,
-                    p_min=lo,
-                    q_coeffs=bq,
-                    q_min=lo,
-                    order=truncation,
-                    pair=pair,
-                    monomial=mono,
-                    offending=off,
-                )
-                return _verdict(prop, ring, alpha, envelope, w)
+    block = sc.block(width, last_nonzero=False)
+    for ap in _iter_tuples(n, width, last_nonzero=False, zero=sc.zero):
+        row = _least_violation(sc, ap, lo, block)
+        if row is not None:
+            bq = block.row(row)
+            pair, mono, off = _conclusion_violation(sc, prop, ap, lo, bq, lo, ())
+            w = Witness(
+                kind="series",
+                p_coeffs=ap,
+                p_min=lo,
+                q_coeffs=bq,
+                q_min=lo,
+                order=truncation,
+                pair=pair,
+                monomial=mono,
+                offending=off,
+            )
+            return _verdict(prop, ring, alpha, envelope, w)
     return _verdict(prop, ring, alpha, envelope)
 
 

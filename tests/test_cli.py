@@ -214,6 +214,17 @@ def test_budget_env_var(ex2_file, monkeypatch, capsys):
     assert main(["check", ex2_file, "--property", "q-alpha-skew-armendariz", "--deg", "1"]) == 3
 
 
+def test_negative_budget_is_invalid_input(ex2_file, monkeypatch, capsys):
+    args = ["check", ex2_file, "--property", "armendariz", "--deg", "1"]
+    assert main(args + ["--budget", "-5"]) == 2
+    assert "--budget must be nonnegative, got -5" in capsys.readouterr().err
+    monkeypatch.setenv("SKEWARM_TUPLE_BUDGET", "-1")
+    assert main(args) == 2
+    assert "SKEWARM_TUPLE_BUDGET must be nonnegative, got -1" in capsys.readouterr().err
+    # zero is a valid budget that no search fits under
+    assert main(args + ["--budget", "0"]) == 3
+
+
 def test_check_laurent_and_series(ex1_file):
     assert (
         main(
