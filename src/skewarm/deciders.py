@@ -9,21 +9,23 @@ arithmetic.  Enumeration order is fixed (degree blocks, then coefficient
 tuples lexicographically from the lowest index), so the returned witness is
 always the least one and verdicts are schedule-independent.
 
-The search decides each p against a whole block of q at once
-(``_least_violation``) and still returns the least witness: a block holds
-every q of one shape in enumeration order, because it is built from
-``_iter_tuples``; the prefix rule and the hypothesis only drop rows that fail
-the hypothesis, and the conclusion mask only drops rows that satisfy the
-conclusion, so neither can drop a witness; and the first surviving row is the
-least q for that p.  The scalar ``_conclusion_violation`` then names the
-violated pair on that one q.
+The search decides each p against every q of one shape at once
+(``_least_violation``) and still returns the least witness: the candidate q
+are built in chunks in the order of ``_iter_tuples`` (``_tuple_chunks``,
+checked against it by a test); the prefix rule and the hypothesis only drop
+rows that fail the hypothesis, and the conclusion mask only drops rows that
+satisfy the conclusion, so none of them can drop a witness; and the first
+surviving row of the first chunk that has one is the least q for that p.
+The scalar ``_conclusion_violation`` then names the violated pair on that
+one q.  Chunks are bounded in size, so the kernel's memory does not grow
+with the envelope.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 import numpy as np
 
@@ -320,19 +322,58 @@ def _strip(coeffs: tuple[int, ...], zero: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Block:
-    """Every candidate q of one shape, in enumeration order, as a uint8 array."""
+# Bounds on the kernel's memory: cells (entries) of the largest array one
+# kernel step builds, and of the q chunks one decider call keeps for reuse.
+_CHUNK_CELLS = 1 << 22
+_MEMO_CELLS = 1 << 24
+_INT64_MAX = np.iinfo(np.int64).max
 
-    def __init__(self, n: int, length: int, last_nonzero: bool, zero: int):
-        tuples = _iter_tuples(n, length, last_nonzero, zero)
-        self.coeffs = np.fromiter(chain.from_iterable(tuples), dtype=np.uint8).reshape(
-            -1, length
-        )
-        first = (self.coeffs != zero).argmax(axis=1)
-        self.heads = self.coeffs[np.arange(len(self.coeffs)), first]
 
-    def row(self, index: int) -> tuple[int, ...]:
-        return tuple(self.coeffs[index].tolist())
+def _tails_per_head(n: int, width: int, last_nonzero: bool) -> int:
+    """How many tuples of ``_iter_tuples`` share one head value and have
+    ``width`` coefficients after it."""
+    if last_nonzero and width:
+        return n ** (width - 1) * (n - 1)
+    return n**width
+
+
+def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
+    """The tuples of ``_iter_tuples(n, length, last_nonzero, zero)`` whose first
+    nonzero coefficient is in ``heads`` (ascending), in the same order, as
+    arrays of at most ``step`` rows.
+
+    ``_iter_tuples`` lists one level per position f of the first nonzero
+    coefficient, highest f first.  Within a level it runs over the head
+    value, then over the tail after it as a base-n numeral, except that the
+    last digit of an exact-length tail runs over the nonzero values only.
+    So row k of a level's kept rows has head ``heads[k // size]`` and tail
+    number ``k % size``, and the rows with another head are never built.
+    """
+    values = np.array([v for v in range(n) if v != zero], dtype=dtype)
+    pieces, rows = [], 0
+    for f in range(length - 1, -1, -1):
+        size = _tails_per_head(n, length - 1 - f, last_nonzero)
+        total = len(heads) * size
+        lo = 0
+        while lo < total:
+            hi = min(total, lo + step - rows)
+            # a row number never reaches 2**63, so a larger size only means h = 0
+            h, t = np.divmod(np.arange(lo, hi, dtype=np.int64), min(size, _INT64_MAX))
+            piece = np.full((hi - lo, length), zero, dtype=dtype)
+            piece[:, f] = heads[h]
+            for c in range(length - 1, f, -1):
+                if last_nonzero and c == length - 1:
+                    t, d = np.divmod(t, n - 1)
+                    piece[:, c] = values[d]
+                else:
+                    t, piece[:, c] = np.divmod(t, n)
+            pieces.append(piece)
+            rows, lo = rows + hi - lo, hi
+            if rows == step:
+                yield np.concatenate(pieces)
+                pieces, rows = [], 0
+    if pieces:
+        yield np.concatenate(pieces)
 
 
 class _Scanner:
@@ -340,9 +381,9 @@ class _Scanner:
 
     ``ks`` holds the twist exponents k of the sandwich hypothesis
     p (r x^k) q = 0; ``None`` selects the plain hypothesis pq = 0.  The
-    Python tables serve the scalar scan that names a witness; the uint8
-    numpy copies (the 256-element size cap keeps every index in range) serve
-    the block kernel ``_least_violation``.
+    Python tables serve the scalar scan that names a witness; the numpy
+    copies, in the least unsigned dtype that holds every element index,
+    serve the block kernel ``_least_violation``.
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId, ks):
@@ -356,13 +397,15 @@ class _Scanner:
         self.red = endo.reduce_exponent
         self.nonzero = [r for r in range(ring.size) if r != ring.zero]
         self.nonzero_np = np.asarray(self.nonzero, dtype=np.intp)
-        self.add_np = np.asarray(ring.add_table, dtype=np.uint8)
-        self.mul_np = np.asarray(ring.mul_table, dtype=np.uint8)
-        self.pow_np = np.asarray(endo.pow_maps, dtype=np.uint8)
+        self.dtype = np.min_scalar_type(ring.size - 1)
+        self.add_np = np.asarray(ring.add_table, dtype=self.dtype)
+        self.mul_np = np.asarray(ring.mul_table, dtype=self.dtype)
+        self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
         self.ann = None if ks is None else self._annihilator_table()
-        self._blocks: dict = {}
         self._allowed: dict = {}
         self._bad: dict = {}
+        self._memo: dict = {}
+        self._memo_room = _MEMO_CELLS
 
     def _annihilator_table(self) -> np.ndarray:
         """ann[a, b]: a·R·b = 0, one row of a at a time to bound memory."""
@@ -378,11 +421,22 @@ class _Scanner:
     def power_row(self, e: int) -> np.ndarray:
         return self.pow_np[self.red(e)]
 
-    def block(self, length: int, last_nonzero: bool) -> _Block:
-        key = (length, last_nonzero)
-        if key not in self._blocks:
-            self._blocks[key] = _Block(self.n, length, last_nonzero, self.zero)
-        return self._blocks[key]
+    def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray):
+        """Chunks of every q of one shape whose head value ``allowed`` keeps,
+        in enumeration order.  The chunks of one head table are kept for the
+        next p with the same table while the memo has room."""
+        key = (length, last_nonzero, allowed.tobytes())
+        chunks = self._memo.get(key)
+        if chunks is None:
+            heads = np.flatnonzero(allowed).astype(self.dtype)
+            step = max(1, _CHUNK_CELLS // max(self.n, length))
+            chunks = _tuple_chunks(self.n, length, last_nonzero, self.zero, heads, step, self.dtype)
+            tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
+            cells = len(heads) * tails * length
+            if cells <= self._memo_room:
+                self._memo_room -= cells
+                chunks = self._memo[key] = list(chunks)
+        return chunks
 
     def allowed_heads(self, a: int, e: int) -> np.ndarray | None:
         """allowed[v]: whether a q with first nonzero coefficient v may pass
@@ -413,24 +467,35 @@ class _Scanner:
         self._allowed[key] = tab if tab.any() else None
         return self._allowed[key]
 
+    def conclusion(self, e: int) -> tuple[bool, tuple[int, ...]]:
+        """The variant's conclusion against a coefficient a of p at exponent
+        e, as (sandwich, twists): every coefficient b of q must satisfy
+        a·r·α^t(b) = 0 for all r != 0 when ``sandwich``, else a·α^t(b) = 0,
+        for every t in ``twists``.  This is the one place that says what
+        each variant concludes."""
+        variant = self.variant
+        if variant in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
+            return False, (0,)
+        if variant is PropertyId.ALPHA_SKEW_ARMENDARIZ:
+            return False, (e,)
+        if variant in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
+            return True, (0,)
+        if variant is PropertyId.ALPHA_QUASI_ARMENDARIZ:
+            return True, tuple(self.ks)  # every distinct power of the twist
+        return True, (e,)  # the q-alpha-skew family (plain, laurent, series)
+
     def bad_values(self, a: int, e: int) -> np.ndarray:
         """bad[b]: a coefficient b of q violates the conclusion against the
-        coefficient a of p at exponent e, whatever b's own exponent; the
-        scalar counterpart is ``_conclusion_violation``."""
+        coefficient a of p at exponent e, whatever b's own exponent."""
         key = (a, self.red(e))
         bad = self._bad.get(key)
         if bad is None:
-            variant, mul, zero = self.variant, self.mul_np, self.zero
-            if variant in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
-                bad = mul[a] != zero
-            elif variant is PropertyId.ALPHA_SKEW_ARMENDARIZ:
-                bad = mul[a][self.power_row(e)] != zero
-            elif variant in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
-                bad = ~self.ann[a]
-            elif variant is PropertyId.ALPHA_QUASI_ARMENDARIZ:
-                bad = ~self.ann[a][self.pow_np].all(axis=0)
-            else:  # the q-alpha-skew family (plain, laurent, series)
-                bad = ~self.ann[a][self.power_row(e)]
+            sandwich, twists = self.conclusion(e)
+            maps = self.pow_np[[self.red(t) for t in twists]]
+            if sandwich:
+                bad = ~self.ann[a][maps].all(axis=0)
+            else:
+                bad = (self.mul_np[a][maps] != self.zero).any(axis=0)
             self._bad[key] = bad
         return bad
 
@@ -440,18 +505,14 @@ def _budget_guard(space: int, budget: int) -> None:
         raise BudgetExceededError(space, budget)
 
 
-def _least_violation(sc: _Scanner, ap, amin: int, block: _Block) -> int | None:
-    """Index of the least q in ``block`` such that (p, q) passes the
-    hypothesis and violates the conclusion, or None.
+def _least_violation(sc: _Scanner, ap, amin: int, length: int, last_nonzero: bool):
+    """The least q of the given shape such that (p, q) passes the hypothesis
+    and violates the conclusion, or None.
 
-    Every q of the block is decided at once: first the rows whose head value
-    the prefix rule (``allowed_heads``) keeps and that violate the
-    conclusion somewhere (both are table lookups), then the hypothesis on the
-    survivors, one product coefficient at a time, dropping the rows that
-    fail after each.  For the sandwich hypothesis the products are exact
-    over every r != 0 at once: a (|R|-1) x rows array per coefficient and
-    twist exponent k.  The plain hypothesis pq = 0 is the same computation
-    with the single "sandwich" u_i = a_i and k = 0.
+    The q are decided a chunk at a time: only the rows whose head value the
+    prefix rule (``allowed_heads``) keeps are built, the rows that satisfy
+    the conclusion are dropped by a table lookup, and ``_first_passing``
+    tests the hypothesis on the rest.
     """
     zero = sc.zero
     supp = [(i, a) for i, a in enumerate(ap) if a != zero]
@@ -461,27 +522,43 @@ def _least_violation(sc: _Scanner, ap, amin: int, block: _Block) -> int | None:
     bad = sc.bad_values(supp[0][1], amin + supp[0][0])
     for i, a in supp[1:]:
         bad = bad | sc.bad_values(a, amin + i)
-    rows = np.flatnonzero(allowed[block.heads] & bad[block.coeffs].any(axis=1))
-    if not rows.size:
-        return None
+    for chunk in sc.candidates(length, last_nonzero, allowed):
+        rows = chunk[bad[chunk].any(axis=1)]
+        if len(rows):
+            q = _first_passing(sc, supp, amin, rows)
+            if q is not None:
+                return q
+    return None
 
-    mul, add = sc.mul_np, sc.add_np
-    qs = block.coeffs[rows].T  # qs[j]: coefficient j of every surviving q
+
+def _first_passing(sc: _Scanner, supp, amin: int, rows: np.ndarray):
+    """The first of ``rows`` (coefficient tuples of q) that passes the
+    hypothesis against the p with support ``supp``, or None.
+
+    The hypothesis is tested one product coefficient at a time, dropping the
+    rows that fail after each.  For the sandwich hypothesis the products are
+    exact over every r != 0 at once: a (|R|-1) x rows array per coefficient
+    and twist exponent k.  The plain hypothesis pq = 0 is the same
+    computation with the single "sandwich" u_i = a_i and k = 0.
+    """
+    mul, add, zero = sc.mul_np, sc.add_np, sc.zero
+    qs = rows.T  # qs[j]: coefficient j of every candidate q
     lq = len(qs)
     if sc.ks is None:
-        us, ks = np.array([[a for _, a in supp]], dtype=np.uint8), (0,)
+        us, ks = np.array([[a for _, a in supp]], dtype=sc.dtype), (0,)
     else:
         # us[r, c] = a_i·α^(amin+i)(r) for the c-th support term (i, a_i)
         us = np.stack(
             [mul[a][sc.power_row(amin + i)[sc.nonzero_np]] for i, a in supp], axis=1
         )
         ks = sc.ks
+    plen = supp[-1][0] + 1
     for k in ks:
         # terms[c][r, b] = us[r, c]·α^(amin+i+k)(b)
         terms = [
             (i, mul[us[:, c]][:, sc.power_row(amin + i + k)]) for c, (i, _) in enumerate(supp)
         ]
-        for e in range(len(ap) + lq - 1):
+        for e in range(plen + lq - 1):
             s = None
             for i, tab in terms:
                 if 0 <= e - i < lq:
@@ -491,56 +568,40 @@ def _least_violation(sc: _Scanner, ap, amin: int, block: _Block) -> int | None:
                 continue
             keep = (s == zero).all(axis=0)
             if not keep.all():
-                rows, qs = rows[keep], qs[:, keep]
-                if not rows.size:
+                qs = qs[:, keep]
+                if not qs.shape[1]:
                     return None
-    return int(rows[0])
+    return tuple(qs[:, 0].tolist())
 
 
-def _conclusion_violation(sc: _Scanner, variant, ap, amin, bq, bmin, tset):
+def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
     """First violated conclusion instance in (i, j, t, r) order, or None.
 
     Exponents are the actual ones (``amin``/``bmin`` shifted); the returned
-    monomial records the conclusion's sandwich element and twist exponent.
+    monomial records the conclusion's sandwich element and twist exponent,
+    or is None for a conclusion without one.
     """
     mul, zero = sc.mul, sc.zero
-    nonzero_r = sc.nonzero
     for i, a in enumerate(ap):
         if a == zero:
             continue
         ei = amin + i
+        bad = sc.bad_values(a, ei)
         for j, b in enumerate(bq):
-            if b == zero:
+            if b == zero or not bad[b]:
                 continue
-            ej = bmin + j
-            if variant in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
-                if mul[a][b] != zero:
-                    return (ei, ej), None, mul[a][b]
-            elif variant is PropertyId.ALPHA_SKEW_ARMENDARIZ:
-                v = mul[a][sc.power(ei, b)]
-                if v != zero:
-                    return (ei, ej), None, v
-            elif variant in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
-                row = mul[a]
-                for r in nonzero_r:
-                    v = mul[row[r]][b]
-                    if v != zero:
-                        return (ei, ej), (r, 0), v
-            elif variant is PropertyId.ALPHA_QUASI_ARMENDARIZ:
-                row = mul[a]
-                for t in tset:
-                    tb = sc.power(t, b)
-                    for r in nonzero_r:
-                        v = mul[row[r]][tb]
-                        if v != zero:
-                            return (ei, ej), (r, t), v
-            else:  # the q-alpha-skew family (plain, laurent, series)
-                row = mul[a]
-                tb = sc.power(ei, b)
-                for r in nonzero_r:
+            sandwich, twists = sc.conclusion(ei)
+            row = mul[a]
+            for t in twists:
+                tb = sc.power(t, b)
+                if not sandwich:
+                    if row[tb] != zero:
+                        return (ei, bmin + j), None, row[tb]
+                    continue
+                for r in sc.nonzero:
                     v = mul[row[r]][tb]
                     if v != zero:
-                        return (ei, ej), (r, ei), v
+                        return (ei, bmin + j), (r, t), v
     return None
 
 
@@ -575,12 +636,10 @@ def check_armendariz_family(
     zero = sc.zero
     for dp in range(degree + 1):
         for dq in range(degree + 1):
-            block = sc.block(dq + 1, last_nonzero=True)
             for ap in _iter_tuples(n, dp + 1, last_nonzero=True, zero=zero):
-                row = _least_violation(sc, ap, 0, block)
-                if row is not None:
-                    bq = block.row(row)
-                    pair, mono, off = _conclusion_violation(sc, variant, ap, 0, bq, 0, orbit)
+                bq = _least_violation(sc, ap, 0, dq + 1, True)
+                if bq is not None:
+                    pair, mono, off = _conclusion_violation(sc, ap, 0, bq, 0)
                     w = Witness(
                         kind="poly",
                         p_coeffs=_strip(ap, zero),
@@ -615,12 +674,10 @@ def check_laurent_q_alpha_skew(
     prop = PropertyId.LAURENT_Q_ALPHA_SKEW
     sc = _Scanner(ring, alpha, prop, range(-alpha.period, alpha.period))
     envelope = Envelope(window=(m, nn, t, s))
-    block = sc.block(lq, last_nonzero=False)
     for ap in _iter_tuples(n, lp, last_nonzero=False, zero=sc.zero):
-        row = _least_violation(sc, ap, -m, block)
-        if row is not None:
-            bq = block.row(row)
-            pair, mono, off = _conclusion_violation(sc, prop, ap, -m, bq, -t, ())
+        bq = _least_violation(sc, ap, -m, lq, False)
+        if bq is not None:
+            pair, mono, off = _conclusion_violation(sc, ap, -m, bq, -t)
             w = Witness(
                 kind="laurent",
                 p_coeffs=ap,
@@ -671,12 +728,10 @@ def check_powerseries_q_alpha_skew(
     ks = range(-alpha.period, alpha.period) if laurent else range(alpha.preperiod + alpha.period)
     sc = _Scanner(ring, alpha, prop, ks)
     envelope = Envelope(truncation=truncation, min_exp=lo if laurent else None)
-    block = sc.block(width, last_nonzero=False)
     for ap in _iter_tuples(n, width, last_nonzero=False, zero=sc.zero):
-        row = _least_violation(sc, ap, lo, block)
-        if row is not None:
-            bq = block.row(row)
-            pair, mono, off = _conclusion_violation(sc, prop, ap, lo, bq, lo, ())
+        bq = _least_violation(sc, ap, lo, width, False)
+        if bq is not None:
+            pair, mono, off = _conclusion_violation(sc, ap, lo, bq, lo)
             w = Witness(
                 kind="series",
                 p_coeffs=ap,

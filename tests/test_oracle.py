@@ -11,6 +11,7 @@ the enumeration order of ``check_property`` at once.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from skewarm import (
@@ -24,9 +25,11 @@ from skewarm import (
     forall_sandwich_zero_laurent,
     forall_sandwich_zero_series,
     identity_endomorphism,
+    make_table_ring,
     relabel_ring,
     replay_witness,
     skew_mul,
+    table_endomorphism,
     transport,
     zero_endomorphism,
 )
@@ -209,3 +212,24 @@ def test_decider_matches_reference(carriers_by_name, name, form, prop, envelope)
     assert verdict.witness == expected
     if expected is not None:
         replay_witness(ring, endo, prop, verdict.witness)
+
+
+def test_decider_above_256_elements_matches_reference():
+    """Element indices above 255 need the kernel's tables wider than uint8."""
+    n, shift = 300, 7  # Z300 with residue r at index r + 7, so zero is not index 0
+    res = np.arange(n) - shift
+    ring = make_table_ring(
+        ((res[:, None] + res) % n + shift) % n,
+        ((res[:, None] * res) % n + shift) % n,
+        label="Z300~",
+        size_cap=n,
+    )
+    # x -> 201x is idempotent (201 = 1 mod 4 and 25, 0 mod 3): preperiod 1
+    idem = table_endomorphism(ring, (201 * res % n + shift) % n, "201x")
+    for alpha in (identity_endomorphism(ring), idem):
+        for prop in PLAIN_HYP:
+            verdict = check_property(ring, alpha, prop, degree=0)
+            assert verdict.witness == reference(ring, alpha, prop, degree=0)
+        # at degree 0 every sandwich conclusion is implied by its hypothesis
+        for prop in FAMILY[len(PLAIN_HYP):]:
+            assert check_property(ring, alpha, prop, degree=0).holds
