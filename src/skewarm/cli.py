@@ -141,12 +141,8 @@ def cmd_check(args) -> int:
     else:
         print(verdict.describe())
         if not verdict.holds:
-            endo_for_text = endo
-            if endo is None or prop in (PropertyId.ARMENDARIZ, PropertyId.QUASI_ARMENDARIZ):
-                from .rings import identity_endomorphism
-
-                endo_for_text = identity_endomorphism(ring)
-            for line in _witness_text(ring, endo_for_text, prop, verdict.witness):
+            twist = dec._twist_for(ring, endo, prop)
+            for line in _witness_text(ring, twist, prop, verdict.witness):
                 print("  " + line)
     return EXIT_HOLDS if verdict.holds else EXIT_FAILS
 

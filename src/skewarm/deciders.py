@@ -9,16 +9,21 @@ arithmetic.  Enumeration order is fixed (degree blocks, then coefficient
 tuples lexicographically from the lowest index), so the returned witness is
 always the least one and verdicts are schedule-independent.
 
-The search decides each p against every q of one shape at once
-(``_least_violation``) and still returns the least witness: the candidate q
-are built in chunks in the order of ``_iter_tuples`` (``_tuple_chunks``,
-checked against it by a test); the prefix rule and the hypothesis only drop
-rows that fail the hypothesis, and the conclusion mask only drops rows that
-satisfy the conclusion, so none of them can drop a witness; and the first
-surviving row of the first chunk that has one is the least q for that p.
-The scalar ``_conclusion_violation`` then names the violated pair on that
-one q.  Chunks are bounded in size, so the kernel's memory does not grow
-with the envelope.
+Each polynomial variant is stated once, in ``_STATEMENTS``; the search and
+``replay_witness`` both read it.  The plain, Laurent and series deciders
+check their arguments and budget, then hand the one ``_search`` their
+blocks of (p, q) shapes and base exponents.  Every sandwich hypothesis
+uses the twist exponents of one orbit window (``_Scanner.orbit``).
+
+The search skips, unbuilt, each block of p whose first nonzero coefficient
+(position and value) the prefix rule lets meet no q.  It decides each other
+p against every q of one shape at once (``_least_violation``) and still
+returns the least witness: the q are built in bounded chunks in the order
+of ``_iter_tuples`` (``_tuple_chunks``, checked against it by a test); the
+prefix rule and the hypothesis only drop rows that fail the hypothesis,
+and the conclusion mask only rows that satisfy the conclusion, so none can
+drop a witness; the first surviving row is the least q for that p, and the
+scalar ``_conclusion_violation`` names the violated pair on it.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,26 +92,43 @@ ELEMENT_PROPERTIES = frozenset(
     }
 )
 
-# variants whose hypothesis is the plain product pq = 0
-_PLAIN_HYP = frozenset(
-    {
-        PropertyId.ARMENDARIZ,
-        PropertyId.ALPHA_ARMENDARIZ,
-        PropertyId.ALPHA_SKEW_ARMENDARIZ,
-    }
-)
-# variants whose hypothesis is p R[x;alpha] q = 0
-_SANDWICH_HYP = frozenset(
-    {
-        PropertyId.QUASI_ARMENDARIZ,
-        PropertyId.Q_ALPHA_ARMENDARIZ,
-        PropertyId.Q_ALPHA_SKEW_ARMENDARIZ,
-        PropertyId.ALPHA_QUASI_ARMENDARIZ,
-    }
-)
-FAMILY_PROPERTIES = _PLAIN_HYP | _SANDWICH_HYP
-# properties that ignore the endomorphism (the twist is the identity)
-_ALPHA_FREE = frozenset({PropertyId.ARMENDARIZ, PropertyId.QUASI_ARMENDARIZ})
+
+class _Statement(NamedTuple):
+    """What one polynomial variant says about (p, q), read by the search and
+    by replay.  ``kind`` is the witness kind ("poly", "laurent", "series").
+    With ``sandwich`` the hypothesis is p R[x;α] q = 0 and the conclusion
+    a·r·α^t(b) = 0 for every r, else pq = 0 and a·α^t(b) = 0, for every
+    coefficient a of p, at exponent e, and b of q; ``twist`` gives t: "zero"
+    (t = 0), "exponent" (t = e) or "orbit" (every distinct power of α).  An
+    ``alpha_free`` variant twists by the identity whatever α is given."""
+
+    kind: str
+    sandwich: bool
+    twist: str
+    alpha_free: bool = False
+
+    def twist_at(self, e: int) -> int | None:
+        """The one t against a coefficient at exponent e; None for "orbit"."""
+        return {"zero": 0, "exponent": e}.get(self.twist)
+
+    def twists(self, e: int, orbit) -> tuple[int, ...]:
+        t = self.twist_at(e)
+        return tuple(orbit) if t is None else (t,)
+
+
+_STATEMENTS = {
+    PropertyId.ARMENDARIZ: _Statement("poly", False, "zero", alpha_free=True),
+    PropertyId.ALPHA_ARMENDARIZ: _Statement("poly", False, "zero"),
+    PropertyId.ALPHA_SKEW_ARMENDARIZ: _Statement("poly", False, "exponent"),
+    PropertyId.QUASI_ARMENDARIZ: _Statement("poly", True, "zero", alpha_free=True),
+    PropertyId.Q_ALPHA_ARMENDARIZ: _Statement("poly", True, "zero"),
+    PropertyId.Q_ALPHA_SKEW_ARMENDARIZ: _Statement("poly", True, "exponent"),
+    PropertyId.ALPHA_QUASI_ARMENDARIZ: _Statement("poly", True, "orbit"),
+    PropertyId.LAURENT_Q_ALPHA_SKEW: _Statement("laurent", True, "exponent"),
+    PropertyId.POWERSERIES_Q_ALPHA_SKEW: _Statement("series", True, "exponent"),
+    PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW: _Statement("series", True, "exponent"),
+}
+FAMILY_PROPERTIES = frozenset(p for p, s in _STATEMENTS.items() if s.kind == "poly")
 
 
 @dataclass(frozen=True)
@@ -282,6 +305,14 @@ def _require_over(ring: FiniteRing, alpha: Endomorphism) -> None:
         raise RingError("endomorphism is not over the given ring")
 
 
+def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -> Endomorphism:
+    """The endomorphism a witness of ``prop`` is read over: the identity when
+    none is given or the property ignores it, else ``alpha``."""
+    if alpha is None or (prop in _STATEMENTS and _STATEMENTS[prop].alpha_free):
+        return identity_endomorphism(ring)
+    return alpha
+
+
 # --------------------------------------------------------------------------
 # enumeration helpers
 
@@ -315,17 +346,13 @@ def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int):
                     yield head + rest
 
 
-def _strip(coeffs: tuple[int, ...], zero: int) -> tuple[int, ...]:
-    out = list(coeffs)
-    while out and out[-1] == zero:
-        out.pop()
-    return tuple(out)
-
-
 # Bounds on the kernel's memory: cells (entries) of the largest array one
 # kernel step builds, and of the q chunks one decider call keeps for reuse.
 _CHUNK_CELLS = 1 << 22
 _MEMO_CELLS = 1 << 24
+# p are decided one at a time, so they are built in small chunks: a witness
+# at an early p does not pay for building many more.
+_P_CHUNK_ROWS = 1 << 10
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -339,28 +366,30 @@ def _tails_per_head(n: int, width: int, last_nonzero: bool) -> int:
 
 def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
     """The tuples of ``_iter_tuples(n, length, last_nonzero, zero)`` whose first
-    nonzero coefficient is in ``heads`` (ascending), in the same order, as
-    arrays of at most ``step`` rows.
+    nonzero coefficient, at position f, is in ``heads(f)`` (an ascending
+    array), in the same order, as arrays of at most ``step`` rows.
 
     ``_iter_tuples`` lists one level per position f of the first nonzero
     coefficient, highest f first.  Within a level it runs over the head
     value, then over the tail after it as a base-n numeral, except that the
     last digit of an exact-length tail runs over the nonzero values only.
-    So row k of a level's kept rows has head ``heads[k // size]`` and tail
-    number ``k % size``, and the rows with another head are never built.
+    So row k of a level's kept rows has head ``heads(f)[k // size]`` and
+    tail number ``k % size``, and the rows with another head are never
+    built.
     """
     values = np.array([v for v in range(n) if v != zero], dtype=dtype)
     pieces, rows = [], 0
     for f in range(length - 1, -1, -1):
         size = _tails_per_head(n, length - 1 - f, last_nonzero)
-        total = len(heads) * size
+        level_heads = heads(f)
+        total = len(level_heads) * size
         lo = 0
         while lo < total:
             hi = min(total, lo + step - rows)
             # a row number never reaches 2**63, so a larger size only means h = 0
             h, t = np.divmod(np.arange(lo, hi, dtype=np.int64), min(size, _INT64_MAX))
             piece = np.full((hi - lo, length), zero, dtype=dtype)
-            piece[:, f] = heads[h]
+            piece[:, f] = level_heads[h]
             for c in range(length - 1, f, -1):
                 if last_nonzero and c == length - 1:
                     t, d = np.divmod(t, n - 1)
@@ -379,17 +408,20 @@ def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
 class _Scanner:
     """Tables and caches for one decider invocation.
 
-    ``ks`` holds the twist exponents k of the sandwich hypothesis
-    p (r x^k) q = 0; ``None`` selects the plain hypothesis pq = 0.  The
-    Python tables serve the scalar scan that names a witness; the numpy
-    copies, in the least unsigned dtype that holds every element index,
-    serve the block kernel ``_least_violation``.
+    ``orbit`` holds the exponents of every distinct power of the twist;
+    ``ks``, the twist exponents k of the sandwich hypothesis
+    p (r x^k) q = 0, is ``orbit`` on every envelope (see
+    ``skewpoly._forall_sandwich_zero``), or ``None`` for the plain
+    hypothesis pq = 0.  The Python tables serve the scalar scan that names
+    a witness; the numpy copies, in the least unsigned dtype that holds
+    every element index, serve the block kernel ``_least_violation``.
     """
 
-    def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId, ks):
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
         self.endo = endo
-        self.variant = variant
-        self.ks = ks
+        self.statement = _STATEMENTS[variant]
+        self.orbit = range(endo.preperiod + endo.period)
+        self.ks = self.orbit if self.statement.sandwich else None
         self.n = ring.size
         self.mul = ring.mul_table
         self.zero = ring.zero
@@ -401,7 +433,7 @@ class _Scanner:
         self.add_np = np.asarray(ring.add_table, dtype=self.dtype)
         self.mul_np = np.asarray(ring.mul_table, dtype=self.dtype)
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
-        self.ann = None if ks is None else self._annihilator_table()
+        self.ann = None if self.ks is None else self._annihilator_table()
         self._allowed: dict = {}
         self._bad: dict = {}
         self._memo: dict = {}
@@ -430,7 +462,9 @@ class _Scanner:
         if chunks is None:
             heads = np.flatnonzero(allowed).astype(self.dtype)
             step = max(1, _CHUNK_CELLS // max(self.n, length))
-            chunks = _tuple_chunks(self.n, length, last_nonzero, self.zero, heads, step, self.dtype)
+            chunks = _tuple_chunks(
+                self.n, length, last_nonzero, self.zero, lambda f: heads, step, self.dtype
+            )
             tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
             cells = len(heads) * tails * length
             if cells <= self._memo_room:
@@ -449,40 +483,46 @@ class _Scanner:
         surjective twist α^e(r) ranges over R, so the rule is a·R·α^k(v) = 0
         over one period of k and does not depend on e.
         """
-        mul, zero = self.mul_np, self.zero
+        return self._head_tables(e)[0][a]
+
+    def _head_tables(self, e: int):
+        """``allowed_heads(a, e)`` for every a, and the a it does not refuse;
+        built at once for each class of exponents that share them."""
         surj = self.ks is not None and self.endo.is_surjective
-        key = a if surj else (a, self.red(e))
-        if key in self._allowed:
-            return self._allowed[key]
-        if self.ks is None:
-            tab = mul[a][self.power_row(e)] == zero
-        elif surj:
-            tab = self.ann[a][self.pow_np].all(axis=0)
-        else:
-            u = np.unique(mul[a][self.power_row(e)[self.nonzero_np]])
-            tab = np.ones(self.n, dtype=bool)
-            for k in self.ks:
-                tab &= (mul[u][:, self.power_row(e + k)] == zero).all(axis=0)
-        tab[zero] = False
-        self._allowed[key] = tab if tab.any() else None
+        key = None if surj else self.red(e)
+        if key not in self._allowed:
+            mul, zero = self.mul_np, self.zero
+            if self.ks is None:
+                tab = mul[:, self.power_row(e)] == zero
+            elif surj:
+                tab = np.ones((self.n, self.n), dtype=bool)
+                for row in self.pow_np:
+                    tab &= self.ann[:, row]
+            else:
+                tab = np.ones((self.n, self.n), dtype=bool)
+                for b in range(self.n):
+                    u = np.unique(mul[b][self.power_row(e)[self.nonzero_np]])
+                    for k in self.ks:
+                        tab[b] &= (mul[u][:, self.power_row(e + k)] == zero).all(axis=0)
+            tab[:, zero] = False
+            some = tab.any(axis=1)
+            some[zero] = False
+            tables = [tab[b] if some[b] else None for b in range(self.n)]
+            self._allowed[key] = tables, np.flatnonzero(some).astype(self.dtype)
         return self._allowed[key]
 
-    def conclusion(self, e: int) -> tuple[bool, tuple[int, ...]]:
-        """The variant's conclusion against a coefficient a of p at exponent
-        e, as (sandwich, twists): every coefficient b of q must satisfy
-        a·r·α^t(b) = 0 for all r != 0 when ``sandwich``, else a·α^t(b) = 0,
-        for every t in ``twists``.  This is the one place that says what
-        each variant concludes."""
-        variant = self.variant
-        if variant in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
-            return False, (0,)
-        if variant is PropertyId.ALPHA_SKEW_ARMENDARIZ:
-            return False, (e,)
-        if variant in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
-            return True, (0,)
-        if variant is PropertyId.ALPHA_QUASI_ARMENDARIZ:
-            return True, tuple(self.ks)  # every distinct power of the twist
-        return True, (e,)  # the q-alpha-skew family (plain, laurent, series)
+    def p_candidates(self, length: int, last_nonzero: bool, amin: int):
+        """Every p of one shape, p's lowest exponent ``amin``, in enumeration
+        order, except those whose head the prefix rule lets meet no q: the
+        block of p with a refused (position, head value) is never built."""
+
+        def heads(f):
+            return self._head_tables(amin + f)[1]
+
+        step = _P_CHUNK_ROWS
+        chunks = _tuple_chunks(self.n, length, last_nonzero, self.zero, heads, step, self.dtype)
+        for chunk in chunks:
+            yield from map(tuple, chunk.tolist())
 
     def bad_values(self, a: int, e: int) -> np.ndarray:
         """bad[b]: a coefficient b of q violates the conclusion against the
@@ -490,9 +530,9 @@ class _Scanner:
         key = (a, self.red(e))
         bad = self._bad.get(key)
         if bad is None:
-            sandwich, twists = self.conclusion(e)
+            twists = self.statement.twists(e, self.orbit)
             maps = self.pow_np[[self.red(t) for t in twists]]
-            if sandwich:
+            if self.statement.sandwich:
                 bad = ~self.ann[a][maps].all(axis=0)
             else:
                 bad = (self.mul_np[a][maps] != self.zero).any(axis=0)
@@ -590,11 +630,10 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
         for j, b in enumerate(bq):
             if b == zero or not bad[b]:
                 continue
-            sandwich, twists = sc.conclusion(ei)
             row = mul[a]
-            for t in twists:
+            for t in sc.statement.twists(ei, sc.orbit):
                 tb = sc.power(t, b)
-                if not sandwich:
+                if not sc.statement.sandwich:
                     if row[tb] != zero:
                         return (ei, bmin + j), None, row[tb]
                     continue
@@ -603,6 +642,32 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
                     if v != zero:
                         return (ei, bmin + j), (r, t), v
     return None
+
+
+def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, order=None) -> Verdict:
+    """The one search behind every polynomial decider: the least witness in
+    (block, p, q) order.  ``blocks`` lists (p shape, q shape) pairs, a shape
+    being (number of coefficients, whether the last is nonzero); ``p_min``
+    and ``q_min`` are the lowest exponents, ``order`` a series' truncation."""
+    sc = _Scanner(ring, alpha, prop)
+    for (lp, p_exact), (lq, q_exact) in blocks:
+        for ap in sc.p_candidates(lp, p_exact, p_min):
+            bq = _least_violation(sc, ap, p_min, lq, q_exact)
+            if bq is not None:
+                pair, mono, off = _conclusion_violation(sc, ap, p_min, bq, q_min)
+                w = Witness(
+                    kind=sc.statement.kind,
+                    p_coeffs=ap,
+                    p_min=p_min,
+                    q_coeffs=bq,
+                    q_min=q_min,
+                    order=order,
+                    pair=pair,
+                    monomial=mono,
+                    offending=off,
+                )
+                return _verdict(prop, ring, alpha, envelope, w)
+    return _verdict(prop, ring, alpha, envelope)
 
 
 def check_armendariz_family(
@@ -622,34 +687,15 @@ def check_armendariz_family(
         raise RingError(f"{variant.value} is not a bounded-degree polynomial property")
     if degree < 0:
         raise RingError("degree bound must be nonnegative")
-    if variant in _ALPHA_FREE:
-        alpha = identity_endomorphism(ring)
-    if alpha is None:
+    if alpha is None and not _STATEMENTS[variant].alpha_free:
         raise RingError(f"{variant.value} needs an endomorphism")
+    alpha = _twist_for(ring, alpha, variant)
     _require_over(ring, alpha)
-    n = ring.size
-    _budget_guard(n ** (2 * (degree + 1)), budget)
+    _budget_guard(ring.size ** (2 * (degree + 1)), budget)
 
-    orbit = range(alpha.preperiod + alpha.period)  # every distinct power of alpha
-    sc = _Scanner(ring, alpha, variant, orbit if variant in _SANDWICH_HYP else None)
-    envelope = Envelope(degree=degree)
-    zero = sc.zero
-    for dp in range(degree + 1):
-        for dq in range(degree + 1):
-            for ap in _iter_tuples(n, dp + 1, last_nonzero=True, zero=zero):
-                bq = _least_violation(sc, ap, 0, dq + 1, True)
-                if bq is not None:
-                    pair, mono, off = _conclusion_violation(sc, ap, 0, bq, 0)
-                    w = Witness(
-                        kind="poly",
-                        p_coeffs=_strip(ap, zero),
-                        q_coeffs=_strip(bq, zero),
-                        pair=pair,
-                        monomial=mono,
-                        offending=off,
-                    )
-                    return _verdict(variant, ring, alpha, envelope, w)
-    return _verdict(variant, ring, alpha, envelope)
+    shapes = [(d + 1, True) for d in range(degree + 1)]
+    blocks = [(p, q) for p in shapes for q in shapes]
+    return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0)
 
 
 def check_laurent_q_alpha_skew(
@@ -659,8 +705,9 @@ def check_laurent_q_alpha_skew(
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> Verdict:
     """Laurent variant: p has exponents in [-m, n], q in [-t, s]; the
-    hypothesis sandwiches r x^k over a full twist period on both sides of 0
-    and the conclusion is a_i R alpha^i(b_j) = 0 at the actual exponents."""
+    hypothesis sandwiches r x^k over one twist period (negative k add
+    nothing for an automorphism) and the conclusion is
+    a_i R alpha^i(b_j) = 0 at the actual exponents."""
     _require_over(ring, alpha)
     if not alpha.is_automorphism:
         raise RingError("the Laurent decider needs an automorphism")
@@ -672,24 +719,8 @@ def check_laurent_q_alpha_skew(
     _budget_guard(n**lp * n**lq, budget)
 
     prop = PropertyId.LAURENT_Q_ALPHA_SKEW
-    sc = _Scanner(ring, alpha, prop, range(-alpha.period, alpha.period))
-    envelope = Envelope(window=(m, nn, t, s))
-    for ap in _iter_tuples(n, lp, last_nonzero=False, zero=sc.zero):
-        bq = _least_violation(sc, ap, -m, lq, False)
-        if bq is not None:
-            pair, mono, off = _conclusion_violation(sc, ap, -m, bq, -t)
-            w = Witness(
-                kind="laurent",
-                p_coeffs=ap,
-                p_min=-m,
-                q_coeffs=bq,
-                q_min=-t,
-                pair=pair,
-                monomial=mono,
-                offending=off,
-            )
-            return _verdict(prop, ring, alpha, envelope, w)
-    return _verdict(prop, ring, alpha, envelope)
+    blocks = [((lp, False), (lq, False))]
+    return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t)
 
 
 def check_powerseries_q_alpha_skew(
@@ -722,29 +753,11 @@ def check_powerseries_q_alpha_skew(
     width = truncation - lo
     if width < 1:
         raise RingError("empty coefficient window")
-    n = ring.size
-    _budget_guard(n ** (2 * width), budget)
+    _budget_guard(ring.size ** (2 * width), budget)
 
-    ks = range(-alpha.period, alpha.period) if laurent else range(alpha.preperiod + alpha.period)
-    sc = _Scanner(ring, alpha, prop, ks)
     envelope = Envelope(truncation=truncation, min_exp=lo if laurent else None)
-    for ap in _iter_tuples(n, width, last_nonzero=False, zero=sc.zero):
-        bq = _least_violation(sc, ap, lo, width, False)
-        if bq is not None:
-            pair, mono, off = _conclusion_violation(sc, ap, lo, bq, lo)
-            w = Witness(
-                kind="series",
-                p_coeffs=ap,
-                p_min=lo,
-                q_coeffs=bq,
-                q_min=lo,
-                order=truncation,
-                pair=pair,
-                monomial=mono,
-                offending=off,
-            )
-            return _verdict(prop, ring, alpha, envelope, w)
-    return _verdict(prop, ring, alpha, envelope)
+    blocks = [((width, False), (width, False))]
+    return _search(ring, alpha, prop, envelope, blocks, lo, lo, order=truncation)
 
 
 def check_property(
@@ -772,33 +785,29 @@ def check_property(
             PropertyId.SYMMETRIC: is_symmetric,
         }[prop]
         return fn(ring)
-    if prop in FAMILY_PROPERTIES:
+    kind = _STATEMENTS[prop].kind
+    if kind == "poly":
         if degree is None:
             raise RingError(f"{prop.value} needs a degree bound")
         return check_armendariz_family(ring, alpha, degree, prop, budget)
-    if prop is PropertyId.LAURENT_Q_ALPHA_SKEW:
+    if kind == "laurent":
         if window is None:
             raise RingError("the Laurent property needs a window (m,n,t,s)")
         if alpha is None:
             raise RingError("the Laurent property needs an endomorphism")
         return check_laurent_q_alpha_skew(ring, alpha, window, budget)
-    if prop in (
-        PropertyId.POWERSERIES_Q_ALPHA_SKEW,
-        PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW,
-    ):
-        if truncation is None:
-            raise RingError("series properties need a truncation order")
-        if alpha is None:
-            raise RingError("series properties need an endomorphism")
-        return check_powerseries_q_alpha_skew(
-            ring,
-            alpha,
-            truncation,
-            laurent=prop is PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW,
-            min_exp=min_exp,
-            budget=budget,
-        )
-    raise RingError(f"unknown property {prop}")  # pragma: no cover
+    if truncation is None:
+        raise RingError("series properties need a truncation order")
+    if alpha is None:
+        raise RingError("series properties need an endomorphism")
+    return check_powerseries_q_alpha_skew(
+        ring,
+        alpha,
+        truncation,
+        laurent=prop is PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW,
+        min_exp=min_exp,
+        budget=budget,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -869,7 +878,7 @@ def replay_witness(
                 raise ReplayMismatch("a^2 = 0 with a != 0 did not reproduce")
         elif prop is PropertyId.DOMAIN:
             a, b = els
-            if a == zero or b == zero or mul[a][b] != zero:
+            if a == zero or b == zero or mul[a][b] != zero or vals != (mul[a][b],):
                 raise ReplayMismatch("ab = 0 with a, b != 0 did not reproduce")
         elif prop is PropertyId.COMMUTATIVE:
             a, b = els
@@ -895,54 +904,49 @@ def replay_witness(
             if alpha is None:
                 raise RingError("rigidity replay needs the endomorphism")
             (r,) = els
-            if r == zero or mul[r][alpha.images[r]] != zero:
+            v = mul[r][alpha.images[r]]
+            if r == zero or v != zero or vals != (v,):
                 raise ReplayMismatch("r·alpha(r) = 0 with r != 0 did not reproduce")
         return
 
-    if alpha is None or prop in _ALPHA_FREE:
-        alpha = identity_endomorphism(ring)
+    stmt = _STATEMENTS[prop]
+    if witness.kind != stmt.kind:
+        raise RingError(f"a {prop.value} witness has kind {stmt.kind!r}, not {witness.kind!r}")
+    alpha = _twist_for(ring, alpha, prop)
     for c in (witness.p_coeffs or ()) + (witness.q_coeffs or ()):
         if not 0 <= c < ring.size:
             raise RingError(f"witness coefficient {c} out of range")
     p, q = _witness_polys(ring, alpha, witness)
 
-    if prop in _PLAIN_HYP:
-        if not skew_mul(p, q).is_zero:
-            raise ReplayMismatch("hypothesis pq = 0 did not reproduce")
-    elif prop in _SANDWICH_HYP:
-        if not forall_sandwich_zero(p, q):
-            raise ReplayMismatch("hypothesis p R[x;alpha] q = 0 did not reproduce")
-    elif prop is PropertyId.LAURENT_Q_ALPHA_SKEW:
-        if not forall_sandwich_zero_laurent(p, q):
-            raise ReplayMismatch("Laurent hypothesis did not reproduce")
+    if not stmt.sandwich:
+        hypothesis, holds = "hypothesis pq = 0", skew_mul(p, q).is_zero
     else:
-        if not forall_sandwich_zero_series(p, q):
-            raise ReplayMismatch("series hypothesis did not reproduce")
+        hypothesis, quantifier = {
+            "poly": ("hypothesis p R[x;alpha] q = 0", forall_sandwich_zero),
+            "laurent": ("Laurent hypothesis", forall_sandwich_zero_laurent),
+            "series": ("series hypothesis", forall_sandwich_zero_series),
+        }[stmt.kind]
+        holds = quantifier(p, q)
+    if not holds:
+        raise ReplayMismatch(f"{hypothesis} did not reproduce")
 
     if witness.pair is None or witness.offending is None:
         raise ReplayMismatch("witness lacks a violated pair")
     i, j = witness.pair
     a = p.coefficient(i)
     b = q.coefficient(j)
-    if prop in (PropertyId.ARMENDARIZ, PropertyId.ALPHA_ARMENDARIZ):
-        v = mul[a][b]
-    elif prop is PropertyId.ALPHA_SKEW_ARMENDARIZ:
-        v = mul[a][alpha.power_apply(i, b)]
+    expected = stmt.twist_at(i)  # None: the property claims every twist exponent
+    if not stmt.sandwich:
+        v = mul[a][alpha.power_apply(expected, b)]
     else:
         if witness.monomial is None:
             raise ReplayMismatch("witness lacks the conclusion's sandwich element")
         r, e = witness.monomial
         if not 0 <= r < ring.size:
             raise RingError(f"witness sandwich element {r} out of range")
-        if prop in (PropertyId.QUASI_ARMENDARIZ, PropertyId.Q_ALPHA_ARMENDARIZ):
-            expected_e = 0
-        elif prop is PropertyId.ALPHA_QUASI_ARMENDARIZ:
-            expected_e = e  # the violated twist exponent is part of the claim
-        else:
-            expected_e = i
-        if e != expected_e:
+        if expected is not None and e != expected:
             raise ReplayMismatch(
-                f"twist exponent {e} does not match the property (expected {expected_e})"
+                f"twist exponent {e} does not match the property (expected {expected})"
             )
         v = mul[mul[a][r]][alpha.power_apply(e, b)]
     if v == zero:

@@ -901,7 +901,8 @@ def relabel_ring(
     labels = [""] * n
     for i in range(n):
         labels[p[i]] = ring.element_labels[i]
-    out = _build_ring(add, mul, tuple(labels), label or f"{ring.label}~")
+    # the source ring passed its own cap, so keep a cap that admits its size
+    out = _build_ring(add, mul, tuple(labels), label or f"{ring.label}~", max(n, DEFAULT_SIZE_CAP))
     return out, make_isomorphism(ring, out, p)
 
 

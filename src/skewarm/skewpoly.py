@@ -428,38 +428,37 @@ def laurent_sandwich(
     return (p * laurent_monomial(p.ring, p.endo, r, k)) * q
 
 
-def forall_sandwich_zero(p: SkewPoly, q: SkewPoly) -> bool:
-    """Whether p · h · q = 0 for every h in R[x;alpha].
-
-    By bilinearity of h -> p·h·q it is enough to sandwich the monomials
-    r x^k, and by orbit periodicity only exponents k < preperiod + period
-    matter, so the check is exact, not an approximation.
-    """
+def _forall_sandwich_zero(p, q, sandwich_fn) -> bool:
+    """Whether p · h · q = 0 for every h, given ``sandwich_fn`` computing
+    p · (r x^k) · q.  By bilinearity of h -> p·h·q the monomials r x^k
+    suffice.  The coefficients of p (r x^k) q are sums of
+    a_i α^i(r) α^(i+k)(b_j), and α^(i+k+period) = α^(i+k) for k >= preperiod,
+    so k + period repeats the products of k, shifted: k < preperiod + period
+    decide exactly.  An automorphism has preperiod 0, so a negative k adds
+    nothing."""
     _same_carrier(p, q)
     if p.is_zero or q.is_zero:
         return True
-    endo = p.endo
-    bound = endo.preperiod + endo.period
-    zero = p.ring.zero
-    for k in range(bound):
-        for r in range(p.ring.size):
-            if r != zero and not sandwich(p, r, k, q).is_zero:
+    ring, endo = p.ring, p.endo
+    for k in range(endo.preperiod + endo.period):
+        for r in range(ring.size):
+            if r != ring.zero and not sandwich_fn(p, r, k, q).is_zero:
                 return False
     return True
+
+
+def forall_sandwich_zero(p: SkewPoly, q: SkewPoly) -> bool:
+    """Whether p · h · q = 0 for every h in R[x;alpha]; exact, not an
+    approximation (see ``_forall_sandwich_zero``)."""
+    return _forall_sandwich_zero(p, q, sandwich)
 
 
 def forall_sandwich_zero_laurent(p: LaurentSkewPoly, q: LaurentSkewPoly) -> bool:
-    """Laurent analogue; k ranges over a full period on each side of zero."""
-    _same_carrier(p, q)
-    if p.is_zero or q.is_zero:
-        return True
-    period = p.endo.period
-    zero = p.ring.zero
-    for k in range(-period, period):
-        for r in range(p.ring.size):
-            if r != zero and not laurent_sandwich(p, r, k, q).is_zero:
-                return False
-    return True
+    """Laurent analogue, for h in R[x, x^-1; alpha].  One period of k is
+    enough: the twist is an automorphism, so k and k - period give the same
+    products shifted by ``period``, and every negative k repeats some k in
+    [0, period)."""
+    return _forall_sandwich_zero(p, q, laurent_sandwich)
 
 
 def forall_sandwich_zero_series(
@@ -474,17 +473,15 @@ def forall_sandwich_zero_series(
     exactly, not modulo the truncation order.
     """
     _same_carrier(p, q)
-    if p.is_zero or q.is_zero:
-        return True
     ring, endo = p.ring, p.endo
     zero = ring.zero
     if p.min_exp >= 0 and q.min_exp >= 0:
         pp = SkewPoly(ring, endo, (zero,) * p.min_exp + p.coeffs)
         qq = SkewPoly(ring, endo, (zero,) * q.min_exp + q.coeffs)
-        return forall_sandwich_zero(pp, qq)
+        return _forall_sandwich_zero(pp, qq, sandwich)
     pp = LaurentSkewPoly(ring, endo, p.min_exp, p.coeffs)
     qq = LaurentSkewPoly(ring, endo, q.min_exp, q.coeffs)
-    return forall_sandwich_zero_laurent(pp, qq)
+    return _forall_sandwich_zero(pp, qq, laurent_sandwich)
 
 
 _TERM_POW_RE = re.compile(r"^(?P<label>.+)\*x\^(?P<exp>-?\d+)$")

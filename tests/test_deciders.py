@@ -12,6 +12,8 @@ from skewarm import (
     check_powerseries_q_alpha_skew,
     check_property,
     forall_sandwich_zero,
+    forall_sandwich_zero_laurent,
+    forall_sandwich_zero_series,
     identity_endomorphism,
     is_commutative,
     is_domain,
@@ -20,12 +22,15 @@ from skewarm import (
     is_rigid,
     is_semicommutative,
     is_symmetric,
+    laurent_poly,
+    laurent_skew_mul,
     make_galois_field,
     make_zmod,
     frobenius,
     replay_witness,
     skew_mul,
     skew_poly,
+    truncated_series,
     twisted_chain_product,
     zero_endomorphism,
 )
@@ -90,6 +95,18 @@ def brute_sandwich_oracle(ring, endo, p, q):
     return True
 
 
+def brute_laurent_oracle(ring, endo, p, q):
+    """Independent oracle: enumerate EVERY Laurent h with exponents in
+    [-period, period), two periods, with unrestricted coefficients and test
+    p·h·q = 0 through laurent_skew_mul."""
+    period = endo.period
+    for coeffs in itertools.product(range(ring.size), repeat=2 * period):
+        h = laurent_poly(ring, endo, -period, coeffs)
+        if not laurent_skew_mul(laurent_skew_mul(p, h), q).is_zero:
+            return False
+    return True
+
+
 def test_monomial_reduction_matches_brute_oracle(z2xz2, swap, gf4, gf4_frob, z4, z4_id):
     pairs = [(z2xz2, swap), (gf4, gf4_frob), (z4, z4_id), (z4, zero_endomorphism(z4))]
     for ring, endo in pairs:
@@ -102,6 +119,21 @@ def test_monomial_reduction_matches_brute_oracle(z2xz2, swap, gf4, gf4_frob, z4,
                 assert forall_sandwich_zero(p, q) == brute_sandwich_oracle(
                     ring, endo, p, q
                 )
+    # Laurent polynomials and Laurent series on exponents {-1, 0}: the
+    # quantifiers sandwich one period of k, the oracle every h over two
+    for ring, endo in pairs[:3]:
+        coeffs = list(itertools.product(range(ring.size), repeat=2))
+        for cp in coeffs:
+            for cq in coeffs:
+                expected = brute_laurent_oracle(
+                    ring, endo, laurent_poly(ring, endo, -1, cp), laurent_poly(ring, endo, -1, cq)
+                )
+                assert forall_sandwich_zero_laurent(
+                    laurent_poly(ring, endo, -1, cp), laurent_poly(ring, endo, -1, cq)
+                ) == expected
+                assert forall_sandwich_zero_series(
+                    truncated_series(ring, endo, cp, 1, -1), truncated_series(ring, endo, cq, 1, -1)
+                ) == expected
 
 
 # ---------------------------------------------------------------- family
@@ -328,6 +360,28 @@ def test_replay_rejects_wrong_exponent(t_z4, negate_second):
     )
     with pytest.raises(ReplayMismatch):
         replay_witness(t_z4, negate_second, P.Q_ALPHA_SKEW_ARMENDARIZ, wrong)
+
+
+def test_replay_rejects_wrong_recorded_domain_and_rigid_values(z4):
+    # 2·2 = 0 in Z4: the value that certifies the zero divisor is 0
+    replay_witness(z4, None, P.DOMAIN, Witness(kind="elements", elements=(2, 2), values=(0,)))
+    with pytest.raises(ReplayMismatch):
+        replay_witness(z4, None, P.DOMAIN, Witness(kind="elements", elements=(2, 2), values=(3,)))
+    ze = zero_endomorphism(z4)
+    replay_witness(z4, ze, P.RIGID, Witness(kind="elements", elements=(1,), values=(0,)))
+    with pytest.raises(ReplayMismatch):
+        replay_witness(z4, ze, P.RIGID, Witness(kind="elements", elements=(1,), values=(2,)))
+
+
+def test_replay_rejects_a_witness_of_another_kind(t_z4, negate_second):
+    from skewarm import RingError
+
+    plain = Witness(
+        kind="poly", p_coeffs=(8, 9), q_coeffs=(8, 9), pair=(1, 0),
+        monomial=(4, 1), offending=2,
+    )
+    with pytest.raises(RingError, match="kind 'laurent'"):
+        replay_witness(t_z4, negate_second, P.LAURENT_Q_ALPHA_SKEW, plain)
 
 
 def test_replay_rejects_out_of_range_indices(t_z4, negate_second):

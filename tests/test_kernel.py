@@ -2,6 +2,7 @@
 the order of ``_iter_tuples``, and its memory stays bounded on lopsided
 Laurent windows."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,8 @@ from skewarm.deciders import _iter_tuples, _tuple_chunks
 
 
 def first_nonzero(t, zero):
-    return next(c for c in t if c != zero)
+    """(position, value) of the first nonzero coefficient of t."""
+    return next((f, c) for f, c in enumerate(t) if c != zero)
 
 
 @pytest.mark.parametrize(
@@ -30,15 +32,30 @@ def first_nonzero(t, zero):
 def test_chunks_follow_iter_tuples(n, length, last_nonzero, zero, step):
     dtype = np.min_scalar_type(n - 1)
     values = [v for v in range(n) if v != zero]
-    for heads in (values, values[1::2], values[-1:], []):
-        expected = [
-            t
-            for t in _iter_tuples(n, length, last_nonzero, zero)
-            if first_nonzero(t, zero) in heads
-        ]
+    per_level = (
+        lambda f: values,
+        lambda f: values[1::2],
+        lambda f: values[-1:],
+        lambda f: [],
+        lambda f: values[f % 2 :: 2],  # a different set at each position
+        lambda f: values if f == length - 1 else [],
+    )
+    for heads in per_level:
+        kept = [set(heads(f)) for f in range(length)]
+        expected = []
+        for t in _iter_tuples(n, length, last_nonzero, zero):
+            f, v = first_nonzero(t, zero)
+            if v in kept[f]:
+                expected.append(t)
         chunks = list(
             _tuple_chunks(
-                n, length, last_nonzero, zero, np.array(heads, dtype=dtype), step, dtype
+                n,
+                length,
+                last_nonzero,
+                zero,
+                lambda f: np.array(heads(f), dtype=dtype),
+                step,
+                dtype,
             )
         )
         assert all(1 <= len(c) <= step and c.dtype == dtype for c in chunks)
@@ -73,3 +90,15 @@ def test_lopsided_window_decides_in_bounded_chunks():
     verdict, peak = decide_with_peak(make_zmod(4), (0, 0, 0, 10))
     assert verdict.holds
     assert peak < 48 << 20
+
+
+def test_lopsided_p_window_without_allowed_heads_builds_no_p():
+    # the mirror of (0, 0, 0, 24) above: 2**25 candidate p, none of which
+    # may meet a q, so no p is built and the verdict takes no time
+    ring = make_zmod(2)
+    start = time.perf_counter()
+    verdict = check_property(
+        ring, identity_endomorphism(ring), PropertyId.LAURENT_Q_ALPHA_SKEW, window=(24, 0, 0, 0)
+    )
+    assert verdict.holds
+    assert time.perf_counter() - start < 5

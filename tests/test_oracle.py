@@ -25,7 +25,9 @@ from skewarm import (
     forall_sandwich_zero_laurent,
     forall_sandwich_zero_series,
     identity_endomorphism,
+    make_direct_product,
     make_table_ring,
+    make_zmod,
     relabel_ring,
     replay_witness,
     skew_mul,
@@ -218,12 +220,8 @@ def test_decider_above_256_elements_matches_reference():
     """Element indices above 255 need the kernel's tables wider than uint8."""
     n, shift = 300, 7  # Z300 with residue r at index r + 7, so zero is not index 0
     res = np.arange(n) - shift
-    ring = make_table_ring(
-        ((res[:, None] + res) % n + shift) % n,
-        ((res[:, None] * res) % n + shift) % n,
-        label="Z300~",
-        size_cap=n,
-    )
+    ring, _ = relabel_ring(make_zmod(n, size_cap=n), (np.arange(n) + shift) % n)
+    assert ring.zero == shift
     # x -> 201x is idempotent (201 = 1 mod 4 and 25, 0 mod 3): preperiod 1
     idem = table_endomorphism(ring, (201 * res % n + shift) % n, "201x")
     for alpha in (identity_endomorphism(ring), idem):
@@ -233,3 +231,26 @@ def test_decider_above_256_elements_matches_reference():
         # at degree 0 every sandwich conclusion is implied by its hypothesis
         for prop in FAMILY[len(PLAIN_HYP):]:
             assert check_property(ring, alpha, prop, degree=0).holds
+
+
+def test_alpha_quasi_witness_violates_only_at_a_nonzero_twist():
+    """UT2(Z2) ⊕ Z2, twisted by ((a,b,c), z) -> ((0,0,z), c), whose orbit is
+    (preperiod, period) = (1, 2).  Its least alpha-quasi witness at degree 1
+    violates a_i R α^t(b_j) = 0 only at t = 1, so a conclusion that checked
+    t = 0 alone would name another witness."""
+    tri = list(itertools.product(range(2), repeat=3))  # (a,b,c) at index 4a+2b+c
+
+    def index(a, b, c):
+        return 4 * (a % 2) + 2 * (b % 2) + c % 2
+
+    add = [[index(x[0] + y[0], x[1] + y[1], x[2] + y[2]) for y in tri] for x in tri]
+    mul = [[index(x[0] * y[0], x[0] * y[1] + x[1] * y[2], x[2] * y[2]) for y in tri] for x in tri]
+    ring = make_direct_product(make_table_ring(add, mul, label="UT2(Z2)"), make_zmod(2))
+    alpha = table_endomorphism(ring, (0, 2, 1, 3) * 4, "swap-corner")
+    assert (alpha.preperiod, alpha.period) == (1, 2)
+    prop = P.ALPHA_QUASI_ARMENDARIZ
+    verdict = check_property(ring, alpha, prop, degree=1)
+    assert verdict.witness == reference(ring, alpha, prop, degree=1)
+    w = verdict.witness
+    assert (w.p_coeffs, w.q_coeffs, w.monomial) == ((0, 8), (1,), (4, 1))
+    replay_witness(ring, alpha, prop, w)
