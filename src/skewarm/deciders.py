@@ -15,15 +15,20 @@ check their arguments and budget, then hand the one ``_search`` their
 blocks of (p, q) shapes and base exponents.  Every sandwich hypothesis
 uses the twist exponents of one orbit window (``_Scanner.orbit``).
 
-The search skips, unbuilt, each block of p whose first nonzero coefficient
-(position and value) the prefix rule lets meet no q.  It decides each other
-p against every q of one shape at once (``_least_violation``) and still
-returns the least witness: the q are built in bounded chunks in the order
-of ``_iter_tuples`` (``_tuple_chunks``, checked against it by a test); the
-prefix rule and the hypothesis only drop rows that fail the hypothesis,
-and the conclusion mask only rows that satisfy the conclusion, so none can
-drop a witness; the first surviving row is the least q for that p, and the
-scalar ``_conclusion_violation`` names the violated pair on it.
+The search takes p a run at a time: a run is the p that share their first
+nonzero coefficient (position and value), so the prefix rule gives them one
+set of allowed q heads.  A run the rule refuses is skipped unbuilt; every
+other run is decided in sub-batches of p against every q of one shape at
+once (``_least_violation``), and the least witness is still returned.  The
+q are built in bounded chunks in the order of ``_iter_tuples``
+(``_tuple_chunks``, checked against it by a test).  The prefix rule and the
+hypothesis only drop pairs that fail the hypothesis, and the (p × q)
+conclusion mask only pairs that satisfy the conclusion, so none can drop a
+witness.  The surviving pairs are tested in row-major order, so within a
+chunk the first is the least; across chunks a p that hits later beats a
+larger p that hit earlier.  The scalar ``_conclusion_violation`` then names
+the violated instance.  Every sandwich table of the kernel takes r over the
+additive generators of R only (see ``_Scanner``), at most log2 |R| of them.
 """
 
 from __future__ import annotations
@@ -35,7 +40,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rings import Endomorphism, FiniteRing, RingElement, RingError, identity_endomorphism
+from .rings import (
+    Endomorphism,
+    FiniteRing,
+    RingElement,
+    RingError,
+    _additive_generators,
+    identity_endomorphism,
+)
 from .skewpoly import (
     LaurentSkewPoly,
     SkewPoly,
@@ -346,13 +358,16 @@ def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int):
                     yield head + rest
 
 
-# Bounds on the kernel's memory: cells (entries) of the largest array one
-# kernel step builds, and of the q chunks one decider call keeps for reuse.
+# Bounds on the kernel's memory: cells (entries) of one q chunk, of the q
+# chunks one decider call keeps for reuse, and of the (p × q) conclusion
+# mask and the (pairs × generators) hypothesis arrays of one kernel step.
 _CHUNK_CELLS = 1 << 22
 _MEMO_CELLS = 1 << 24
-# p are decided one at a time, so they are built in small chunks: a witness
-# at an early p does not pay for building many more.
-_P_CHUNK_ROWS = 1 << 10
+_PAIR_CELLS = 1 << 16
+# p are decided in sub-batches of a run; the batch size doubles from this
+# one over a search, so a witness at an early p does not pay for a large
+# batch.
+_FIRST_P_ROWS = 1
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -364,6 +379,25 @@ def _tails_per_head(n: int, width: int, last_nonzero: bool) -> int:
     return n**width
 
 
+def _level_rows(n, length, last_nonzero, zero, f, heads, lo, hi, dtype):
+    """Rows ``lo:hi`` of level f of ``_iter_tuples`` (first nonzero
+    coefficient at position f) when only the ascending head values
+    ``heads`` are kept: row k has head ``heads[k // size]`` and tail number
+    ``k % size`` (see ``_tuple_chunks``)."""
+    size = _tails_per_head(n, length - 1 - f, last_nonzero)
+    # a row number never reaches 2**63, so a larger size only means h = 0
+    h, t = np.divmod(np.arange(lo, hi, dtype=np.int64), min(size, _INT64_MAX))
+    rows = np.full((hi - lo, length), zero, dtype=dtype)
+    rows[:, f] = heads[h]
+    for c in range(length - 1, f, -1):
+        if last_nonzero and c == length - 1:
+            t, d = np.divmod(t, n - 1)
+            rows[:, c] = d + (d >= zero)  # the d-th nonzero value
+        else:
+            t, rows[:, c] = np.divmod(t, n)
+    return rows
+
+
 def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
     """The tuples of ``_iter_tuples(n, length, last_nonzero, zero)`` whose first
     nonzero coefficient, at position f, is in ``heads(f)`` (an ascending
@@ -373,30 +407,17 @@ def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
     coefficient, highest f first.  Within a level it runs over the head
     value, then over the tail after it as a base-n numeral, except that the
     last digit of an exact-length tail runs over the nonzero values only.
-    So row k of a level's kept rows has head ``heads(f)[k // size]`` and
-    tail number ``k % size``, and the rows with another head are never
-    built.
+    So the kept rows of a level are numbered head by head, and the rows
+    with another head are never built.
     """
-    values = np.array([v for v in range(n) if v != zero], dtype=dtype)
     pieces, rows = [], 0
     for f in range(length - 1, -1, -1):
-        size = _tails_per_head(n, length - 1 - f, last_nonzero)
         level_heads = heads(f)
-        total = len(level_heads) * size
+        total = len(level_heads) * _tails_per_head(n, length - 1 - f, last_nonzero)
         lo = 0
         while lo < total:
             hi = min(total, lo + step - rows)
-            # a row number never reaches 2**63, so a larger size only means h = 0
-            h, t = np.divmod(np.arange(lo, hi, dtype=np.int64), min(size, _INT64_MAX))
-            piece = np.full((hi - lo, length), zero, dtype=dtype)
-            piece[:, f] = level_heads[h]
-            for c in range(length - 1, f, -1):
-                if last_nonzero and c == length - 1:
-                    t, d = np.divmod(t, n - 1)
-                    piece[:, c] = values[d]
-                else:
-                    t, piece[:, c] = np.divmod(t, n)
-            pieces.append(piece)
+            pieces.append(_level_rows(n, length, last_nonzero, zero, f, level_heads, lo, hi, dtype))
             rows, lo = rows + hi - lo, hi
             if rows == step:
                 yield np.concatenate(pieces)
@@ -412,9 +433,13 @@ class _Scanner:
     ``ks``, the twist exponents k of the sandwich hypothesis
     p (r x^k) q = 0, is ``orbit`` on every envelope (see
     ``skewpoly._forall_sandwich_zero``), or ``None`` for the plain
-    hypothesis pq = 0.  The Python tables serve the scalar scan that names
-    a witness; the numpy copies, in the least unsigned dtype that holds
-    every element index, serve the block kernel ``_least_violation``.
+    hypothesis pq = 0.  Every sandwich table takes r over ``gens``, the
+    nonzero additive generators of R: each coefficient of p (r x^k) q, and
+    each a·r·b, is additive in r, so it vanishes for every r iff it
+    vanishes for every generator.  The Python tables serve the scalar scan
+    that names a witness, which still runs over every r; the numpy copies,
+    in the least unsigned dtype that holds every element index, serve the
+    block kernel ``_least_violation``.
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
@@ -428,24 +453,27 @@ class _Scanner:
         self.pow_maps = endo.pow_maps
         self.red = endo.reduce_exponent
         self.nonzero = [r for r in range(ring.size) if r != ring.zero]
-        self.nonzero_np = np.asarray(self.nonzero, dtype=np.intp)
         self.dtype = np.min_scalar_type(ring.size - 1)
         self.add_np = np.asarray(ring.add_table, dtype=self.dtype)
         self.mul_np = np.asarray(ring.mul_table, dtype=self.dtype)
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
-        self.ann = None if self.ks is None else self._annihilator_table()
+        self.gens = self.ann = None
+        if self.ks is not None:
+            gens = _additive_generators(self.add_np)
+            self.gens = np.array([g for g in gens if g != ring.zero], dtype=np.intp)
+            self.ann = self._annihilator_table()
+        # columns of the hypothesis arrays: one per generator, one for pq = 0
+        self.width = 1 if self.gens is None else max(1, len(self.gens))
         self._allowed: dict = {}
         self._bad: dict = {}
+        self._products: dict = {}
         self._memo: dict = {}
         self._memo_room = _MEMO_CELLS
 
     def _annihilator_table(self) -> np.ndarray:
-        """ann[a, b]: a·R·b = 0, one row of a at a time to bound memory."""
-        mul, zero, nz = self.mul_np, self.zero, self.nonzero_np
-        ann = np.empty((self.n, self.n), dtype=bool)
-        for a in range(self.n):
-            ann[a] = (mul[mul[a, nz]] == zero).all(axis=0)
-        return ann
+        """ann[a, b]: a·R·b = 0, i.e. a·g·b = 0 for every generator g."""
+        mul = self.mul_np
+        return (mul[mul[:, self.gens]] == self.zero).all(axis=1)
 
     def power(self, e: int, x: int) -> int:
         return self.pow_maps[self.red(e)][x]
@@ -454,28 +482,36 @@ class _Scanner:
         return self.pow_np[self.red(e)]
 
     def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray):
-        """Chunks of every q of one shape whose head value ``allowed`` keeps,
-        in enumeration order.  The chunks of one head table are kept for the
-        next p with the same table while the memo has room."""
+        """The rows of the largest chunk of every q of one shape whose head
+        value ``allowed`` keeps, and a function giving those chunks in
+        enumeration order.  The chunks of one head table are kept for later
+        runs with the same table while the memo has room; otherwise each
+        call of the function builds them afresh, one at a time."""
         key = (length, last_nonzero, allowed.tobytes())
-        chunks = self._memo.get(key)
-        if chunks is None:
-            heads = np.flatnonzero(allowed).astype(self.dtype)
-            step = max(1, _CHUNK_CELLS // max(self.n, length))
-            chunks = _tuple_chunks(
+        heads = np.flatnonzero(allowed).astype(self.dtype)
+        tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
+        rows = len(heads) * tails
+        step = max(1, _CHUNK_CELLS // max(self.n, length))
+
+        def chunks():
+            return _tuple_chunks(
                 self.n, length, last_nonzero, self.zero, lambda f: heads, step, self.dtype
             )
-            tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
-            cells = len(heads) * tails * length
-            if cells <= self._memo_room:
-                self._memo_room -= cells
-                chunks = self._memo[key] = list(chunks)
-        return chunks
 
-    def allowed_heads(self, a: int, e: int) -> np.ndarray | None:
-        """allowed[v]: whether a q with first nonzero coefficient v may pass
-        the hypothesis against a p whose first nonzero coefficient a sits at
-        exponent e; ``None`` when no v may.
+        if key not in self._memo and rows * length <= self._memo_room:
+            self._memo_room -= rows * length
+            self._memo[key] = list(chunks())
+        if key in self._memo:
+            kept = self._memo[key]
+            return min(rows, step), lambda: kept
+        return min(rows, step), chunks
+
+    def head_tables(self, e: int):
+        """The prefix rule at exponent e: ``tables[a][v]`` says whether a q
+        with first nonzero coefficient v may pass the hypothesis against a p
+        whose first nonzero coefficient a sits at exponent e (``None`` when
+        no v may), and ``heads`` lists the a with some v.  Built at once for
+        each class of exponents that share them.
 
         The lowest coefficient of pq is the single term a·α^e(v), and that of
         p (r x^k) q is a·α^e(r)·α^(e+k)(v), so a nonzero value there fails
@@ -483,11 +519,6 @@ class _Scanner:
         surjective twist α^e(r) ranges over R, so the rule is a·R·α^k(v) = 0
         over one period of k and does not depend on e.
         """
-        return self._head_tables(e)[0][a]
-
-    def _head_tables(self, e: int):
-        """``allowed_heads(a, e)`` for every a, and the a it does not refuse;
-        built at once for each class of exponents that share them."""
         surj = self.ks is not None and self.endo.is_surjective
         key = None if surj else self.red(e)
         if key not in self._allowed:
@@ -499,11 +530,10 @@ class _Scanner:
                 for row in self.pow_np:
                     tab &= self.ann[:, row]
             else:
+                us = mul[:, self.power_row(e)[self.gens]]  # a·α^e(g)
                 tab = np.ones((self.n, self.n), dtype=bool)
-                for b in range(self.n):
-                    u = np.unique(mul[b][self.power_row(e)[self.nonzero_np]])
-                    for k in self.ks:
-                        tab[b] &= (mul[u][:, self.power_row(e + k)] == zero).all(axis=0)
+                for k in self.ks:
+                    tab &= (mul[us][:, :, self.power_row(e + k)] == zero).all(axis=1)
             tab[:, zero] = False
             some = tab.any(axis=1)
             some[zero] = False
@@ -511,33 +541,38 @@ class _Scanner:
             self._allowed[key] = tables, np.flatnonzero(some).astype(self.dtype)
         return self._allowed[key]
 
-    def p_candidates(self, length: int, last_nonzero: bool, amin: int):
-        """Every p of one shape, p's lowest exponent ``amin``, in enumeration
-        order, except those whose head the prefix rule lets meet no q: the
-        block of p with a refused (position, head value) is never built."""
-
-        def heads(f):
-            return self._head_tables(amin + f)[1]
-
-        step = _P_CHUNK_ROWS
-        chunks = _tuple_chunks(self.n, length, last_nonzero, self.zero, heads, step, self.dtype)
-        for chunk in chunks:
-            yield from map(tuple, chunk.tolist())
-
-    def bad_values(self, a: int, e: int) -> np.ndarray:
-        """bad[b]: a coefficient b of q violates the conclusion against the
-        coefficient a of p at exponent e, whatever b's own exponent."""
-        key = (a, self.red(e))
-        bad = self._bad.get(key)
-        if bad is None:
+    def bad_table(self, e: int) -> np.ndarray:
+        """bad[a, b]: a coefficient b of q violates the conclusion against
+        the coefficient a of p at exponent e, whatever b's own exponent.
+        Row and column zero are all False."""
+        key = self.red(e)
+        if key not in self._bad:
             twists = self.statement.twists(e, self.orbit)
             maps = self.pow_np[[self.red(t) for t in twists]]
             if self.statement.sandwich:
-                bad = ~self.ann[a][maps].all(axis=0)
+                bad = ~self.ann[:, maps].all(axis=1)
             else:
-                bad = (self.mul_np[a][maps] != self.zero).any(axis=0)
+                bad = (self.mul_np[:, maps] != self.zero).any(axis=1)
             self._bad[key] = bad
-        return bad
+        return self._bad[key]
+
+    def products(self, e: int, k: int) -> np.ndarray:
+        """prod[a, b, g]: a·α^e(g)·α^(e+k)(b), the term of p (g x^k) q from a
+        coefficient a of p at exponent e and b of q, one entry per generator
+        g; the single entry a·α^e(b) for the plain hypothesis pq = 0.  Kept
+        while the memo has room."""
+        key = (self.red(e), self.red(e + k))
+        prod = self._products.get(key)
+        if prod is None:
+            if self.ks is None:
+                left = np.arange(self.n, dtype=self.dtype)[:, None]
+            else:
+                left = self.mul_np[:, self.power_row(e)[self.gens]]
+            prod = self.mul_np[left[:, None, :], self.power_row(e + k)[None, :, None]]
+            if prod.size <= self._memo_room:
+                self._memo_room -= prod.size
+                self._products[key] = prod
+        return prod
 
 
 def _budget_guard(space: int, budget: int) -> None:
@@ -545,73 +580,108 @@ def _budget_guard(space: int, budget: int) -> None:
         raise BudgetExceededError(space, budget)
 
 
-def _least_violation(sc: _Scanner, ap, amin: int, length: int, last_nonzero: bool):
-    """The least q of the given shape such that (p, q) passes the hypothesis
-    and violates the conclusion, or None.
+def _least_violation(sc: _Scanner, amin: int, p_shape, q_shape):
+    """The least (p, q) of one block, as coefficient tuples, that passes the
+    hypothesis and violates the conclusion, or None.
 
-    The q are decided a chunk at a time: only the rows whose head value the
-    prefix rule (``allowed_heads``) keeps are built, the rows that satisfy
-    the conclusion are dropped by a table lookup, and ``_first_passing``
-    tests the hypothesis on the rest.
+    The p are taken a run at a time.  A run is the p that share their first
+    nonzero coefficient (position f, value a), so they share the prefix
+    rule's allowed q heads and with them one list of q candidates; a run
+    whose head the rule refuses is never built.  A run is decided in
+    sub-batches of p against every q chunk (``_least_in_batch``); the batch
+    size doubles from ``_FIRST_P_ROWS``, and a batch times the rows of a q
+    chunk stays within ``_PAIR_CELLS`` unless a single p exceeds it.
     """
-    zero = sc.zero
-    supp = [(i, a) for i, a in enumerate(ap) if a != zero]
-    allowed = sc.allowed_heads(supp[0][1], amin + supp[0][0])
-    if allowed is None:
-        return None
-    bad = sc.bad_values(supp[0][1], amin + supp[0][0])
-    for i, a in supp[1:]:
-        bad = bad | sc.bad_values(a, amin + i)
-    for chunk in sc.candidates(length, last_nonzero, allowed):
-        rows = chunk[bad[chunk].any(axis=1)]
-        if len(rows):
-            q = _first_passing(sc, supp, amin, rows)
-            if q is not None:
-                return q
+    lp, p_exact = p_shape
+    batch = _FIRST_P_ROWS
+    for f in range(lp - 1, -1, -1):
+        run = _tails_per_head(sc.n, lp - 1 - f, p_exact)
+        tables, heads = sc.head_tables(amin + f)
+        for h, a in enumerate(heads):
+            chunk_rows, chunks = sc.candidates(*q_shape, tables[a])
+            cap = max(1, _PAIR_CELLS // chunk_rows)
+            lo = 0
+            while lo < run:
+                hi = min(run, lo + min(batch, cap))
+                ps = _level_rows(sc.n, lp, p_exact, sc.zero, f, heads[h : h + 1], lo, hi, sc.dtype)
+                hit = _least_in_batch(sc, ps, f, amin, chunks())
+                if hit is not None:
+                    return hit
+                lo, batch = hi, min(2 * batch, _PAIR_CELLS)
     return None
 
 
-def _first_passing(sc: _Scanner, supp, amin: int, rows: np.ndarray):
-    """The first of ``rows`` (coefficient tuples of q) that passes the
-    hypothesis against the p with support ``supp``, or None.
+def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, chunks):
+    """The least (p, q) with p in ``ps`` (one run's rows, in order) and q in
+    ``chunks``, or None.  The chunks come in enumeration order, so once a p
+    has hit, only the p before it need the later chunks."""
+    best = None
+    for qs in chunks:
+        cut = ps if best is None else ps[: best[0]]
+        if not len(cut):
+            break
+        hit = _least_in_chunk(sc, cut, f, amin, qs)
+        if hit is not None:
+            best = hit[0], qs[hit[1]]
+    if best is None:
+        return None
+    return tuple(ps[best[0]].tolist()), tuple(best[1].tolist())
+
+
+def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, qs: np.ndarray):
+    """Indices (into ``ps``, ``qs``) of the least pair that passes the
+    hypothesis and violates the conclusion, or None.
+
+    The conclusion mask ORs the ``bad_table`` rows of p's coefficients into
+    one row per p and reads it at q's coefficients.  Its surviving pairs, in
+    row-major order, go to ``_passing`` in slices that keep the
+    (pairs × generators) arrays within ``_PAIR_CELLS``; the first pair to
+    pass is the least.
+    """
+    lp = ps.shape[1]
+    bad = sc.bad_table(amin + f)[ps[:, f]]
+    for i in range(f + 1, lp):
+        bad = bad | sc.bad_table(amin + i)[ps[:, i]]
+    mask = bad[:, qs[:, 0]]
+    for j in range(1, qs.shape[1]):
+        mask |= bad[:, qs[:, j]]
+    pi, qi = np.nonzero(mask)
+    step = max(1, _PAIR_CELLS // sc.width)
+    for lo in range(0, len(pi), step):
+        ok = _passing(sc, ps, f, amin, qs, pi[lo : lo + step], qi[lo : lo + step])
+        if len(ok):
+            return pi[lo + ok[0]], qi[lo + ok[0]]
+    return None
+
+
+def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
+    """The indices of the pairs (ps[pi], qs[qi]) that pass the hypothesis,
+    in order, for pairs that pass the prefix rule.
 
     The hypothesis is tested one product coefficient at a time, dropping the
-    rows that fail after each.  For the sandwich hypothesis the products are
-    exact over every r != 0 at once: a (|R|-1) x rows array per coefficient
-    and twist exponent k.  The plain hypothesis pq = 0 is the same
-    computation with the single "sandwich" u_i = a_i and k = 0.
+    pairs that fail after each.  Coefficient e of p (g x^k) q is the sum
+    over i + j = e of a_i·α^(amin+i)(g)·α^(amin+i+k)(b_j) (``products``), a
+    pairs × |G| array over the generators g; the plain hypothesis pq = 0 is
+    the same sum with the single left factor a_i and k = 0.
     """
-    mul, add, zero = sc.mul_np, sc.add_np, sc.zero
-    qs = rows.T  # qs[j]: coefficient j of every candidate q
-    lq = len(qs)
-    if sc.ks is None:
-        us, ks = np.array([[a for _, a in supp]], dtype=sc.dtype), (0,)
-    else:
-        # us[r, c] = a_i·α^(amin+i)(r) for the c-th support term (i, a_i)
-        us = np.stack(
-            [mul[a][sc.power_row(amin + i)[sc.nonzero_np]] for i, a in supp], axis=1
-        )
-        ks = sc.ks
-    plen = supp[-1][0] + 1
-    for k in ks:
-        # terms[c][r, b] = us[r, c]·α^(amin+i+k)(b)
-        terms = [
-            (i, mul[us[:, c]][:, sc.power_row(amin + i + k)]) for c, (i, _) in enumerate(supp)
-        ]
-        for e in range(plen + lq - 1):
+    add, zero = sc.add_np, sc.zero
+    lp, lq = ps.shape[1], qs.shape[1]
+    pa, qb = ps.T, qs.T  # pa[i]: coefficient i of every p
+    idx = np.arange(len(pi))
+    for k in sc.ks or (0,):
+        # coefficient f is p's head times q's first coefficient: zero if that
+        # is zero, and zero by the prefix rule if it is q's head
+        for e in range(f + 1, lp + lq - 1):
             s = None
-            for i, tab in terms:
-                if 0 <= e - i < lq:
-                    t = tab[:, qs[e - i]]
-                    s = t if s is None else add[s, t]
-            if s is None:
-                continue
-            keep = (s == zero).all(axis=0)
+            for i in range(max(f, e - lq + 1), min(lp, e + 1)):
+                t = sc.products(amin + i, k)[pa[i][pi], qb[e - i][qi]]
+                s = t if s is None else add[s, t]
+            keep = (s == zero).all(axis=1)
             if not keep.all():
-                qs = qs[:, keep]
-                if not qs.shape[1]:
-                    return None
-    return tuple(qs[:, 0].tolist())
+                idx, pi, qi = idx[keep], pi[keep], qi[keep]
+                if not len(idx):
+                    return idx
+    return idx
 
 
 def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
@@ -626,7 +696,7 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
         if a == zero:
             continue
         ei = amin + i
-        bad = sc.bad_values(a, ei)
+        bad = sc.bad_table(ei)[a]
         for j, b in enumerate(bq):
             if b == zero or not bad[b]:
                 continue
@@ -650,23 +720,23 @@ def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, order=None) -> Ve
     being (number of coefficients, whether the last is nonzero); ``p_min``
     and ``q_min`` are the lowest exponents, ``order`` a series' truncation."""
     sc = _Scanner(ring, alpha, prop)
-    for (lp, p_exact), (lq, q_exact) in blocks:
-        for ap in sc.p_candidates(lp, p_exact, p_min):
-            bq = _least_violation(sc, ap, p_min, lq, q_exact)
-            if bq is not None:
-                pair, mono, off = _conclusion_violation(sc, ap, p_min, bq, q_min)
-                w = Witness(
-                    kind=sc.statement.kind,
-                    p_coeffs=ap,
-                    p_min=p_min,
-                    q_coeffs=bq,
-                    q_min=q_min,
-                    order=order,
-                    pair=pair,
-                    monomial=mono,
-                    offending=off,
-                )
-                return _verdict(prop, ring, alpha, envelope, w)
+    for p_shape, q_shape in blocks:
+        hit = _least_violation(sc, p_min, p_shape, q_shape)
+        if hit is not None:
+            ap, bq = hit
+            pair, mono, off = _conclusion_violation(sc, ap, p_min, bq, q_min)
+            w = Witness(
+                kind=sc.statement.kind,
+                p_coeffs=ap,
+                p_min=p_min,
+                q_coeffs=bq,
+                q_min=q_min,
+                order=order,
+                pair=pair,
+                monomial=mono,
+                offending=off,
+            )
+            return _verdict(prop, ring, alpha, envelope, w)
     return _verdict(prop, ring, alpha, envelope)
 
 

@@ -24,6 +24,10 @@ from .rings import (
 
 
 def _same_carrier(a, b) -> None:
+    if type(a) is not type(b):
+        raise CarrierMismatchError(
+            f"operands are of different classes ({type(a).__name__} vs {type(b).__name__})"
+        )
     if a.ring.ring_id != b.ring.ring_id:
         raise CarrierMismatchError(
             f"operands live over different rings ({a.ring.label!r} vs {b.ring.label!r})"

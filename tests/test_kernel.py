@@ -1,15 +1,36 @@
 """The block kernel of the search deciders: its chunked enumeration keeps
-the order of ``_iter_tuples``, and its memory stays bounded on lopsided
-Laurent windows."""
+the order of ``_iter_tuples``, its memory and time stay bounded on lopsided
+Laurent windows, its batching boundaries do not change the least witness,
+and its sandwich tables built on additive generators equal their every-r
+versions."""
 
+import itertools
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_oracle import RINGS, carriers, reference
+from test_validator import relabelled_carriers
 
-from skewarm import PropertyId, check_property, identity_endomorphism, make_zmod
+from skewarm import (
+    PropertyId,
+    check_property,
+    deciders,
+    identity_endomorphism,
+    make_direct_product,
+    make_table_ring,
+    make_zmod,
+    relabel_ring,
+    replay_witness,
+    table_endomorphism,
+    zero_endomorphism,
+)
+from skewarm.corpus import entry_by_name
 from skewarm.deciders import _iter_tuples, _tuple_chunks
+from skewarm.rings import _additive_generators
 
 
 def first_nonzero(t, zero):
@@ -102,3 +123,207 @@ def test_lopsided_p_window_without_allowed_heads_builds_no_p():
     )
     assert verdict.holds
     assert time.perf_counter() - start < 5
+
+
+def test_lopsided_p_window_with_allowed_heads_decides_runs_of_p():
+    # in Z4 the p with head 2 meet q, about 87 k of them at (8, 0, 0, 0);
+    # they share one head, so they are decided in batches, not one by one
+    ring = make_zmod(4)
+    start = time.perf_counter()
+    verdict = check_property(
+        ring, identity_endomorphism(ring), PropertyId.LAURENT_Q_ALPHA_SKEW, window=(8, 0, 0, 0)
+    )
+    assert verdict.holds
+    assert time.perf_counter() - start < 2
+
+
+# --------------------------------------------------------------------------
+# batching boundaries: with tiny cell bounds the p sub-batches, the q chunks
+# and the hypothesis slices split at nearly every row, and the witness must
+# still be the reference decider's least one
+
+SPLITS = {
+    # (q chunk cells, pair cells, first p batch)
+    "single-rows": (1, 1, 1),
+    "few-rows": (8, 8, 3),
+}
+BOUNDARY_PROPS = [
+    (PropertyId.ALPHA_SKEW_ARMENDARIZ, {"degree": 1}),
+    (PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, {"degree": 1}),
+    (PropertyId.ALPHA_QUASI_ARMENDARIZ, {"degree": 1}),
+    (PropertyId.LAURENT_Q_ALPHA_SKEW, {"window": (0, 1, 0, 1)}),
+    (PropertyId.POWERSERIES_Q_ALPHA_SKEW, {"truncation": 2}),
+]
+BOUNDARY_CASES = [
+    pytest.param(name, form, prop, env, id=f"{name}-{form}-{prop.value}")
+    for name in RINGS
+    for form in ("twist", "relabelled-twist", "relabelled-zero-endo")
+    for prop, env in BOUNDARY_PROPS
+    # Laurent polynomials need an automorphism
+    if not (prop is PropertyId.LAURENT_Q_ALPHA_SKEW and form == "relabelled-zero-endo")
+]
+
+
+def split_kernel(monkeypatch, split):
+    chunk_cells, pair_cells, first_rows = SPLITS[split]
+    monkeypatch.setattr(deciders, "_CHUNK_CELLS", chunk_cells)
+    monkeypatch.setattr(deciders, "_PAIR_CELLS", pair_cells)
+    monkeypatch.setattr(deciders, "_FIRST_P_ROWS", first_rows)
+
+
+@pytest.fixture(scope="module")
+def oracle_carriers():
+    return {name: {form: (r, e) for form, r, e in carriers(name)} for name in RINGS}
+
+
+@pytest.mark.parametrize("name, form, prop, envelope", BOUNDARY_CASES)
+def test_split_kernel_matches_reference(monkeypatch, oracle_carriers, name, form, prop, envelope):
+    ring, endo = oracle_carriers[name][form]
+    expected = reference(ring, endo, prop, **envelope)
+    for split in SPLITS:
+        with monkeypatch.context() as m:
+            split_kernel(m, split)
+            assert check_property(ring, endo, prop, **envelope).witness == expected
+
+
+def ut2_plus_z2():
+    """UT2(Z2) ⊕ Z2: (a,b,c) at index 4a+2b+c, times Z2."""
+    tri = list(itertools.product(range(2), repeat=3))
+
+    def index(a, b, c):
+        return 4 * (a % 2) + 2 * (b % 2) + c % 2
+
+    add = [[index(x[0] + y[0], x[1] + y[1], x[2] + y[2]) for y in tri] for x in tri]
+    mul = [[index(x[0] * y[0], x[0] * y[1] + x[1] * y[2], x[2] * y[2]) for y in tri] for x in tri]
+    return make_direct_product(make_table_ring(add, mul, label="UT2(Z2)"), make_zmod(2))
+
+
+def test_least_p_may_hit_in_a_later_q_chunk(monkeypatch):
+    # In this relabelling the least Armendariz witness at degree 1 has
+    # p = (3, 6) and q = (1, 6), the 7th q of its run; the later p = (3, 13)
+    # of the same run already meets the 5th q, (1, 4).  With one q per chunk
+    # and the whole run in one batch, (3, 13) hits first and the batch must
+    # still return (3, 6).
+    perm = [2, 15, 4, 9, 6, 10, 1, 5, 13, 14, 11, 7, 12, 3, 8, 0]
+    ring, _ = relabel_ring(ut2_plus_z2(), perm)
+    prop = PropertyId.ARMENDARIZ
+    monkeypatch.setattr(deciders, "_CHUNK_CELLS", 1)
+    monkeypatch.setattr(deciders, "_FIRST_P_ROWS", 16)
+    hits_per_batch = []
+    least_in_batch, least_in_chunk = deciders._least_in_batch, deciders._least_in_chunk
+
+    def batch(*args):
+        hits_per_batch.append(0)
+        return least_in_batch(*args)
+
+    def chunk(*args):
+        hit = least_in_chunk(*args)
+        hits_per_batch[-1] += hit is not None
+        return hit
+
+    monkeypatch.setattr(deciders, "_least_in_batch", batch)
+    monkeypatch.setattr(deciders, "_least_in_chunk", chunk)
+    verdict = check_property(ring, None, prop, degree=1)
+    assert hits_per_batch[-1] == 2
+    w = verdict.witness
+    assert (w.p_coeffs, w.q_coeffs) == ((3, 6), (1, 6))
+    assert w == reference(ring, identity_endomorphism(ring), prop, degree=1)
+    replay_witness(ring, None, prop, w)
+
+
+# --------------------------------------------------------------------------
+# the generator shortcut: every sandwich table of the kernel takes r over the
+# nonzero additive generators of R only; each must equal its every-r version
+
+
+def every_r_annihilators(ring):
+    """ann[a, b]: a·r·b = 0 for every r."""
+    mul = np.asarray(ring.mul_table)
+    return (mul[mul] == ring.zero).all(axis=1)
+
+
+def every_r_head_tables(ring, endo, e, ks):
+    """allowed[a, v]: a·α^e(r)·α^(e+k)(v) = 0 for every r and every k in ks,
+    for a != 0 and v != 0."""
+    mul, zero = np.asarray(ring.mul_table), ring.zero
+    us = mul[:, np.asarray(endo.power_map(e))]  # us[a, r] = a·α^e(r)
+    tab = np.ones((ring.size, ring.size), dtype=bool)
+    for k in ks:
+        tab &= (mul[us][:, :, np.asarray(endo.power_map(e + k))] == zero).all(axis=1)
+    tab[:, zero] = tab[zero] = False
+    return tab
+
+
+def every_r_passes(ring, endo, ks, amin, ps, qs):
+    """passes[x, y]: ps[x] (r x^k) qs[y] = 0 for every r and every k in ks,
+    coefficient by coefficient."""
+    mul, add, zero = np.asarray(ring.mul_table), np.asarray(ring.add_table), ring.zero
+    lp, lq = ps.shape[1], qs.shape[1]
+    passes = np.ones((len(ps), len(qs)), dtype=bool)
+    for k in ks:
+        for e in range(lp + lq - 1):
+            s = np.full((len(ps), len(qs), ring.size), zero)
+            for i in range(max(0, e - lq + 1), min(lp, e + 1)):
+                u = mul[ps[:, i, None], np.asarray(endo.power_map(amin + i))]  # p × r
+                b = np.asarray(endo.power_map(amin + i + k))[qs[:, e - i]]  # q
+                s = add[s, mul[u[:, None, :], b[None, :, None]]]
+            passes &= (s == zero).all(axis=2)
+    return passes
+
+
+def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMENDARIZ):
+    sc = deciders._Scanner(ring, endo, prop)
+    assert ring.zero not in sc.gens.tolist()
+    assert np.array_equal(sc.ann, every_r_annihilators(ring))
+    orbit = range(endo.preperiod + endo.period)
+    # Laurent exponents are negative: e in [-period, 0) for an automorphism
+    low = -endo.period if endo.is_automorphism else 0
+    for e in range(low, len(orbit) + 1):
+        tables, heads = sc.head_tables(e)
+        tab = every_r_head_tables(ring, endo, e, sc.ks)
+        assert [t is None for t in tables] == (~tab.any(axis=1)).tolist()
+        assert all(t is None or np.array_equal(t, tab[a]) for a, t in enumerate(tables))
+        assert heads.tolist() == [a for a in range(ring.size) if a != ring.zero and tab[a].any()]
+    # the hypothesis rows of the kernel on every run of p at degree 1, against
+    # the q its prefix rule allows
+    for amin in sorted({low, 0}):
+        for f in (1, 0):
+            for a in sc.head_tables(amin + f)[1].tolist():
+                ps = deciders._level_rows(
+                    ring.size, 2, False, ring.zero, f, np.array([a], dtype=sc.dtype),
+                    0, ring.size ** (1 - f), sc.dtype,
+                )
+                _, chunks = sc.candidates(2, False, sc.head_tables(amin + f)[0][a])
+                qs = np.concatenate(list(chunks()))
+                pi, qi = np.nonzero(np.ones((len(ps), len(qs)), dtype=bool))
+                got = deciders._passing(sc, ps, f, amin, qs, pi, qi)
+                expected = every_r_passes(ring, endo, sc.ks, amin, ps.astype(int), qs.astype(int))
+                assert got.tolist() == np.flatnonzero(expected.ravel()).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables=relabelled_carriers(), zero_twist=st.booleans())
+def test_generator_tables_match_every_r_on_relabelled_carriers(tables, zero_twist):
+    # relabelled with zero off index 0; among them non-unital rings and a
+    # null multiplication
+    ring = make_table_ring(*tables)
+    endo = zero_endomorphism(ring) if zero_twist else identity_endomorphism(ring)
+    assert_generator_tables_match(ring, endo)
+
+
+def test_generator_tables_match_every_r_with_preperiod_and_period_four():
+    ring = ut2_plus_z2()
+    swap_corner = table_endomorphism(ring, (0, 2, 1, 3) * 4, "swap-corner")
+    assert (swap_corner.preperiod, swap_corner.period) == (1, 2)
+    assert_generator_tables_match(ring, swap_corner, PropertyId.ALPHA_QUASI_ARMENDARIZ)
+    entry = entry_by_name("example3_analogue")
+    assert entry.endo.period == 4
+    assert_generator_tables_match(entry.ring, entry.endo)
+
+
+def test_zero_among_the_greedy_generators_is_dropped():
+    # the greedy pick starts at index 0, which is the zero of make_zmod
+    ring = make_zmod(4)
+    assert _additive_generators(np.asarray(ring.add_table))[0] == ring.zero
+    assert_generator_tables_match(ring, identity_endomorphism(ring))
+    assert_generator_tables_match(ring, zero_endomorphism(ring))

@@ -205,6 +205,21 @@ def test_carrier_mismatch_rejected(z4, z4_id, z2xz2, swap):
         _ = p * skew_poly(z4, ze, [1])
 
 
+def test_operands_of_different_classes_rejected(z4, z4_id):
+    # a plain polynomial, a Laurent polynomial with a negative exponent and
+    # a series over one carrier: no product or sum mixes two of them
+    values = [
+        skew_poly(z4, z4_id, [1]),
+        laurent_poly(z4, z4_id, -1, [1]),
+        truncated_series(z4, z4_id, [1], 2),
+    ]
+    for a, b in itertools.permutations(values, 2):
+        with pytest.raises(CarrierMismatchError):
+            _ = a * b
+        with pytest.raises(CarrierMismatchError):
+            _ = a + b
+
+
 def test_laurent_requires_automorphism(z4):
     with pytest.raises(RingError):
         laurent_poly(z4, zero_endomorphism(z4), -1, [1])
