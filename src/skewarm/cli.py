@@ -20,7 +20,7 @@ from importlib import resources
 from . import corpus as corpus_mod
 from . import deciders as dec
 from . import formats
-from .deciders import FAMILY_PROPERTIES, PropertyId
+from .deciders import PropertyId
 from .rings import RingError, SizeCapError, endo_orbit
 
 EXIT_HOLDS = 0
@@ -116,16 +116,6 @@ def cmd_check(args) -> int:
         ) from None
     ring, endo = formats.load_ring_definition(args.file)
     window = None if args.window is None else _parse_window(args.window)
-    if prop in FAMILY_PROPERTIES and args.deg is None:
-        raise formats.FormatError(f"{prop.value} needs an explicit --deg bound")
-    if prop is PropertyId.LAURENT_Q_ALPHA_SKEW and window is None:
-        raise formats.FormatError(f"{prop.value} needs --window m,n,t,s")
-    if (
-        prop
-        in (PropertyId.POWERSERIES_Q_ALPHA_SKEW, PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW)
-        and args.trunc is None
-    ):
-        raise formats.FormatError(f"{prop.value} needs --trunc N")
     verdict = dec.check_property(
         ring,
         endo,

@@ -20,22 +20,31 @@ nonzero coefficient (position and value), so the prefix rule gives them one
 set of allowed q heads.  A run the rule refuses is skipped unbuilt; every
 other run is decided in sub-batches of p against every q of one shape at
 once (``_least_violation``), and the least witness is still returned.  The
-q are built in bounded chunks in the order of ``_iter_tuples``
-(``_tuple_chunks``, checked against it by a test).  The prefix rule and the
-hypothesis only drop pairs that fail the hypothesis, and the (p × q)
-conclusion mask only pairs that satisfy the conclusion, so none can drop a
-witness.  The surviving pairs are tested in row-major order, so within a
-chunk the first is the least; across chunks a p that hits later beats a
-larger p that hit earlier.  The scalar ``_conclusion_violation`` then names
-the violated instance.  Every sandwich table of the kernel takes r over the
-additive generators of R only (see ``_Scanner``), at most log2 |R| of them.
+q are built in bounded chunks in the enumeration order (``_tuple_chunks``).
+The prefix rule and the hypothesis only drop pairs that fail the
+hypothesis, and the (p × q) conclusion mask only pairs that satisfy the
+conclusion, so none can drop a witness.  The surviving pairs are tested in
+row-major order, so within a chunk the first is the least; across chunks a
+p that hits later beats a larger p that hit earlier.  The scalar
+``_conclusion_violation`` then names the violated instance.  Every sandwich
+table of the kernel takes r over the additive generators of R only (see
+``_Scanner``), at most log2 |R| of them.
+
+When (R,+) is the vector space F_p^m, a rank screen (``_RankScreen``) runs
+first.  It takes the p shapes in block order and decides by linear algebra
+over F_p, without listing q, whether some p of the shape meets some q of
+the shape's blocks in a witness.  A shape it clears holds no witness, so
+skipping its blocks changes neither the verdict nor the least witness.  At
+the first shape it does not clear the screen stops, and that block and
+every later one go to the kernel, which names the least witness as before.
+Other carriers skip the screen.  The tuple budget still prices every
+nominal tuple, screened or not.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +55,7 @@ from .rings import (
     RingElement,
     RingError,
     _additive_generators,
+    _prime_basis,
     identity_endomorphism,
 )
 from .skewpoly import (
@@ -327,36 +337,13 @@ def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -
 
 # --------------------------------------------------------------------------
 # enumeration helpers
-
-def _iter_tuples(n: int, length: int, last_nonzero: bool, zero: int):
-    """Nonzero coefficient tuples of a given length in lexicographic order.
-
-    ``zero`` is the ring's zero element index (not necessarily 0, e.g. after
-    a relabelling).  Tuples are grouped by the position of their first
-    nonzero coefficient, zero-prefixed groups first; when zero is index 0 —
-    true for every standard constructor — this is exactly raw lexicographic
-    order.  ``last_nonzero`` restricts to exact-degree tuples.
-    """
-    values = [v for v in range(n) if v != zero]
-    for f in range(length - 1, -1, -1):
-        prefix = (zero,) * f
-        tail = length - 1 - f
-        for v in values:
-            head = prefix + (v,)
-            if tail == 0:
-                yield head
-            elif last_nonzero:
-                if tail == 1:
-                    for last in values:
-                        yield head + (last,)
-                else:
-                    for mid in product(range(n), repeat=tail - 1):
-                        for last in values:
-                            yield head + mid + (last,)
-            else:
-                for rest in product(range(n), repeat=tail):
-                    yield head + rest
-
+#
+# Coefficient tuples of one shape (length, and whether the last entry is
+# nonzero) are enumerated in one fixed order: grouped into levels by the
+# position f of their first nonzero coefficient, highest f first; within a
+# level by that head value, then by the tail after it as a base-n numeral,
+# except that the last digit of an exact-length tail runs over the nonzero
+# values only.  When the zero is index 0 this is raw lexicographic order.
 
 # Bounds on the kernel's memory: cells (entries) of one q chunk, of the q
 # chunks one decider call keeps for reuse, and of the (p × q) conclusion
@@ -368,20 +355,25 @@ _PAIR_CELLS = 1 << 16
 # one over a search, so a witness at an early p does not pay for a large
 # batch.
 _FIRST_P_ROWS = 1
+# Bound on the cells of one batch of the rank screen: p times the entries of
+# H(p) and of K(p) applied to the null vectors of H(p).  Its batches double
+# in size from the first, up to that bound.
+_RANK_CELLS = 1 << 17
+_FIRST_RANK_ROWS = 32
 _INT64_MAX = np.iinfo(np.int64).max
 
 
 def _tails_per_head(n: int, width: int, last_nonzero: bool) -> int:
-    """How many tuples of ``_iter_tuples`` share one head value and have
-    ``width`` coefficients after it."""
+    """How many tuples of one level share one head value and have ``width``
+    coefficients after it."""
     if last_nonzero and width:
         return n ** (width - 1) * (n - 1)
     return n**width
 
 
 def _level_rows(n, length, last_nonzero, zero, f, heads, lo, hi, dtype):
-    """Rows ``lo:hi`` of level f of ``_iter_tuples`` (first nonzero
-    coefficient at position f) when only the ascending head values
+    """Rows ``lo:hi`` of level f (first nonzero coefficient at position f)
+    of the enumeration order when only the ascending head values
     ``heads`` are kept: row k has head ``heads[k // size]`` and tail number
     ``k % size`` (see ``_tuple_chunks``)."""
     size = _tails_per_head(n, length - 1 - f, last_nonzero)
@@ -399,16 +391,10 @@ def _level_rows(n, length, last_nonzero, zero, f, heads, lo, hi, dtype):
 
 
 def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
-    """The tuples of ``_iter_tuples(n, length, last_nonzero, zero)`` whose first
-    nonzero coefficient, at position f, is in ``heads(f)`` (an ascending
-    array), in the same order, as arrays of at most ``step`` rows.
-
-    ``_iter_tuples`` lists one level per position f of the first nonzero
-    coefficient, highest f first.  Within a level it runs over the head
-    value, then over the tail after it as a base-n numeral, except that the
-    last digit of an exact-length tail runs over the nonzero values only.
-    So the kept rows of a level are numbered head by head, and the rows
-    with another head are never built.
+    """The nonzero tuples of one shape whose first nonzero coefficient, at
+    position f, is in ``heads(f)`` (an ascending array), in the enumeration
+    order, as arrays of at most ``step`` rows.  The kept rows of a level are
+    numbered head by head, so the rows with another head are never built.
     """
     pieces, rows = [], 0
     for f in range(length - 1, -1, -1):
@@ -556,23 +542,208 @@ class _Scanner:
             self._bad[key] = bad
         return self._bad[key]
 
-    def products(self, e: int, k: int) -> np.ndarray:
+    def products(self, e: int, k: int, bs: np.ndarray | None = None) -> np.ndarray:
         """prod[a, b, g]: a·α^e(g)·α^(e+k)(b), the term of p (g x^k) q from a
         coefficient a of p at exponent e and b of q, one entry per generator
-        g; the single entry a·α^e(b) for the plain hypothesis pq = 0.  Kept
-        while the memo has room."""
+        g; the single entry a·α^e(b) for the plain hypothesis pq = 0.  Over
+        every b, kept while the memo has room, or over the b in ``bs``."""
         key = (self.red(e), self.red(e + k))
         prod = self._products.get(key)
-        if prod is None:
-            if self.ks is None:
-                left = np.arange(self.n, dtype=self.dtype)[:, None]
-            else:
-                left = self.mul_np[:, self.power_row(e)[self.gens]]
-            prod = self.mul_np[left[:, None, :], self.power_row(e + k)[None, :, None]]
-            if prod.size <= self._memo_room:
-                self._memo_room -= prod.size
-                self._products[key] = prod
+        if prod is not None:
+            return prod if bs is None else prod[:, bs]
+        if self.ks is None:
+            left = np.arange(self.n, dtype=self.dtype)[:, None]
+        else:
+            left = self.mul_np[:, self.power_row(e)[self.gens]]
+        right = self.power_row(e + k)
+        if bs is not None:
+            return self.mul_np[left[:, None, :], right[bs][None, :, None]]
+        prod = self.mul_np[left[:, None, :], right[None, :, None]]
+        if prod.size <= self._memo_room:
+            self._memo_room -= prod.size
+            self._products[key] = prod
         return prod
+
+
+class _RankScreen:
+    """Clears whole p shapes over an F_p carrier without listing q.
+
+    Fix p.  Its hypothesis and its conclusion are additive in q, so the q
+    that pass the hypothesis form a subgroup Q(p), those that satisfy the
+    conclusion a subgroup C(p), and p has a witness iff Q(p) ⊄ C(p).  When
+    (R,+) is F_p^m (``rings._prime_basis``), a q of L coefficients is a
+    vector of F_p^(mL): Q(p) is the null space of the hypothesis matrix
+    H(p), and C(p) holds the q whose every coefficient is in the null space
+    of the conclusion matrix K(p).  Both are gathered from m × m tables:
+    the block of H(p) at product coefficient i + j, q coefficient j,
+    sandwich generator g and twist k is the matrix of
+    b ↦ a_i·α^e(g)·α^(e+k)(b) with e the exponent of a_i (of b ↦ a_i·α^e(b)
+    for pq = 0), and K(p) stacks the matrices of b ↦ a_i·g·α^t(b) (of
+    b ↦ a_i·α^t(b)) over p's coefficients, the twists t and the g.
+
+    H and K are linear in p as well, so one p per F_p^× multiple is tested;
+    the p whose head the prefix rule refuses have Q(p) = 0 and are skipped.
+    """
+
+    def __init__(self, sc: _Scanner, p: int, basis: list[int], coords: np.ndarray):
+        self.sc, self.p = sc, p
+        # entries stay in [0, p); a step of the elimination reaches ±(p - 1)²
+        self.dtype = bool if p == 2 else np.int16 if (p - 1) ** 2 < 1 << 15 else np.int32
+        self.basis = np.asarray(basis, dtype=np.intp)
+        self.m = len(basis)
+        self.coords = coords.astype(self.dtype)
+        lead = coords[np.arange(sc.n), (coords != 0).argmax(axis=1)]
+        self.canonical = lead == 1  # heads whose first nonzero coordinate is 1
+        self.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], self.dtype)
+        self._hyp: dict = {}
+        self._con: dict = {}
+
+    def hypothesis_table(self, e: int, k: int) -> np.ndarray:
+        """tab[a, g]: the matrix of b ↦ a·α^e(g)·α^(e+k)(b) (of b ↦ a·α^e(b)
+        for pq = 0), rows the output coordinates, columns b's."""
+        key = (self.sc.red(e), self.sc.red(e + k))
+        if key not in self._hyp:
+            prod = self.sc.products(e, k, self.basis)  # [a, basis c, g]
+            self._hyp[key] = self.coords[prod].transpose(0, 2, 3, 1)
+        return self._hyp[key]
+
+    def conclusion_table(self, e: int) -> np.ndarray:
+        """tab[a]: the matrices of b ↦ a·g·α^t(b) (of b ↦ a·α^t(b)) for a
+        coefficient a at exponent e, stacked over the twists t and the g,
+        reduced to their echelon form of m rows."""
+        sc = self.sc
+        key = sc.red(e)
+        if key not in self._con:
+            twists = sc.statement.twists(e, sc.orbit)
+            tb = sc.pow_np[[sc.red(t) for t in twists]][:, self.basis]  # [t, c]
+            if sc.statement.sandwich:
+                left = sc.mul_np[:, sc.gens]  # [a, g]
+            else:
+                left = np.arange(sc.n)[:, None]
+            vals = sc.mul_np[left[:, None, :, None], tb[None, :, None, :]]  # [a, t, g, c]
+            tab = self.coords[vals].swapaxes(3, 4)
+            self._con[key] = self._echelon(tab.reshape(sc.n, -1, self.m))
+        return self._con[key]
+
+    def first_uncleared(self, amin: int, shapes, lq: int) -> int:
+        """The index in ``shapes`` of the first p shape (lowest exponent
+        ``amin``) with a p that meets a nonzero q of at most ``lq``
+        coefficients in a witness, or ``len(shapes)``.
+
+        The p of every shape are taken in order as one stream, each padded
+        with zero coefficients on top to the longest shape, which changes
+        neither H(p) nor K(p).  The stream is decided in batches whose size
+        doubles from ``_FIRST_RANK_ROWS``, so a witness early on ends the
+        screen cheaply; the first batch with one ends it."""
+        sc = self.sc
+        width = max(lp for lp, _ in shapes)
+        ks = len(sc.ks or (0,))
+        gens = 1 if sc.gens is None else len(sc.gens)
+        # per p: H(p), and K(p) times the null vectors' coefficients
+        cells = (ks * (width + lq - 1) * gens + width * lq) * self.m * lq * self.m
+        cap = max(1, _RANK_CELLS // cells)
+
+        def heads(f):
+            allowed = sc.head_tables(amin + f)[1]
+            return allowed[self.canonical[allowed]]
+
+        def stream():
+            for index, (lp, exact) in enumerate(shapes):
+                for chunk in _tuple_chunks(sc.n, lp, exact, sc.zero, heads, cap, sc.dtype):
+                    ps = np.full((len(chunk), width), sc.zero, dtype=sc.dtype)
+                    ps[:, :lp] = chunk
+                    yield ps, np.full(len(chunk), index)
+
+        for ps, index in _doubling_batches(stream(), _FIRST_RANK_ROWS, cap):
+            hit = self._witnessed(ps, amin, lq)
+            if hit.any():
+                return int(index[hit.argmax()])
+        return len(shapes)
+
+    def _witnessed(self, ps: np.ndarray, amin: int, lq: int) -> np.ndarray:
+        """Which p of ``ps`` have Q(p) ⊄ C(p)."""
+        sc, m, p = self.sc, self.m, self.p
+        count, lp = ps.shape
+        ks = sc.ks or (0,)
+        gens = 1 if sc.gens is None else len(sc.gens)
+        hyp = np.zeros((count, len(ks), lp + lq - 1, gens, m, lq, m), dtype=self.dtype)
+        for x, k in enumerate(ks):
+            for i in range(lp):
+                block = self.hypothesis_table(amin + i, k)[ps[:, i]]
+                for j in range(lq):
+                    hyp[:, x, i + j, :, :, j, :] = block
+        hyp = self._echelon(hyp.reshape(count, -1, lq * m))
+        null = (np.eye(lq * m, dtype=np.int32) - hyp) % p  # its columns span Q(p)
+        con = np.concatenate([self.conclusion_table(amin + i)[ps[:, i]] for i in range(lp)], axis=1)
+        # Q(p) ⊆ C(p) iff K(p) kills every coefficient of every null vector
+        coeffs = null.reshape(count, lq, m, -1).swapaxes(1, 2).reshape(count, m, -1)
+        return (np.matmul(con, coeffs, dtype=np.int32) % p).any(axis=(1, 2))
+
+    def _echelon(self, h: np.ndarray) -> np.ndarray:
+        """The reduced row echelon form of each matrix of ``h`` (mod p), one
+        row per column: the row with its pivot there, or zero.  With E that
+        form, the columns of I - E span the null space."""
+        p = self.p
+        h = h[:, h.any(axis=(0, 2))]  # rows that are zero in every matrix add nothing
+        count, rows, cols = h.shape
+        if not rows:
+            return np.zeros((count, cols, cols), dtype=h.dtype)
+        at = np.arange(count)
+        free = np.ones((count, rows), dtype=bool)
+        pivot = np.full((count, cols), -1)  # the row that holds each column's pivot
+        for c in range(cols):
+            col = h[:, :, c]
+            cand = (col != 0) & free
+            has = cand.any(axis=1)
+            if not has.any():
+                continue
+            r = cand.argmax(axis=1)
+            # the pivot row is zero left of c; no row is taken where there is no pivot
+            row = h[at, r, c:] * has[:, None]
+            if p == 2:
+                h[:, :, c:] ^= col[:, :, None] & row[:, None, :]
+            else:
+                row = row * self.inverse[row[:, 0]][:, None] % p
+                h[:, :, c:] = (h[:, :, c:] - col[:, :, None] * row[:, None, :]) % p
+            took, r = at[has], r[has]
+            h[took, r, c:] = row[has]
+            free[took, r] = False
+            pivot[took, c] = r
+        return np.where(pivot[:, :, None] >= 0, h[at[:, None], np.maximum(pivot, 0)], 0)
+
+
+def _doubling_batches(pieces, first: int, cap: int):
+    """The rows of ``pieces`` (tuples of arrays that share their first axis)
+    regrouped into batches of ``first``, 2·``first``, 4·``first``, ... rows,
+    none over ``cap``."""
+    held, count, want = [], 0, min(first, cap)
+    for piece in pieces:
+        lo = 0
+        while lo < len(piece[0]):
+            hi = lo + want - count
+            held.append([a[lo:hi] for a in piece])
+            count += len(held[-1][0])
+            lo = hi
+            if count == want:
+                yield [np.concatenate(parts) for parts in zip(*held)]
+                held, count, want = [], 0, min(2 * want, cap)
+    if held:
+        yield [np.concatenate(parts) for parts in zip(*held)]
+
+
+def _cleared_shapes(sc: _Scanner, amin: int, blocks) -> set:
+    """The p shapes, from the first on, that the rank screen clears; empty
+    unless (R,+) is F_p^m.  Every p shape of the deciders meets the same q
+    shapes, which hold every nonzero q up to the longest one, and a shorter
+    q is a longer one with zero coefficients on top; so the screen tests
+    every p against every q of that longest length."""
+    basis = _prime_basis(sc.add_np, sc.zero)
+    if basis is None:
+        return set()
+    shapes = list(dict.fromkeys(p for p, _ in blocks))
+    lq = max(q_len for _, (q_len, _) in blocks)
+    first = _RankScreen(sc, *basis).first_uncleared(amin, shapes, lq)
+    return set(shapes[:first])
 
 
 def _budget_guard(space: int, budget: int) -> None:
@@ -720,7 +891,10 @@ def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, order=None) -> Ve
     being (number of coefficients, whether the last is nonzero); ``p_min``
     and ``q_min`` are the lowest exponents, ``order`` a series' truncation."""
     sc = _Scanner(ring, alpha, prop)
+    cleared = _cleared_shapes(sc, p_min, blocks)
     for p_shape, q_shape in blocks:
+        if p_shape in cleared:
+            continue
         hit = _least_violation(sc, p_min, p_shape, q_shape)
         if hit is not None:
             ap, bq = hit
@@ -862,12 +1036,12 @@ def check_property(
         return check_armendariz_family(ring, alpha, degree, prop, budget)
     if kind == "laurent":
         if window is None:
-            raise RingError("the Laurent property needs a window (m,n,t,s)")
+            raise RingError(f"{prop.value} needs a window (m,n,t,s)")
         if alpha is None:
             raise RingError("the Laurent property needs an endomorphism")
         return check_laurent_q_alpha_skew(ring, alpha, window, budget)
     if truncation is None:
-        raise RingError("series properties need a truncation order")
+        raise RingError(f"{prop.value} needs a truncation order")
     if alpha is None:
         raise RingError("series properties need an endomorphism")
     return check_powerseries_q_alpha_skew(

@@ -251,6 +251,46 @@ def _additive_generators(add: np.ndarray) -> list[int]:
     return gens
 
 
+def _prime_basis(add: np.ndarray, zero: int):
+    """``(p, basis, coords)`` when (R,+) is the vector space F_p^m, else None.
+
+    That is so exactly when p·x = 0 for every x, with p the least prime
+    factor of n.  The basis is picked greedily, as ``_additive_generators``
+    picks generators: the least index outside the span so far.
+    ``coords[x]`` (n × m, entries in [0, p)) gives x = Σ coords[x][i]·basis[i];
+    it is built outward from the zero, wherever that sits.
+    """
+    n = len(add)
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
+        return None
+    every, multiple = np.arange(n), np.arange(n)
+    for _ in range(p - 1):
+        multiple = add[multiple, every]
+    if (multiple != zero).any():
+        return None
+    m = 0
+    while p**m < n:
+        m += 1
+    coords = np.zeros((n, m), dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[zero] = True
+    span, basis = np.array([zero]), []
+    for g in range(n):
+        if inside[g]:
+            continue
+        layers = [span]
+        for c in range(1, p):  # the cosets span + c·g
+            layer = add[layers[-1], g]
+            coords[layer] = coords[span]
+            coords[layer, len(basis)] = c
+            layers.append(layer)
+        basis.append(g)
+        span = np.concatenate(layers)
+        inside[span] = True
+    return p, basis, coords
+
+
 def _axioms_hold_on(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
     """Associativity and distributivity, checked on the additive generators
     only (see ``_validate_tables`` for why that is complete)."""
@@ -784,6 +824,54 @@ def identity_endomorphism(ring: FiniteRing) -> Endomorphism:
 
 def zero_endomorphism(ring: FiniteRing) -> Endomorphism:
     return table_endomorphism(ring, [ring.zero] * ring.size, "zero")
+
+
+def all_endomorphisms(ring: FiniteRing) -> list[Endomorphism]:
+    """Every ring endomorphism, in lexicographic order of the images of the
+    additive generators.
+
+    An additive map is fixed by the images of the nonzero generators of
+    (R,+), so the search backtracks over those images, extending each choice
+    additively over the span reached so far and dropping it at the first
+    clash.  Multiplication is biadditive, so the map is multiplicative once
+    f(g·h) = f(g)·f(h) on every pair of generators; a pair is checked as
+    soon as the image of g·h is known.
+    """
+    add, mul = np.asarray(ring.add_table), np.asarray(ring.mul_table)
+    n, zero = ring.size, ring.zero
+    gens = [g for g in _additive_generators(add) if g != zero]
+    found = []
+
+    def extend(images: np.ndarray, i: int) -> None:
+        if i == len(gens):
+            label = f"endo{len(found)}"
+            found.append(table_endomorphism(ring, images.tolist(), label))
+            return
+        g = gens[i]
+        span = np.flatnonzero(images >= 0)
+        for v in range(n):
+            new = images.copy()
+            prev, prev_img = span, images[span]
+            while True:  # the cosets span + c·g, c = 1, 2, ..., until span again
+                cur, cur_img = add[prev, g], add[prev_img, v]
+                if new[cur[0]] >= 0:
+                    break
+                new[cur] = cur_img
+                prev, prev_img = cur, cur_img
+            if not np.array_equal(new[cur], cur_img):
+                continue
+            done = gens[: i + 1]
+            if all(
+                new[mul[a, b]] < 0 or new[mul[a, b]] == mul[new[a], new[b]]
+                for a in done
+                for b in done
+            ):
+                extend(new, i + 1)
+
+    start = np.full(n, -1, dtype=np.int64)
+    start[zero] = zero
+    extend(start, 0)
+    return found
 
 
 def endo_orbit(alpha: Endomorphism) -> tuple[int, int]:

@@ -243,3 +243,21 @@ def test_check_laurent_and_series(ex1_file):
         main(["check", ex1_file, "--property", "powerseries-q-alpha-skew", "--trunc", "2"])
         == 0
     )
+
+
+@pytest.mark.parametrize(
+    "prop, message",
+    [
+        ("q-alpha-skew-armendariz", "q-alpha-skew-armendariz needs a degree bound"),
+        ("laurent-q-alpha-skew", "laurent-q-alpha-skew needs a window (m,n,t,s)"),
+        ("powerseries-q-alpha-skew", "powerseries-q-alpha-skew needs a truncation order"),
+        (
+            "laurent-powerseries-q-alpha-skew",
+            "laurent-powerseries-q-alpha-skew needs a truncation order",
+        ),
+    ],
+)
+def test_check_names_the_missing_envelope(ex1_file, capsys, prop, message):
+    # the envelope each property needs is decided by check_property alone
+    assert main(["check", ex1_file, "--property", prop]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,5 +1,5 @@
 """The block kernel of the search deciders: its chunked enumeration keeps
-the order of ``_iter_tuples``, its memory and time stay bounded on lopsided
+the order of ``iter_tuples``, its memory and time stay bounded on lopsided
 Laurent windows, its batching boundaries do not change the least witness,
 and its sandwich tables built on additive generators equal their every-r
 versions."""
@@ -29,8 +29,39 @@ from skewarm import (
     zero_endomorphism,
 )
 from skewarm.corpus import entry_by_name
-from skewarm.deciders import _iter_tuples, _tuple_chunks
+from skewarm.deciders import _tuple_chunks
 from skewarm.rings import _additive_generators
+
+
+def iter_tuples(n: int, length: int, last_nonzero: bool, zero: int):
+    """Nonzero coefficient tuples of a given length in the enumeration order
+    of the deciders, one at a time: the reference for ``_tuple_chunks``.
+
+    ``zero`` is the ring's zero element index (not necessarily 0, e.g. after
+    a relabelling).  Tuples are grouped by the position of their first
+    nonzero coefficient, zero-prefixed groups first; when zero is index 0 —
+    true for every standard constructor — this is exactly raw lexicographic
+    order.  ``last_nonzero`` restricts to exact-degree tuples.
+    """
+    values = [v for v in range(n) if v != zero]
+    for f in range(length - 1, -1, -1):
+        prefix = (zero,) * f
+        tail = length - 1 - f
+        for v in values:
+            head = prefix + (v,)
+            if tail == 0:
+                yield head
+            elif last_nonzero:
+                if tail == 1:
+                    for last in values:
+                        yield head + (last,)
+                else:
+                    for mid in itertools.product(range(n), repeat=tail - 1):
+                        for last in values:
+                            yield head + mid + (last,)
+            else:
+                for rest in itertools.product(range(n), repeat=tail):
+                    yield head + rest
 
 
 def first_nonzero(t, zero):
@@ -64,7 +95,7 @@ def test_chunks_follow_iter_tuples(n, length, last_nonzero, zero, step):
     for heads in per_level:
         kept = [set(heads(f)) for f in range(length)]
         expected = []
-        for t in _iter_tuples(n, length, last_nonzero, zero):
+        for t in iter_tuples(n, length, last_nonzero, zero):
             f, v = first_nonzero(t, zero)
             if v in kept[f]:
                 expected.append(t)
