@@ -106,6 +106,17 @@ def _parse_window(text: str) -> tuple[int, int, int, int]:
     return m, n, t, s
 
 
+def _envelope_flags_read(prop: PropertyId) -> tuple[str, ...]:
+    """The envelope flags ``check_property`` reads for ``prop``."""
+    if prop in dec.ELEMENT_PROPERTIES:
+        return ()
+    if prop is PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW:
+        return ("--trunc", "--min-exp")
+    return {"poly": ("--deg",), "laurent": ("--window",), "series": ("--trunc",)}[
+        dec._STATEMENTS[prop].kind
+    ]
+
+
 def cmd_check(args) -> int:
     try:
         prop = PropertyId(args.property)
@@ -114,6 +125,16 @@ def cmd_check(args) -> int:
             f"unknown property {args.property!r}; choose from: "
             + ", ".join(p.value for p in PropertyId)
         ) from None
+    given = {
+        "--deg": args.deg,
+        "--window": args.window,
+        "--trunc": args.trunc,
+        "--min-exp": args.min_exp,
+    }
+    read = _envelope_flags_read(prop)
+    for flag, value in given.items():
+        if value is not None and flag not in read:
+            raise formats.FormatError(f"{prop.value} does not read {flag}")
     ring, endo = formats.load_ring_definition(args.file)
     window = None if args.window is None else _parse_window(args.window)
     verdict = dec.check_property(

@@ -54,7 +54,6 @@ from .rings import (
     FiniteRing,
     RingElement,
     RingError,
-    _additive_generators,
     _prime_basis,
     identity_endomorphism,
 )
@@ -247,66 +246,94 @@ def is_reduced(ring: FiniteRing) -> Verdict:
     return _verdict(PropertyId.REDUCED, ring, None, _EXH)
 
 
+def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
+    """The least (a, b), in row-major order, with ``mask[a, b]`` set."""
+    hits = np.flatnonzero(mask)
+    if not hits.size:
+        return None
+    a, b = divmod(int(hits[0]), mask.shape[1])
+    return a, b
+
+
 def is_domain(ring: FiniteRing) -> Verdict:
-    mul, zero = ring.mul_table, ring.zero
-    for a in range(ring.size):
-        if a == zero:
-            continue
-        row = mul[a]
-        for b in range(ring.size):
-            if b != zero and row[b] == zero:
-                w = Witness(kind="elements", elements=(a, b), values=(row[b],))
-                return _verdict(PropertyId.DOMAIN, ring, None, _EXH, w)
+    zero = ring.zero
+    kills = ring.mul_array == zero
+    kills[zero, :] = kills[:, zero] = False
+    pair = _first_pair(kills)
+    if pair is not None:
+        w = Witness(kind="elements", elements=pair, values=(zero,))
+        return _verdict(PropertyId.DOMAIN, ring, None, _EXH, w)
     return _verdict(PropertyId.DOMAIN, ring, None, _EXH)
 
 
 def is_commutative(ring: FiniteRing) -> Verdict:
-    mul = ring.mul_table
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if mul[a][b] != mul[b][a]:
-                w = Witness(kind="elements", elements=(a, b), values=(mul[a][b], mul[b][a]))
-                return _verdict(PropertyId.COMMUTATIVE, ring, None, _EXH, w)
+    mul = ring.mul_array
+    pair = _first_pair(mul != mul.T)
+    if pair is not None:
+        a, b = pair
+        values = (ring.mul(a, b), ring.mul(b, a))
+        w = Witness(kind="elements", elements=pair, values=values)
+        return _verdict(PropertyId.COMMUTATIVE, ring, None, _EXH, w)
     return _verdict(PropertyId.COMMUTATIVE, ring, None, _EXH)
+
+
+# Rows a per block of the semicommutative and symmetric scans: a block
+# gathers rows × n bit-packed kill sets of ceil(n/8) bytes, 128 KB at the
+# size cap.
+_ELEMENT_ROWS = 16
+
+
+def _kill_sets(ring: FiniteRing) -> np.ndarray:
+    """kills[x]: the c with x·c = 0, as a bit-packed row (bit c of the row)."""
+    return np.packbits(ring.mul_array == ring.zero, axis=1)
+
+
+def _first_bit(row: np.ndarray) -> int:
+    return int(np.flatnonzero(np.unpackbits(row))[0])
 
 
 def is_semicommutative(ring: FiniteRing) -> Verdict:
     """ab = 0 implies a r b = 0 for every r."""
-    mul, zero = ring.mul_table, ring.zero
-    for a in range(ring.size):
-        row = mul[a]
-        for b in range(ring.size):
-            if row[b] != zero:
-                continue
-            for r in range(ring.size):
-                v = mul[row[r]][b]
-                if v != zero:
-                    w = Witness(kind="elements", elements=(a, b, r), values=(v,))
-                    return _verdict(PropertyId.SEMICOMMUTATIVE, ring, None, _EXH, w)
+    mul, zero = ring.mul_array, ring.zero
+    kills = _kill_sets(ring)
+    for lo in range(0, ring.size, _ELEMENT_ROWS):
+        rows = mul[lo : lo + _ELEMENT_ROWS]  # rows[a - lo, r] = a·r
+        # bit b of bad[a - lo]: a·b = 0 but (a·r)·b != 0 for some r
+        bad = kills[lo : lo + _ELEMENT_ROWS] & ~np.bitwise_and.reduce(kills[rows], axis=1)
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            a = lo + int(hit[0])
+            b = _first_bit(bad[hit[0]])
+            r = int(np.flatnonzero(mul[mul[a], b] != zero)[0])
+            w = Witness(kind="elements", elements=(a, b, r), values=(ring.mul(ring.mul(a, r), b),))
+            return _verdict(PropertyId.SEMICOMMUTATIVE, ring, None, _EXH, w)
     return _verdict(PropertyId.SEMICOMMUTATIVE, ring, None, _EXH)
 
 
 def is_reversible(ring: FiniteRing) -> Verdict:
-    mul, zero = ring.mul_table, ring.zero
-    for a in range(ring.size):
-        for b in range(ring.size):
-            if mul[a][b] == zero and mul[b][a] != zero:
-                w = Witness(kind="elements", elements=(a, b), values=(mul[b][a],))
-                return _verdict(PropertyId.REVERSIBLE, ring, None, _EXH, w)
+    mul, zero = ring.mul_array, ring.zero
+    pair = _first_pair((mul == zero) & (mul.T != zero))
+    if pair is not None:
+        a, b = pair
+        w = Witness(kind="elements", elements=pair, values=(ring.mul(b, a),))
+        return _verdict(PropertyId.REVERSIBLE, ring, None, _EXH, w)
     return _verdict(PropertyId.REVERSIBLE, ring, None, _EXH)
 
 
 def is_symmetric(ring: FiniteRing) -> Verdict:
     """abc = 0 implies bac = 0."""
-    mul = np.asarray(ring.mul_table)
-    kills = mul == ring.zero  # kills[x, c]: x·c = 0
-    for a in range(ring.size):
-        # over (b, c): (a·b)·c = 0 but (b·a)·c != 0
-        bad = np.argwhere(kills[mul[a]] & ~kills[mul[:, a]])
-        if bad.size:
-            b, c = bad[0].tolist()
-            ba = ring.mul(b, a)
-            w = Witness(kind="elements", elements=(a, b, c), values=(ring.mul(ba, c),))
+    mul = ring.mul_array
+    kills = _kill_sets(ring)
+    for lo in range(0, ring.size, _ELEMENT_ROWS):
+        # bit c of bad[a - lo, b]: (a·b)·c = 0 but (b·a)·c != 0
+        bad = kills[mul[:, lo : lo + _ELEMENT_ROWS].T]
+        np.invert(bad, out=bad)
+        bad &= kills[mul[lo : lo + _ELEMENT_ROWS]]
+        pair = _first_pair(bad.any(axis=2))
+        if pair is not None:
+            a, b = lo + pair[0], pair[1]
+            c = _first_bit(bad[pair])
+            w = Witness(kind="elements", elements=(a, b, c), values=(ring.mul(ring.mul(b, a), c),))
             return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH, w)
     return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH)
 
@@ -423,9 +450,10 @@ class _Scanner:
     nonzero additive generators of R: each coefficient of p (r x^k) q, and
     each a·r·b, is additive in r, so it vanishes for every r iff it
     vanishes for every generator.  The Python tables serve the scalar scan
-    that names a witness, which still runs over every r; the numpy copies,
-    in the least unsigned dtype that holds every element index, serve the
-    block kernel ``_least_violation``.
+    that names a witness, which still runs over every r; the ring's own
+    read-only arrays (``FiniteRing.add_array``/``mul_array``, in the least
+    unsigned dtype that holds every element index) serve the block kernel
+    ``_least_violation``, and the twist's powers are converted to that dtype.
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
@@ -439,14 +467,13 @@ class _Scanner:
         self.pow_maps = endo.pow_maps
         self.red = endo.reduce_exponent
         self.nonzero = [r for r in range(ring.size) if r != ring.zero]
-        self.dtype = np.min_scalar_type(ring.size - 1)
-        self.add_np = np.asarray(ring.add_table, dtype=self.dtype)
-        self.mul_np = np.asarray(ring.mul_table, dtype=self.dtype)
+        self.dtype = ring.mul_array.dtype
+        self.add_np = ring.add_array
+        self.mul_np = ring.mul_array
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
         self.gens = self.ann = None
         if self.ks is not None:
-            gens = _additive_generators(self.add_np)
-            self.gens = np.array([g for g in gens if g != ring.zero], dtype=np.intp)
+            self.gens = np.array([g for g in ring.generators if g != ring.zero], dtype=np.intp)
             self.ann = self._annihilator_table()
         # columns of the hypothesis arrays: one per generator, one for pq = 0
         self.width = 1 if self.gens is None else max(1, len(self.gens))

@@ -3,15 +3,18 @@
 Elements are dense indices ``0..n-1`` into immutable Cayley tables.  Every
 constructor funnels through one exhaustive validator, so a ``FiniteRing``
 that exists is guaranteed to satisfy all ring axioms.  Validation is never
-sampled: at desk scale the O(n^3) checks are cheap and the deciders rely on
-the resulting hard guarantees.
+sampled: the cubic axioms reduce to the additive generators, so the whole
+check is O(n^2 log n), and the deciders rely on the resulting hard
+guarantees.  Each ring keeps the validated tables as read-only numpy arrays
+beside the tuples, and the constructors, the endomorphism checks and the
+deciders read those arrays instead of converting the tuples again.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,8 +104,12 @@ class FiniteRing:
     """A finite ring given by full addition/multiplication tables.
 
     ``one`` is optional: rings without a two-sided identity are first-class.
-    Tables are tuples and therefore immutable; instances compare by identity
-    (``ring_id``), never structurally.
+    The public tables are tuples and therefore immutable; ``add_array`` and
+    ``mul_array`` hold the same tables as read-only numpy arrays in the
+    least unsigned dtype that holds every index (``np.min_scalar_type(n - 1)``),
+    and ``generators`` the additive generators validation found
+    (``_additive_generators``).  Instances compare by identity (``ring_id``),
+    never structurally.
     """
 
     ring_id: int
@@ -115,6 +122,9 @@ class FiniteRing:
     label: str
     element_labels: tuple[str, ...]
     _label_index: dict[str, int] = field(repr=False)
+    add_array: np.ndarray = field(repr=False)
+    mul_array: np.ndarray = field(repr=False)
+    generators: tuple[int, ...] = field(repr=False)
 
     @property
     def is_unital(self) -> bool:
@@ -315,7 +325,19 @@ def _validate_tables(
     mul: np.ndarray,
     labels: tuple[str, ...],
 ) -> tuple[int, tuple[int, ...], int | None]:
-    """Exhaustively check all ring axioms; return (zero, neg_table, one).
+    """Exhaustively check all ring axioms; return (zero, neg_table, one)."""
+    zero, neg, one, _ = _validate(n, add, mul, labels)
+    return zero, neg, one
+
+
+def _validate(
+    n: int,
+    add: np.ndarray,
+    mul: np.ndarray,
+    labels: tuple[str, ...],
+) -> tuple[int, tuple[int, ...], int | None, list[int]]:
+    """Exhaustively check all ring axioms; return (zero, neg_table, one,
+    additive generators).
 
     Commutativity, the unique zero and unique inverses of ``+`` are checked
     at every pair.  The cubic axioms are then reduced to a generating set G
@@ -358,12 +380,13 @@ def _validate_tables(
         raise AxiomError(f"element {labels[no_inverse[0]]} has no unique additive inverse")
     neg = is_zero.argmax(axis=1)
 
-    if not _axioms_hold_on(add, mul, _additive_generators(add)):
+    gens = _additive_generators(add)
+    if not _axioms_hold_on(add, mul, gens):
         _scan_axioms(add, mul, labels)
 
     ones = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
     one = int(ones[0]) if ones.size else None
-    return zero, tuple(neg.tolist()), one
+    return zero, tuple(neg.tolist()), one, gens
 
 
 def _build_ring(
@@ -388,7 +411,7 @@ def _build_ring(
 
     add = np.asarray(add_table, dtype=np.int64)
     mul = np.asarray(mul_table, dtype=np.int64)
-    zero, neg, one = _validate_tables(n, add, mul, labels)
+    zero, neg, one, gens = _validate(n, add, mul, labels)
 
     return FiniteRing(
         ring_id=_next_ring_id(),
@@ -401,7 +424,17 @@ def _build_ring(
         label=label,
         element_labels=labels,
         _label_index={lab: i for i, lab in enumerate(labels)},
+        add_array=_frozen(add),
+        mul_array=_frozen(mul),
+        generators=tuple(gens),
     )
+
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """A read-only copy of a validated table in the least dtype holding its indices."""
+    out = table.astype(np.min_scalar_type(len(table) - 1))
+    out.setflags(write=False)
+    return out
 
 
 def make_table_ring(
@@ -436,8 +469,8 @@ def make_direct_product(
     if n > size_cap:
         raise SizeCapError(f"carrier size {n} exceeds the cap of {size_cap}")
 
-    add = _pair_table(np.asarray(r1.add_table), np.asarray(r2.add_table)[None, :, None, :])
-    mul = _pair_table(np.asarray(r1.mul_table), np.asarray(r2.mul_table)[None, :, None, :])
+    add = _pair_table(r1.add_array, r2.add_array[None, :, None, :])
+    mul = _pair_table(r1.mul_array, r2.mul_array[None, :, None, :])
     labels = tuple(f"({x},{y})" for x in r1.element_labels for y in r2.element_labels)
     return _build_ring(add, mul, labels, f"{r1.label}(+){r2.label}", size_cap)
 
@@ -451,7 +484,8 @@ def _pair_table(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """
     m = second.shape[-1]
     n = len(first) * m
-    return (first[:, None, :, None] * m + second).reshape(n, n)
+    # x * m + y outgrows the operands' compact dtype, so widen first
+    return (first.astype(np.intp)[:, None, :, None] * m + second).reshape(n, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -583,11 +617,9 @@ def make_trivial_extension(
 
     madd = np.asarray(module.add_table)
     lact, ract = np.asarray(module.left_action), np.asarray(module.right_action)
-    add = _pair_table(np.asarray(ring.add_table), madd[None, :, None, :])
+    add = _pair_table(ring.add_array, madd[None, :, None, :])
     # second component r1·m2 + m1·r2, over axes (r1, m1, r2, m2)
-    mul = _pair_table(
-        np.asarray(ring.mul_table), madd[lact[:, None, None, :], ract[None, :, :, None]]
-    )
+    mul = _pair_table(ring.mul_array, madd[lact[:, None, None, :], ract[None, :, :, None]])
     labels = tuple(f"({r},{x})" for r in ring.element_labels for x in module.element_labels)
     return _build_ring(add, mul, labels, f"T({ring.label},{module.label})", size_cap)
 
@@ -659,20 +691,21 @@ def make_quotient(ring: FiniteRing, ideal: Ideal) -> tuple[FiniteRing, tuple[int
     """
     if ideal.ring.ring_id != ring.ring_id:
         raise CarrierMismatchError("ideal is not an ideal of the given ring")
-    n = ring.size
-    rep = [-1] * n
-    for a in range(n):
-        rep[a] = min(ring.add_table[a][i] for i in ideal.members)
-    reps = sorted(set(rep))
-    rep_pos = {r: k for k, r in enumerate(reps)}
-    proj = tuple(rep_pos[rep[a]] for a in range(n))
+    rep = _coset_reps(ring, ideal)
+    reps, pos = np.unique(rep, return_inverse=True)
+    proj = tuple(pos.tolist())
 
     on_reps = np.ix_(reps, reps)
-    add = np.asarray(proj)[np.asarray(ring.add_table)[on_reps]]
-    mul = np.asarray(proj)[np.asarray(ring.mul_table)[on_reps]]
-    labels = tuple(ring.element_labels[r] for r in reps)
+    add = pos[ring.add_array[on_reps]]
+    mul = pos[ring.mul_array[on_reps]]
+    labels = tuple(ring.element_labels[r] for r in reps.tolist())
     quot = _build_ring(add, mul, labels, f"{ring.label}/I{len(ideal.members)}")
     return quot, proj
+
+
+def _coset_reps(ring: FiniteRing, ideal: Ideal) -> np.ndarray:
+    """rep[a]: the least element index of the coset a + I."""
+    return ring.add_array[:, sorted(ideal.members)].min(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -763,13 +796,8 @@ def _first_non_homomorphic(
     (additive failure?, a, b); the additive law is reported first at a tie."""
     f = np.asarray(images)
     pairs = (f[:, None], f[None, :])
-    dom_add, dom_mul = np.asarray(domain.add_table), np.asarray(domain.mul_table)
-    if codomain is domain:  # table_endomorphism: convert each table once
-        cod_add, cod_mul = dom_add, dom_mul
-    else:
-        cod_add, cod_mul = np.asarray(codomain.add_table), np.asarray(codomain.mul_table)
-    not_additive = f[dom_add] != cod_add[pairs]
-    not_multiplicative = f[dom_mul] != cod_mul[pairs]
+    not_additive = f[domain.add_array] != codomain.add_array[pairs]
+    not_multiplicative = f[domain.mul_array] != codomain.mul_array[pairs]
     bad = np.argwhere(not_additive | not_multiplicative)
     if bad.size == 0:
         return None
@@ -837,9 +865,9 @@ def all_endomorphisms(ring: FiniteRing) -> list[Endomorphism]:
     f(g·h) = f(g)·f(h) on every pair of generators; a pair is checked as
     soon as the image of g·h is known.
     """
-    add, mul = np.asarray(ring.add_table), np.asarray(ring.mul_table)
+    add, mul = ring.add_array, ring.mul_array
     n, zero = ring.size, ring.zero
-    gens = [g for g in _additive_generators(add) if g != zero]
+    gens = [g for g in ring.generators if g != zero]
     found = []
 
     def extend(images: np.ndarray, i: int) -> None:
@@ -968,7 +996,7 @@ def induced_endomorphism(
     if quotient is None:
         quotient = make_quotient(ring, ideal)
     quot, proj = quotient
-    reps = sorted(set(min(ring.add_table[a][i] for i in ideal.members) for a in range(ring.size)))
+    reps = np.unique(_coset_reps(ring, ideal)).tolist()
     images = [proj[alpha.images[reps[x]]] for x in range(quot.size)]
     return table_endomorphism(quot, images, f"induced({alpha.label})")
 
@@ -984,8 +1012,8 @@ def relabel_ring(
     to_new = np.asarray(p)
     inv = np.argsort(to_new)
     on_old = np.ix_(inv, inv)
-    add = to_new[np.asarray(ring.add_table)[on_old]]
-    mul = to_new[np.asarray(ring.mul_table)[on_old]]
+    add = to_new[ring.add_array[on_old]]
+    mul = to_new[ring.mul_array[on_old]]
     labels = [""] * n
     for i in range(n):
         labels[p[i]] = ring.element_labels[i]
@@ -1061,18 +1089,7 @@ def make_galois_field(p: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Finit
         raise SizeCapError(f"carrier size {n} exceeds the cap of {size_cap}")
     if k == 1:
         ring = make_zmod(p, size_cap)
-        return FiniteRing(
-            ring_id=_next_ring_id(),
-            size=ring.size,
-            add_table=ring.add_table,
-            mul_table=ring.mul_table,
-            neg_table=ring.neg_table,
-            zero=ring.zero,
-            one=ring.one,
-            label=f"GF({p})",
-            element_labels=ring.element_labels,
-            _label_index=dict(ring._label_index),
-        )
+        return replace(ring, ring_id=_next_ring_id(), label=f"GF({p})")
 
     modulus = None
     for m in range(n):

@@ -1,0 +1,100 @@
+"""scripts/bench_pair.py: pairing order, the summary statistics and the
+gain and regression tests, run against stub checkouts."""
+
+import importlib.util
+import json
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "scripts" / "bench_pair.py")
+bench_pair = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pair)
+
+WALL = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def _runs(parent, change):
+    return [
+        {"parent": {"metrics": {"wall_s": p}}, "change": {"metrics": {"wall_s": c}}}
+        for p, c in zip(parent, change)
+    ]
+
+
+def test_quartiles_inclusive():
+    assert bench_pair.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert bench_pair.quartiles([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_spread():
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    faster = [p - 0.5 for p in parent]
+    m = bench_pair.summarise(WALL, _runs(parent, faster))
+    assert (m["change_wins"], m["ties"], m["gain"], m["regression"]) == (10, 0, True, False)
+    # eight wins of ten is not enough
+    m = bench_pair.summarise(WALL, _runs(parent, faster[:8] + parent[8:]))
+    assert (m["change_wins"], m["ties"], m["gain"]) == (8, 2, False)
+    # a gap inside the parent's interquartile range is not a gain
+    m = bench_pair.summarise(WALL, _runs(parent, [p - 0.05 for p in parent]))
+    assert (m["change_wins"], m["gain"]) == (10, False)
+
+
+def test_regression_is_relative_to_the_parent_median():
+    parent = [1.0] * 10
+    assert not bench_pair.summarise(WALL, _runs(parent, [1.2] * 10))["regression"]
+    assert bench_pair.summarise(WALL, _runs(parent, [1.3] * 10))["regression"]
+    higher = dict(WALL, better="higher")
+    m = bench_pair.summarise(higher, _runs(parent, [0.7] * 10))
+    assert m["regression"] and m["change_wins"] == 0
+
+
+STUB = """
+import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+wall = {WALL} + int(args["--seed"]) / 100
+metrics = {{"wall_s": {{"value": wall, "unit": "s"}}}}
+if args["--trace"] == "1":
+    metrics = {{"rings.build_calls": {{"value": 5, "unit": "count"}}}}
+with open("../order.log", "a") as fh:  # shared by both stub checkouts
+    fh.write(f"{WALL} {{args['--seed']}} {{args['--trace']}}\\n")
+print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def _stub_checkout(root: Path, wall: float) -> Path:
+    (root / "bench").mkdir(parents=True)
+    (root / "src" / "skewarm").mkdir(parents=True)
+    (root / "src" / "skewarm" / "__init__.py").write_text(f"# {wall}\n")
+    (root / "bench" / "run.py").write_text(textwrap.dedent(STUB.format(WALL=wall)))
+    spec = {"workloads": [{"name": "w"}], "end_to_end": [WALL]}
+    (root / "BENCHMARK.json").write_text(json.dumps(spec))
+    return root
+
+
+def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
+    parent = _stub_checkout(tmp_path / "parent", 2.0)
+    change = _stub_checkout(tmp_path / "change", 1.0)
+    out = tmp_path / "BENCH.json"
+    argv = [str(parent), str(change), "--out", str(out), "--pairs", "4", "--first-seed", "11"]
+    assert bench_pair.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["seeds"] == [11, 12, 13, 14]
+    entry = doc["workloads"]["w"]
+    assert [r["first"] for r in entry["runs"]] == ["parent", "change", "parent", "change"]
+    order = (tmp_path / "order.log").read_text().split("\n")[:-1]
+    assert order == [
+        "2.0 11 0", "1.0 11 0", "1.0 12 0", "2.0 12 0",
+        "2.0 13 0", "1.0 13 0", "1.0 14 0", "2.0 14 0",
+        "2.0 11 1", "1.0 11 1",
+    ]
+    assert [r["change"]["metrics"]["wall_s"] for r in entry["runs"]] == pytest.approx(
+        [1.11, 1.12, 1.13, 1.14]
+    )
+    wall = entry["metrics"]["wall_s"]
+    assert (wall["change_wins"], wall["gain"], wall["regression"]) == (4, True, False)
+    assert entry["counts"]["equal"] and entry["counts"]["change"] == {"rings.build_calls": 5}
+    assert entry["failed"] == {"parent": 0, "change": 0}
+    assert doc["source_sha256"]["parent"] != doc["source_sha256"]["change"]
+    assert "w" in capsys.readouterr().out

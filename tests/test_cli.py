@@ -261,3 +261,35 @@ def test_check_names_the_missing_envelope(ex1_file, capsys, prop, message):
     # the envelope each property needs is decided by check_property alone
     assert main(["check", ex1_file, "--property", prop]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "prop, flags, unread",
+    [
+        ("reduced", ["--deg", "1"], "--deg"),
+        ("rigid", ["--trunc", "2"], "--trunc"),
+        ("armendariz", ["--deg", "1", "--window", "1,1,1,1"], "--window"),
+        ("q-alpha-skew-armendariz", ["--deg", "1", "--trunc", "2"], "--trunc"),
+        ("laurent-q-alpha-skew", ["--window", "1,1,1,1", "--deg", "5"], "--deg"),
+        ("laurent-q-alpha-skew", ["--window", "1,1,1,1", "--min-exp", "-1"], "--min-exp"),
+        ("powerseries-q-alpha-skew", ["--trunc", "2", "--min-exp", "-1"], "--min-exp"),
+        ("powerseries-q-alpha-skew", ["--trunc", "2", "--deg", "1"], "--deg"),
+        (
+            "laurent-powerseries-q-alpha-skew",
+            ["--trunc", "2", "--min-exp", "-1", "--window", "1,1,1,1"],
+            "--window",
+        ),
+    ],
+)
+def test_check_rejects_envelope_flags_the_property_does_not_read(
+    ex1_file, capsys, prop, flags, unread
+):
+    assert main(["check", ex1_file, "--property", prop, *flags]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {prop} does not read {unread}\n"
+
+
+def test_check_laurent_series_reads_trunc_and_min_exp(ex1_file):
+    args = ["check", ex1_file, "--property", "laurent-powerseries-q-alpha-skew", "--trunc", "2"]
+    assert main(args + ["--min-exp", "-1"]) == 0

@@ -1,4 +1,5 @@
-"""Fast paths of table validation and carrier construction against slow references.
+"""Fast paths of table validation, carrier construction and the element
+predicates against slow references.
 
 The references are the per-element loops the vectorised code replaced; they
 use only the tables, so they do not share the code they check.
@@ -23,7 +24,14 @@ from skewarm import (
     regular_bimodule,
     table_endomorphism,
 )
-from skewarm.deciders import is_symmetric
+from skewarm.deciders import (
+    _ELEMENT_ROWS,
+    is_commutative,
+    is_domain,
+    is_reversible,
+    is_semicommutative,
+    is_symmetric,
+)
 from skewarm.rings import _irreducible, _poly_divmod, _validate_tables
 
 
@@ -359,7 +367,7 @@ def test_galois_field_matches_polynomial_reference(p, k):
 
 
 # --------------------------------------------------------------------------
-# homomorphism checks and the symmetric predicate
+# homomorphism checks and the element predicates
 
 
 def _map_error(build):
@@ -397,19 +405,114 @@ def _reference_symmetric_witness(ring):
     return None
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_symmetric_matches_loop_reference(seed):
+def _reference_semicommutative_witness(ring):
+    mul, zero = ring.mul_table, ring.zero
+    n = ring.size
+    for a in range(n):
+        for b in range(n):
+            if mul[a][b] != zero:
+                continue
+            for r in range(n):
+                if mul[mul[a][r]][b] != zero:
+                    return (a, b, r), (mul[mul[a][r]][b],)
+    return None
+
+
+def _reference_pair_witness(bad, values):
+    """The least (a, b) with ``bad(a, b)``, and its certifying ``values``."""
+
+    def reference(ring):
+        for a in range(ring.size):
+            for b in range(ring.size):
+                if bad(ring, a, b):
+                    return (a, b), values(ring, a, b)
+        return None
+
+    return reference
+
+
+ELEMENT_SCANS = [
+    (is_symmetric, _reference_symmetric_witness),
+    (is_semicommutative, _reference_semicommutative_witness),
+    (
+        is_domain,
+        _reference_pair_witness(
+            lambda r, a, b: a != r.zero != b and r.mul(a, b) == r.zero,
+            lambda r, a, b: (r.zero,),
+        ),
+    ),
+    (
+        is_commutative,
+        _reference_pair_witness(
+            lambda r, a, b: r.mul(a, b) != r.mul(b, a),
+            lambda r, a, b: (r.mul(a, b), r.mul(b, a)),
+        ),
+    ),
+    (
+        is_reversible,
+        _reference_pair_witness(
+            lambda r, a, b: r.mul(a, b) == r.zero != r.mul(b, a),
+            lambda r, a, b: (r.mul(b, a),),
+        ),
+    ),
+]
+
+
+def _scanned_witness(predicate, ring):
+    witness = predicate(ring).witness
+    if witness is None:
+        return None
+    # plain ints, as the structured output needs
+    assert all(type(x) is int for x in witness.elements + witness.values)
+    return witness.elements, witness.values
+
+
+def _small_rings():
     add, mul = _upper_triangular(2)
     z4 = make_zmod(4)
-    rings = [
+    return [
         make_table_ring(add, mul),
         make_trivial_extension(z4, regular_bimodule(z4)),
         make_galois_field(2, 2),
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetric_matches_loop_reference(seed):
+    rings = _small_rings()
     for ring in rings:
         relabelled, _ = random_relabeling(ring, seed)
         for r in (ring, relabelled):
-            witness = is_symmetric(r).witness
-            got = None if witness is None else (witness.elements, witness.values)
-            assert got == _reference_symmetric_witness(r)
+            assert _scanned_witness(is_symmetric, r) == _reference_symmetric_witness(r)
     assert not is_symmetric(rings[0]).holds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_semicommutative_matches_loop_reference(seed):
+    rings = _small_rings()
+    for ring in rings:
+        relabelled, _ = random_relabeling(ring, seed)
+        for r in (ring, relabelled):
+            got = _scanned_witness(is_semicommutative, r)
+            assert got == _reference_semicommutative_witness(r)
+    assert not is_semicommutative(rings[0]).holds
+    assert is_semicommutative(rings[1]).holds
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=relabelled_carriers())
+def test_element_scans_match_loop_references_on_validator_carriers(tables):
+    # zero moved off index 0, non-unital and null multiplications among them
+    ring = make_table_ring(*tables)
+    for predicate, reference in ELEMENT_SCANS:
+        assert _scanned_witness(predicate, ring) == reference(ring)
+
+
+@pytest.mark.parametrize("predicate, reference", ELEMENT_SCANS[:2])
+def test_element_scans_find_a_witness_past_the_first_block(predicate, reference):
+    # UT2(Z2) × Z16: every witness has a nonzero first component, so a >= 16
+    ring = make_direct_product(make_table_ring(*_upper_triangular(2)), make_zmod(16))
+    assert ring.size == 128
+    got = _scanned_witness(predicate, ring)
+    assert got == reference(ring)
+    assert got[0][0] >= _ELEMENT_ROWS
