@@ -18,7 +18,9 @@ Laurent property on six windows, the power-series property at truncation
 Each line is a JSON object with the request and either the
 ``verdict_to_record`` record, ``"blocked"`` (the budget refused it) or the
 error that refused it.  Every failing witness is replayed; a witness that
-does not replay stops the run with an error.
+does not replay stops the run with an error.  A failing request is followed
+by a second line with the request and the witness lines ``skewarm check``
+prints (``cli._witness_text``), so the classes' ``render`` is compared too.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from skewarm import (  # noqa: E402
     transport,
     zero_endomorphism,
 )
+from skewarm.cli import _witness_text  # noqa: E402
 from skewarm.corpus import all_entries  # noqa: E402
 from skewarm.deciders import FAMILY_PROPERTIES  # noqa: E402
 from skewarm.formats import verdict_to_record  # noqa: E402
@@ -139,10 +142,13 @@ def main() -> int:
             except RingError as err:
                 line["error"] = f"{type(err).__name__}: {err}"
             else:
-                if not verdict.holds:
-                    replay_witness(ring, endo, prop, verdict.witness)
                 line["record"] = verdict_to_record(verdict, ring, endo)
             print(json.dumps(line, sort_keys=True, separators=(",", ":")))
+            if "record" in line and not verdict.holds:
+                replay_witness(ring, endo, prop, verdict.witness)
+                del line["record"]
+                line["witness_text"] = _witness_text(ring, endo, prop, verdict.witness)
+                print(json.dumps(line, sort_keys=True, separators=(",", ":")))
     return 0
 
 

@@ -451,7 +451,7 @@ def _established(
     {"holds", "fails", "blocked"}."""
     n = entry.ring.size
     feasible = degree
-    while feasible >= 0 and n ** (2 * (feasible + 1)) > budget:
+    while feasible >= 0 and dec.search_price(n, dec.family_blocks(feasible)) > budget:
         feasible -= 1
     if feasible < 0:
         return "blocked", None

@@ -11,9 +11,12 @@ always the least one and verdicts are schedule-independent.
 
 Each polynomial variant is stated once, in ``_STATEMENTS``; the search and
 ``replay_witness`` both read it.  The plain, Laurent and series deciders
-check their arguments and budget, then hand the one ``_search`` their
-blocks of (p, q) shapes and base exponents.  Every sandwich hypothesis
-uses the twist exponents of one orbit window (``_Scanner.orbit``).
+check their arguments, then hand the one ``_search`` their blocks of
+(p, q) shapes and base exponents; it prices the blocks against the tuple
+budget (``search_price``) before it builds any table.  Every sandwich
+hypothesis uses the twist exponents of one orbit window
+(``_Scanner.orbit``).  Each element property's violation is one formula in
+``_ELEMENT_LAWS``, which both its predicate and replay evaluate.
 
 The search takes p a run at a time: a run is the p that share their first
 nonzero coefficient (position and value), so the prefix rule gives them one
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -99,19 +102,6 @@ class PropertyId(enum.Enum):
     LAURENT_Q_ALPHA_SKEW = "laurent-q-alpha-skew"
     POWERSERIES_Q_ALPHA_SKEW = "powerseries-q-alpha-skew"
     LAURENT_POWERSERIES_Q_ALPHA_SKEW = "laurent-powerseries-q-alpha-skew"
-
-
-ELEMENT_PROPERTIES = frozenset(
-    {
-        PropertyId.REDUCED,
-        PropertyId.DOMAIN,
-        PropertyId.COMMUTATIVE,
-        PropertyId.SEMICOMMUTATIVE,
-        PropertyId.REVERSIBLE,
-        PropertyId.SYMMETRIC,
-        PropertyId.RIGID,
-    }
-)
 
 
 class _Statement(NamedTuple):
@@ -236,14 +226,101 @@ def _verdict(prop, ring, endo, envelope, witness=None) -> Verdict:
 _EXH = Envelope(exhaustive=True)
 
 
+# Each element property states its violation once, as a formula
+# (ring, alpha, elements) -> the values that certify the violation, or None
+# when the elements violate nothing.  The predicates name their witness's
+# values by it, and replay recomputes them by it.
+
+def _reduced(ring, alpha, els):
+    (a,) = els
+    v = ring.mul_table[a][a]
+    return (v,) if a != ring.zero and v == ring.zero else None
+
+
+def _domain(ring, alpha, els):
+    a, b = els
+    v = ring.mul_table[a][b]
+    return (v,) if ring.zero not in (a, b) and v == ring.zero else None
+
+
+def _commutative(ring, alpha, els):
+    a, b = els
+    mul = ring.mul_table
+    return (mul[a][b], mul[b][a]) if mul[a][b] != mul[b][a] else None
+
+
+def _semicommutative(ring, alpha, els):
+    a, b, r = els
+    mul = ring.mul_table
+    v = mul[mul[a][r]][b]
+    return (v,) if mul[a][b] == ring.zero and v != ring.zero else None
+
+
+def _reversible(ring, alpha, els):
+    a, b = els
+    mul = ring.mul_table
+    return (mul[b][a],) if mul[a][b] == ring.zero and mul[b][a] != ring.zero else None
+
+
+def _symmetric(ring, alpha, els):
+    a, b, c = els
+    mul = ring.mul_table
+    v = mul[mul[b][a]][c]
+    return (v,) if mul[mul[a][b]][c] == ring.zero and v != ring.zero else None
+
+
+def _rigid(ring, alpha, els):
+    (r,) = els
+    v = ring.mul_table[r][alpha.images[r]]
+    return (v,) if r != ring.zero and v == ring.zero else None
+
+
+class _ElementLaw(NamedTuple):
+    """An element property's formula and replay's messages: ``claim`` when
+    the violation does not reproduce, ``recorded`` (``claim`` if None) when
+    the recorded values differ."""
+
+    values: Callable
+    claim: str
+    recorded: str | None = None
+
+
+_ELEMENT_LAWS = {
+    PropertyId.REDUCED: _ElementLaw(_reduced, "a^2 = 0 with a != 0 did not reproduce"),
+    PropertyId.DOMAIN: _ElementLaw(_domain, "ab = 0 with a, b != 0 did not reproduce"),
+    PropertyId.COMMUTATIVE: _ElementLaw(_commutative, "ab != ba did not reproduce"),
+    PropertyId.SEMICOMMUTATIVE: _ElementLaw(
+        _semicommutative, "ab = 0 with arb != 0 did not reproduce", "recorded product differs"
+    ),
+    PropertyId.REVERSIBLE: _ElementLaw(_reversible, "ab = 0 with ba != 0 did not reproduce"),
+    PropertyId.SYMMETRIC: _ElementLaw(
+        _symmetric, "abc = 0 with bac != 0 did not reproduce", "recorded product differs"
+    ),
+    PropertyId.RIGID: _ElementLaw(_rigid, "r·alpha(r) = 0 with r != 0 did not reproduce"),
+}
+ELEMENT_PROPERTIES = frozenset(_ELEMENT_LAWS)
+
+
+def _element_verdict(prop, ring, alpha, elements) -> Verdict:
+    """Holds when ``elements`` is None, else fails at them with the values
+    the property's formula certifies."""
+    if elements is None:
+        return _verdict(prop, ring, alpha, _EXH)
+    values = _ELEMENT_LAWS[prop].values(ring, alpha, elements)
+    w = Witness(kind="elements", elements=elements, values=values)
+    return _verdict(prop, ring, alpha, _EXH, w)
+
+
+def _first_scalar(prop, ring, alpha) -> tuple[int] | None:
+    """The least single element that violates ``prop``, or None."""
+    law = _ELEMENT_LAWS[prop].values
+    return next(((x,) for x in range(ring.size) if law(ring, alpha, (x,))), None)
+
+
 def is_reduced(ring: FiniteRing) -> Verdict:
     """No nonzero a with a^2 = 0 (equivalent to having no nonzero nilpotents)."""
-    mul, zero = ring.mul_table, ring.zero
-    for a in range(ring.size):
-        if a != zero and mul[a][a] == zero:
-            w = Witness(kind="elements", elements=(a,), values=(mul[a][a],))
-            return _verdict(PropertyId.REDUCED, ring, None, _EXH, w)
-    return _verdict(PropertyId.REDUCED, ring, None, _EXH)
+    prop = PropertyId.REDUCED
+    return _element_verdict(prop, ring, None, _first_scalar(prop, ring, None))
 
 
 def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
@@ -259,22 +336,12 @@ def is_domain(ring: FiniteRing) -> Verdict:
     zero = ring.zero
     kills = ring.mul_array == zero
     kills[zero, :] = kills[:, zero] = False
-    pair = _first_pair(kills)
-    if pair is not None:
-        w = Witness(kind="elements", elements=pair, values=(zero,))
-        return _verdict(PropertyId.DOMAIN, ring, None, _EXH, w)
-    return _verdict(PropertyId.DOMAIN, ring, None, _EXH)
+    return _element_verdict(PropertyId.DOMAIN, ring, None, _first_pair(kills))
 
 
 def is_commutative(ring: FiniteRing) -> Verdict:
     mul = ring.mul_array
-    pair = _first_pair(mul != mul.T)
-    if pair is not None:
-        a, b = pair
-        values = (ring.mul(a, b), ring.mul(b, a))
-        w = Witness(kind="elements", elements=pair, values=values)
-        return _verdict(PropertyId.COMMUTATIVE, ring, None, _EXH, w)
-    return _verdict(PropertyId.COMMUTATIVE, ring, None, _EXH)
+    return _element_verdict(PropertyId.COMMUTATIVE, ring, None, _first_pair(mul != mul.T))
 
 
 # Rows a per block of the semicommutative and symmetric scans: a block
@@ -305,19 +372,14 @@ def is_semicommutative(ring: FiniteRing) -> Verdict:
             a = lo + int(hit[0])
             b = _first_bit(bad[hit[0]])
             r = int(np.flatnonzero(mul[mul[a], b] != zero)[0])
-            w = Witness(kind="elements", elements=(a, b, r), values=(ring.mul(ring.mul(a, r), b),))
-            return _verdict(PropertyId.SEMICOMMUTATIVE, ring, None, _EXH, w)
-    return _verdict(PropertyId.SEMICOMMUTATIVE, ring, None, _EXH)
+            return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, (a, b, r))
+    return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, None)
 
 
 def is_reversible(ring: FiniteRing) -> Verdict:
     mul, zero = ring.mul_array, ring.zero
     pair = _first_pair((mul == zero) & (mul.T != zero))
-    if pair is not None:
-        a, b = pair
-        w = Witness(kind="elements", elements=pair, values=(ring.mul(b, a),))
-        return _verdict(PropertyId.REVERSIBLE, ring, None, _EXH, w)
-    return _verdict(PropertyId.REVERSIBLE, ring, None, _EXH)
+    return _element_verdict(PropertyId.REVERSIBLE, ring, None, pair)
 
 
 def is_symmetric(ring: FiniteRing) -> Verdict:
@@ -331,22 +393,16 @@ def is_symmetric(ring: FiniteRing) -> Verdict:
         bad &= kills[mul[lo : lo + _ELEMENT_ROWS]]
         pair = _first_pair(bad.any(axis=2))
         if pair is not None:
-            a, b = lo + pair[0], pair[1]
-            c = _first_bit(bad[pair])
-            w = Witness(kind="elements", elements=(a, b, c), values=(ring.mul(ring.mul(b, a), c),))
-            return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH, w)
-    return _verdict(PropertyId.SYMMETRIC, ring, None, _EXH)
+            abc = lo + pair[0], pair[1], _first_bit(bad[pair])
+            return _element_verdict(PropertyId.SYMMETRIC, ring, None, abc)
+    return _element_verdict(PropertyId.SYMMETRIC, ring, None, None)
 
 
 def is_rigid(ring: FiniteRing, alpha: Endomorphism) -> Verdict:
     """r·alpha(r) = 0 forces r = 0."""
     _require_over(ring, alpha)
-    mul, zero = ring.mul_table, ring.zero
-    for r in range(ring.size):
-        if r != zero and mul[r][alpha.images[r]] == zero:
-            w = Witness(kind="elements", elements=(r,), values=(mul[r][alpha.images[r]],))
-            return _verdict(PropertyId.RIGID, ring, alpha, _EXH, w)
-    return _verdict(PropertyId.RIGID, ring, alpha, _EXH)
+    prop = PropertyId.RIGID
+    return _element_verdict(prop, ring, alpha, _first_scalar(prop, ring, alpha))
 
 
 def _require_over(ring: FiniteRing, alpha: Endomorphism) -> None:
@@ -773,11 +829,6 @@ def _cleared_shapes(sc: _Scanner, amin: int, blocks) -> set:
     return set(shapes[:first])
 
 
-def _budget_guard(space: int, budget: int) -> None:
-    if space > budget:
-        raise BudgetExceededError(space, budget)
-
-
 def _least_violation(sc: _Scanner, amin: int, p_shape, q_shape):
     """The least (p, q) of one block, as coefficient tuples, that passes the
     hypothesis and violates the conclusion, or None.
@@ -912,11 +963,27 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
     return None
 
 
-def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, order=None) -> Verdict:
+def family_blocks(degree: int) -> list:
+    """The (p shape, q shape) blocks of the bounded-degree search, in order."""
+    shapes = [(d + 1, True) for d in range(degree + 1)]
+    return [(p, q) for p in shapes for q in shapes]
+
+
+def search_price(n: int, blocks) -> int:
+    """What the tuple budget is compared with: the n^(lp + lq) nominal
+    (p, q) tuples, lp and lq the longest p and q shapes of ``blocks``."""
+    return n ** (max(p for (p, _), _ in blocks) + max(q for _, (q, _) in blocks))
+
+
+def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, budget, order=None) -> Verdict:
     """The one search behind every polynomial decider: the least witness in
     (block, p, q) order.  ``blocks`` lists (p shape, q shape) pairs, a shape
     being (number of coefficients, whether the last is nonzero); ``p_min``
-    and ``q_min`` are the lowest exponents, ``order`` a series' truncation."""
+    and ``q_min`` are the lowest exponents, ``order`` a series' truncation.
+    The budget is checked before any table is built."""
+    price = search_price(ring.size, blocks)
+    if price > budget:
+        raise BudgetExceededError(price, budget)
     sc = _Scanner(ring, alpha, prop)
     cleared = _cleared_shapes(sc, p_min, blocks)
     for p_shape, q_shape in blocks:
@@ -962,11 +1029,8 @@ def check_armendariz_family(
         raise RingError(f"{variant.value} needs an endomorphism")
     alpha = _twist_for(ring, alpha, variant)
     _require_over(ring, alpha)
-    _budget_guard(ring.size ** (2 * (degree + 1)), budget)
-
-    shapes = [(d + 1, True) for d in range(degree + 1)]
-    blocks = [(p, q) for p in shapes for q in shapes]
-    return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0)
+    blocks = family_blocks(degree)
+    return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0, budget)
 
 
 def check_laurent_q_alpha_skew(
@@ -985,13 +1049,9 @@ def check_laurent_q_alpha_skew(
     m, nn, t, s = (int(x) for x in window)
     if min(m, nn, t, s) < 0:
         raise RingError("window entries must be nonnegative")
-    n = ring.size
-    lp, lq = m + nn + 1, t + s + 1
-    _budget_guard(n**lp * n**lq, budget)
-
     prop = PropertyId.LAURENT_Q_ALPHA_SKEW
-    blocks = [((lp, False), (lq, False))]
-    return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t)
+    blocks = [((m + nn + 1, False), (t + s + 1, False))]
+    return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t, budget)
 
 
 def check_powerseries_q_alpha_skew(
@@ -1024,11 +1084,9 @@ def check_powerseries_q_alpha_skew(
     width = truncation - lo
     if width < 1:
         raise RingError("empty coefficient window")
-    _budget_guard(ring.size ** (2 * width), budget)
-
     envelope = Envelope(truncation=truncation, min_exp=lo if laurent else None)
     blocks = [((width, False), (width, False))]
-    return _search(ring, alpha, prop, envelope, blocks, lo, lo, order=truncation)
+    return _search(ring, alpha, prop, envelope, blocks, lo, lo, budget, order=truncation)
 
 
 def check_property(
@@ -1108,21 +1166,16 @@ def twisted_chain_product(polys: list[SkewPoly], indices: list[int]) -> RingElem
     return ring.element(acc)
 
 
+_WITNESS_CLASSES = {"poly": SkewPoly, "laurent": LaurentSkewPoly, "series": TruncatedSkewSeries}
+
+
 def _witness_polys(ring, endo, witness: Witness):
-    if witness.kind == "poly":
-        if witness.p_min < 0 or witness.q_min < 0:
-            raise RingError("plain witnesses cannot have negative exponents")
-        zero = ring.zero
-        p = SkewPoly(ring, endo, (zero,) * witness.p_min + tuple(witness.p_coeffs))
-        q = SkewPoly(ring, endo, (zero,) * witness.q_min + tuple(witness.q_coeffs))
-    elif witness.kind == "laurent":
-        p = LaurentSkewPoly(ring, endo, witness.p_min, witness.p_coeffs)
-        q = LaurentSkewPoly(ring, endo, witness.q_min, witness.q_coeffs)
-    elif witness.kind == "series":
-        p = TruncatedSkewSeries(ring, endo, witness.p_coeffs, witness.order, witness.p_min)
-        q = TruncatedSkewSeries(ring, endo, witness.q_coeffs, witness.order, witness.q_min)
-    else:
+    cls = _WITNESS_CLASSES.get(witness.kind)
+    if cls is None:
         raise RingError(f"witness kind {witness.kind!r} has no polynomials")
+    order = witness.order if cls is TruncatedSkewSeries else None
+    p = cls._of(ring, endo, witness.p_min, witness.p_coeffs, order)
+    q = cls._of(ring, endo, witness.q_min, witness.q_coeffs, order)
     return p, q
 
 
@@ -1139,45 +1192,17 @@ def replay_witness(
 
     if prop in ELEMENT_PROPERTIES:
         els = witness.elements or ()
-        vals = witness.values or ()
         for e in els:
             if not 0 <= e < ring.size:
                 raise RingError(f"witness element {e} out of range")
-        if prop is PropertyId.REDUCED:
-            (a,) = els
-            if a == zero or mul[a][a] != zero or vals != (mul[a][a],):
-                raise ReplayMismatch("a^2 = 0 with a != 0 did not reproduce")
-        elif prop is PropertyId.DOMAIN:
-            a, b = els
-            if a == zero or b == zero or mul[a][b] != zero or vals != (mul[a][b],):
-                raise ReplayMismatch("ab = 0 with a, b != 0 did not reproduce")
-        elif prop is PropertyId.COMMUTATIVE:
-            a, b = els
-            if mul[a][b] == mul[b][a] or vals != (mul[a][b], mul[b][a]):
-                raise ReplayMismatch("ab != ba did not reproduce")
-        elif prop is PropertyId.SEMICOMMUTATIVE:
-            a, b, r = els
-            if mul[a][b] != zero or mul[mul[a][r]][b] == zero:
-                raise ReplayMismatch("ab = 0 with arb != 0 did not reproduce")
-            if vals != (mul[mul[a][r]][b],):
-                raise ReplayMismatch("recorded product differs")
-        elif prop is PropertyId.REVERSIBLE:
-            a, b = els
-            if mul[a][b] != zero or mul[b][a] == zero or vals != (mul[b][a],):
-                raise ReplayMismatch("ab = 0 with ba != 0 did not reproduce")
-        elif prop is PropertyId.SYMMETRIC:
-            a, b, c = els
-            if mul[mul[a][b]][c] != zero or mul[mul[b][a]][c] == zero:
-                raise ReplayMismatch("abc = 0 with bac != 0 did not reproduce")
-            if vals != (mul[mul[b][a]][c],):
-                raise ReplayMismatch("recorded product differs")
-        elif prop is PropertyId.RIGID:
-            if alpha is None:
-                raise RingError("rigidity replay needs the endomorphism")
-            (r,) = els
-            v = mul[r][alpha.images[r]]
-            if r == zero or v != zero or vals != (v,):
-                raise ReplayMismatch("r·alpha(r) = 0 with r != 0 did not reproduce")
+        if prop is PropertyId.RIGID and alpha is None:
+            raise RingError("rigidity replay needs the endomorphism")
+        law = _ELEMENT_LAWS[prop]
+        values = law.values(ring, alpha, els)
+        if values is None:
+            raise ReplayMismatch(law.claim)
+        if values != (witness.values or ()):
+            raise ReplayMismatch(law.recorded or law.claim)
         return
 
     stmt = _STATEMENTS[prop]

@@ -303,7 +303,7 @@ def _prime_basis(add: np.ndarray, zero: int):
 
 def _axioms_hold_on(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
     """Associativity and distributivity, checked on the additive generators
-    only (see ``_validate_tables`` for why that is complete)."""
+    only (see ``_validate`` for why that is complete)."""
     for g in gens:
         # Light's test with g in the middle: (x+g)+y = x+(g+y)
         if not np.array_equal(add[add[:, g]], add[:, add[g]]):

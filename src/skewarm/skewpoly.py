@@ -6,8 +6,18 @@ All values are immutable coefficient sequences over a validated
     (a x^i) (b x^j) = a alpha^i(b) x^(i+j)
 
 with exponents reduced through the endomorphism's orbit data.  Negative
-exponents require an automorphism.  Constructors normalize on exit, so
-equality is structural.
+exponents require an automorphism.
+
+The three public classes share one core, ``_Seq``: the sequence
+``coeffs`` of the coefficients of x^min_exp, x^(min_exp+1), ... and a
+truncation ``order`` (``None`` for an exact value).  The core holds the one
+normaliser, ``coefficient``, sum, negation, difference and product (with
+the series window rule), equality and ``render``.  Each class adds only
+its constructor signature, its own checks (``_admit``) and a ``__mul__``
+that calls the one product.  ``SkewPoly`` pins its sequence at x^0 and
+keeps the zero coefficients below its lowest term; the Laurent and series
+classes strip them into ``min_exp``.  Values are normalised on
+construction, so equality is structural.
 """
 
 from __future__ import annotations
@@ -49,148 +59,72 @@ def _coeff_index(ring: FiniteRing, c) -> int:
     return c
 
 
-def _mul_coeffs(
-    ring: FiniteRing,
-    endo: Endomorphism,
-    acoeffs: tuple[int, ...],
-    amin: int,
-    bcoeffs: tuple[int, ...],
-) -> list[int]:
-    """Convolution with the twist alpha^(exponent of the left term)."""
-    if not acoeffs or not bcoeffs:
-        return []
-    add = ring.add_table
-    mul = ring.mul_table
-    zero = ring.zero
-    out = [zero] * (len(acoeffs) + len(bcoeffs) - 1)
-    for i, a in enumerate(acoeffs):
-        if a == zero:
-            continue
-        pm = endo.power_map(amin + i)
-        row = mul[a]
-        for j, b in enumerate(bcoeffs):
-            if b == zero:
-                continue
-            out[i + j] = add[out[i + j]][row[pm[b]]]
-    return out
+class _Seq:
+    """The coefficient sequence behind every public class.
 
+    ``coeffs[k]`` is the coefficient of x^(min_exp + k).  With an ``order``
+    the value is a series known exactly below x^order, and coefficients at
+    exponents >= order are dropped; ``None`` means exact.  Internally the
+    sandwich quantifier also lifts a series to ``order`` None, so that its
+    products are exact on the finite support.
+    """
 
-def _add_coeffs(
-    ring: FiniteRing,
-    acoeffs: tuple[int, ...],
-    amin: int,
-    bcoeffs: tuple[int, ...],
-    bmin: int,
-) -> tuple[list[int], int]:
-    if not acoeffs:
-        return list(bcoeffs), bmin
-    if not bcoeffs:
-        return list(acoeffs), amin
-    lo = min(amin, bmin)
-    hi = max(amin + len(acoeffs), bmin + len(bcoeffs))
-    out = [ring.zero] * (hi - lo)
-    for i, a in enumerate(acoeffs):
-        out[amin + i - lo] = a
-    add = ring.add_table
-    for j, b in enumerate(bcoeffs):
-        k = bmin + j - lo
-        out[k] = add[out[k]][b]
-    return out, lo
+    __slots__ = ("ring", "endo", "min_exp", "coeffs", "order")
+    # whether the sequence starts at x^0 whatever its lowest term
+    _pinned = False
 
+    @classmethod
+    def _of(cls, ring, endo, min_exp: int, coeffs, order: int | None = None):
+        """A checked value of this class from the coefficients of
+        x^min_exp, x^(min_exp+1), ...; one signature for every class."""
+        out = object.__new__(cls)
+        out._init(ring, endo, min_exp, coeffs, order)
+        return out
 
-class SkewPoly:
-    """A polynomial in R[x;alpha]; the zero polynomial is the empty sequence."""
-
-    __slots__ = ("ring", "endo", "coeffs")
-
-    def __init__(self, ring: FiniteRing, endo: Endomorphism, coeffs=()):
+    def _init(self, ring, endo, min_exp, coeffs, order) -> None:
+        """Check the carrier, then the class's own rule on its twist, lowest
+        exponent and order (``_admit``), then each coefficient; normalise."""
         if endo.ring.ring_id != ring.ring_id:
             raise CarrierMismatchError("endomorphism is not over the coefficient ring")
-        cs = [_coeff_index(ring, c) for c in coeffs]
-        while cs and cs[-1] == ring.zero:
-            cs.pop()
-        self.ring = ring
-        self.endo = endo
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        """len - 1; -1 stands in for the zero polynomial's undefined degree."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, k: int) -> int:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero
-
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        _same_carrier(self, other)
-        out, _ = _add_coeffs(self.ring, self.coeffs, 0, other.coeffs, 0)
-        return SkewPoly(self.ring, self.endo, out)
-
-    def __neg__(self) -> "SkewPoly":
-        neg = self.ring.neg_table
-        return SkewPoly(self.ring, self.endo, [neg[c] for c in self.coeffs])
-
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "SkewPoly") -> "SkewPoly":
-        _same_carrier(self, other)
-        return SkewPoly(
-            self.ring,
-            self.endo,
-            _mul_coeffs(self.ring, self.endo, self.coeffs, 0, other.coeffs),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        return (
-            self.ring.ring_id == other.ring.ring_id
-            and self.endo.images == other.endo.images
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring.ring_id, self.endo.images, self.coeffs))
-
-    def render(self) -> str:
-        return _render_terms(self.ring, self.coeffs, 0)
-
-    def __repr__(self) -> str:
-        return self.render()
-
-
-class LaurentSkewPoly:
-    """A polynomial in R[x, x^-1; alpha]; requires an automorphism."""
-
-    __slots__ = ("ring", "endo", "min_exp", "coeffs")
-
-    def __init__(self, ring: FiniteRing, endo: Endomorphism, min_exp: int, coeffs=()):
-        if endo.ring.ring_id != ring.ring_id:
-            raise CarrierMismatchError("endomorphism is not over the coefficient ring")
-        if not endo.is_automorphism:
-            raise RingError(
-                f"Laurent coefficients need an automorphism, {endo.label!r} is not invertible"
-            )
-        cs = [_coeff_index(ring, c) for c in coeffs]
         min_exp = int(min_exp)
-        while cs and cs[-1] == ring.zero:
+        order = None if order is None else int(order)
+        self._admit(endo, min_exp, order)
+        self._set(ring, endo, min_exp, [_coeff_index(ring, c) for c in coeffs], order)
+
+    def _like(self, min_exp: int, cs: list[int], order: int | None) -> "_Seq":
+        """A value of this class and carrier from checked indices ``cs``."""
+        out = object.__new__(type(self))
+        out._set(self.ring, self.endo, min_exp, cs, order)
+        return out
+
+    def _set(self, ring, endo, min_exp: int, cs: list[int], order: int | None) -> None:
+        """The normaliser: truncate at the order, drop zeros above the top
+        term and, unless pinned, below the lowest one."""
+        zero = ring.zero
+        if order is not None:
+            del cs[max(order - min_exp, 0) :]
+        while cs and cs[-1] == zero:
             cs.pop()
-        while cs and cs[0] == ring.zero:
-            cs.pop(0)
-            min_exp += 1
         if not cs:
             min_exp = 0
+        elif self._pinned:
+            cs[:0] = [zero] * min_exp
+            min_exp = 0
+        elif cs[0] == zero:
+            lead = next(k for k, c in enumerate(cs) if c != zero)
+            del cs[:lead]
+            min_exp += lead
         self.ring = ring
         self.endo = endo
         self.min_exp = min_exp
         self.coeffs = tuple(cs)
+        self.order = order
+
+    def _term(self, c, k: int) -> "_Seq":
+        """c x^k over this value's carrier, in its class and at its order."""
+        if k < 0 and self._pinned:
+            raise RingError("plain skew polynomials have nonnegative exponents")
+        return self._like(k, [_coeff_index(self.ring, c)], self.order)
 
     @property
     def is_zero(self) -> bool:
@@ -201,55 +135,111 @@ class LaurentSkewPoly:
         return self.min_exp + len(self.coeffs) - 1
 
     def coefficient(self, e: int) -> int:
+        if self.order is not None and e >= self.order:
+            raise RingError(f"coefficient of x^{e} is beyond the truncation order {self.order}")
         k = e - self.min_exp
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return self.ring.zero
 
-    def __add__(self, other: "LaurentSkewPoly") -> "LaurentSkewPoly":
+    def __add__(self, other):
         _same_carrier(self, other)
-        out, lo = _add_coeffs(
-            self.ring, self.coeffs, self.min_exp, other.coeffs, other.min_exp
-        )
-        return LaurentSkewPoly(self.ring, self.endo, lo, out)
+        lo = min(self.min_exp, other.min_exp)
+        out = [self.ring.zero] * (max(self.max_exp, other.max_exp) + 1 - lo)
+        add = self.ring.add_table
+        for s in (self, other):
+            for k, c in enumerate(s.coeffs, s.min_exp - lo):
+                out[k] = add[out[k]][c]
+        order = None if self.order is None else min(self.order, other.order)
+        return self._like(lo, out, order)
 
-    def __neg__(self) -> "LaurentSkewPoly":
+    def __neg__(self):
         neg = self.ring.neg_table
-        return LaurentSkewPoly(
-            self.ring, self.endo, self.min_exp, [neg[c] for c in self.coeffs]
-        )
+        return self._like(self.min_exp, [neg[c] for c in self.coeffs], self.order)
 
-    def __sub__(self, other: "LaurentSkewPoly") -> "LaurentSkewPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "LaurentSkewPoly") -> "LaurentSkewPoly":
+    def _mul(self, other):
+        """The one product: the convolution with the twist alpha^(exponent
+        of the left term).  A series is exact on the window both factors
+        still determine."""
         _same_carrier(self, other)
-        out = _mul_coeffs(self.ring, self.endo, self.coeffs, self.min_exp, other.coeffs)
-        return LaurentSkewPoly(
-            self.ring, self.endo, self.min_exp + other.min_exp, out
-        )
+        zero, add, mul = self.ring.zero, self.ring.add_table, self.ring.mul_table
+        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == zero:
+                continue
+            pm = self.endo.power_map(self.min_exp + i)
+            row = mul[a]
+            for j, b in enumerate(other.coeffs):
+                if b != zero:
+                    out[i + j] = add[out[i + j]][row[pm[b]]]
+        order = None
+        if self.order is not None:
+            order = min(self.order + other.min_exp, other.order + self.min_exp)
+        return self._like(self.min_exp + other.min_exp, out, order)
+
+    def _key(self) -> tuple:
+        return (self.ring.ring_id, self.endo.images, self.min_exp, self.coeffs, self.order)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LaurentSkewPoly):
+        if not isinstance(other, _Seq):
             return NotImplemented
-        return (
-            self.ring.ring_id == other.ring.ring_id
-            and self.endo.images == other.endo.images
-            and self.min_exp == other.min_exp
-            and self.coeffs == other.coeffs
-        )
+        return type(self) is type(other) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.ring.ring_id, self.endo.images, self.min_exp, self.coeffs))
+        return hash((type(self), self._key()))
 
     def render(self) -> str:
-        return _render_terms(self.ring, self.coeffs, self.min_exp)
+        body = _render_terms(self.ring, self.coeffs, self.min_exp)
+        return body if self.order is None else f"{body} (mod x^{self.order})"
 
     def __repr__(self) -> str:
         return self.render()
 
 
-class TruncatedSkewSeries:
+class SkewPoly(_Seq):
+    """A polynomial in R[x;alpha]; the zero polynomial is the empty sequence."""
+
+    __slots__ = ()
+    _pinned = True
+
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, coeffs=()):
+        self._init(ring, endo, 0, coeffs, None)
+
+    def _admit(self, endo, min_exp, order) -> None:
+        if min_exp < 0:
+            raise RingError("plain skew polynomials have nonnegative exponents")
+
+    @property
+    def degree(self) -> int:
+        """len - 1; -1 stands in for the zero polynomial's undefined degree."""
+        return len(self.coeffs) - 1
+
+    def __mul__(self, other: "SkewPoly") -> "SkewPoly":
+        return self._mul(other)
+
+
+class LaurentSkewPoly(_Seq):
+    """A polynomial in R[x, x^-1; alpha]; requires an automorphism."""
+
+    __slots__ = ()
+
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, min_exp: int, coeffs=()):
+        self._init(ring, endo, min_exp, coeffs, None)
+
+    def _admit(self, endo, min_exp, order) -> None:
+        if not endo.is_automorphism:
+            raise RingError(
+                f"Laurent coefficients need an automorphism, {endo.label!r} is not invertible"
+            )
+
+    def __mul__(self, other: "LaurentSkewPoly") -> "LaurentSkewPoly":
+        return self._mul(other)
+
+
+class TruncatedSkewSeries(_Seq):
     """A skew (Laurent) power series known exactly below x^order.
 
     Coefficients at exponents >= order are silently dropped; mixing two
@@ -257,7 +247,7 @@ class TruncatedSkewSeries:
     A negative ``min_exp`` requires an automorphism.
     """
 
-    __slots__ = ("ring", "endo", "min_exp", "order", "coeffs")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -267,96 +257,16 @@ class TruncatedSkewSeries:
         order: int = 1,
         min_exp: int = 0,
     ):
-        if endo.ring.ring_id != ring.ring_id:
-            raise CarrierMismatchError("endomorphism is not over the coefficient ring")
-        min_exp = int(min_exp)
-        order = int(order)
+        self._init(ring, endo, min_exp, coeffs, order)
+
+    def _admit(self, endo, min_exp, order) -> None:
+        if order is None:
+            raise RingError("a truncated series needs an order")
         if min_exp < 0 and not endo.is_automorphism:
             raise RingError("negative exponents need an automorphism")
-        cs = [_coeff_index(ring, c) for c in coeffs]
-        cs = cs[: max(order - min_exp, 0)]
-        while cs and cs[-1] == ring.zero:
-            cs.pop()
-        while cs and cs[0] == ring.zero:
-            cs.pop(0)
-            min_exp += 1
-        if not cs:
-            min_exp = 0
-        self.ring = ring
-        self.endo = endo
-        self.min_exp = min_exp
-        self.order = order
-        self.coeffs = tuple(cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def max_exp(self) -> int:
-        return self.min_exp + len(self.coeffs) - 1
-
-    def coefficient(self, e: int) -> int:
-        if e >= self.order:
-            raise RingError(f"coefficient of x^{e} is beyond the truncation order {self.order}")
-        k = e - self.min_exp
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.ring.zero
-
-    def __add__(self, other: "TruncatedSkewSeries") -> "TruncatedSkewSeries":
-        _same_carrier(self, other)
-        out, lo = _add_coeffs(
-            self.ring, self.coeffs, self.min_exp, other.coeffs, other.min_exp
-        )
-        return TruncatedSkewSeries(
-            self.ring, self.endo, out, min(self.order, other.order), lo
-        )
-
-    def __neg__(self) -> "TruncatedSkewSeries":
-        neg = self.ring.neg_table
-        return TruncatedSkewSeries(
-            self.ring,
-            self.endo,
-            [neg[c] for c in self.coeffs],
-            self.order,
-            self.min_exp,
-        )
 
     def __mul__(self, other: "TruncatedSkewSeries") -> "TruncatedSkewSeries":
-        _same_carrier(self, other)
-        if self.is_zero or other.is_zero:
-            # the exactness window still shrinks like a real product
-            order = min(self.order + other.min_exp, other.order + self.min_exp)
-            return TruncatedSkewSeries(self.ring, self.endo, (), order, 0)
-        out = _mul_coeffs(self.ring, self.endo, self.coeffs, self.min_exp, other.coeffs)
-        order = min(self.order + other.min_exp, other.order + self.min_exp)
-        return TruncatedSkewSeries(
-            self.ring, self.endo, out, order, self.min_exp + other.min_exp
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSkewSeries):
-            return NotImplemented
-        return (
-            self.ring.ring_id == other.ring.ring_id
-            and self.endo.images == other.endo.images
-            and self.order == other.order
-            and self.min_exp == other.min_exp
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.ring.ring_id, self.endo.images, self.order, self.min_exp, self.coeffs)
-        )
-
-    def render(self) -> str:
-        body = _render_terms(self.ring, self.coeffs, self.min_exp)
-        return f"{body} (mod x^{self.order})"
-
-    def __repr__(self) -> str:
-        return self.render()
+        return self._mul(other)
 
 
 def skew_poly(ring: FiniteRing, endo: Endomorphism, coeffs) -> SkewPoly:
@@ -364,9 +274,7 @@ def skew_poly(ring: FiniteRing, endo: Endomorphism, coeffs) -> SkewPoly:
 
 
 def monomial(ring: FiniteRing, endo: Endomorphism, c, k: int) -> SkewPoly:
-    if k < 0:
-        raise RingError("plain skew polynomials have nonnegative exponents")
-    return SkewPoly(ring, endo, [ring.zero] * k + [_coeff_index(ring, c)])
+    return SkewPoly(ring, endo)._term(c, k)
 
 
 def laurent_poly(
@@ -378,7 +286,7 @@ def laurent_poly(
 def laurent_monomial(
     ring: FiniteRing, endo: Endomorphism, c, k: int
 ) -> LaurentSkewPoly:
-    return LaurentSkewPoly(ring, endo, k, [_coeff_index(ring, c)])
+    return LaurentSkewPoly(ring, endo, 0)._term(c, k)
 
 
 def truncated_series(
@@ -388,27 +296,18 @@ def truncated_series(
 
 
 def skew_add(p: SkewPoly, q: SkewPoly) -> SkewPoly:
+    """p + q; the one sum of every class."""
     return p + q
 
 
 def skew_mul(p: SkewPoly, q: SkewPoly) -> SkewPoly:
+    """p · q through the class's own ``__mul__``; the one product of every
+    class."""
     return p * q
 
 
-def laurent_add(p: LaurentSkewPoly, q: LaurentSkewPoly) -> LaurentSkewPoly:
-    return p + q
-
-
-def laurent_skew_mul(p: LaurentSkewPoly, q: LaurentSkewPoly) -> LaurentSkewPoly:
-    return p * q
-
-
-def truncated_add(p: TruncatedSkewSeries, q: TruncatedSkewSeries) -> TruncatedSkewSeries:
-    return p + q
-
-
-def truncated_mul(p: TruncatedSkewSeries, q: TruncatedSkewSeries) -> TruncatedSkewSeries:
-    return p * q
+laurent_add = truncated_add = skew_add
+laurent_skew_mul = truncated_mul = skew_mul
 
 
 def truncate_poly(p: SkewPoly, order: int) -> TruncatedSkewSeries:
@@ -420,22 +319,18 @@ def laurent_from_poly(p: SkewPoly) -> LaurentSkewPoly:
 
 
 def sandwich(p: SkewPoly, r, k: int, q: SkewPoly) -> SkewPoly:
-    """p · (r x^k) · q, computed through the public multiplication."""
+    """p · (r x^k) · q, computed through the public multiplication; the
+    monomial is taken in p's class (and at a series' order)."""
     _same_carrier(p, q)
-    return (p * monomial(p.ring, p.endo, r, k)) * q
+    return (p * p._term(r, k)) * q
 
 
-def laurent_sandwich(
-    p: LaurentSkewPoly, r, k: int, q: LaurentSkewPoly
-) -> LaurentSkewPoly:
-    _same_carrier(p, q)
-    return (p * laurent_monomial(p.ring, p.endo, r, k)) * q
+laurent_sandwich = sandwich
 
 
-def _forall_sandwich_zero(p, q, sandwich_fn) -> bool:
-    """Whether p · h · q = 0 for every h, given ``sandwich_fn`` computing
-    p · (r x^k) · q.  By bilinearity of h -> p·h·q the monomials r x^k
-    suffice.  The coefficients of p (r x^k) q are sums of
+def _forall_sandwich_zero(p, q) -> bool:
+    """Whether p · h · q = 0 for every h.  By bilinearity of h -> p·h·q the
+    monomials r x^k suffice.  The coefficients of p (r x^k) q are sums of
     a_i α^i(r) α^(i+k)(b_j), and α^(i+k+period) = α^(i+k) for k >= preperiod,
     so k + period repeats the products of k, shifted: k < preperiod + period
     decide exactly.  An automorphism has preperiod 0, so a negative k adds
@@ -446,7 +341,7 @@ def _forall_sandwich_zero(p, q, sandwich_fn) -> bool:
     ring, endo = p.ring, p.endo
     for k in range(endo.preperiod + endo.period):
         for r in range(ring.size):
-            if r != ring.zero and not sandwich_fn(p, r, k, q).is_zero:
+            if r != ring.zero and not sandwich(p, r, k, q).is_zero:
                 return False
     return True
 
@@ -454,7 +349,7 @@ def _forall_sandwich_zero(p, q, sandwich_fn) -> bool:
 def forall_sandwich_zero(p: SkewPoly, q: SkewPoly) -> bool:
     """Whether p · h · q = 0 for every h in R[x;alpha]; exact, not an
     approximation (see ``_forall_sandwich_zero``)."""
-    return _forall_sandwich_zero(p, q, sandwich)
+    return _forall_sandwich_zero(p, q)
 
 
 def forall_sandwich_zero_laurent(p: LaurentSkewPoly, q: LaurentSkewPoly) -> bool:
@@ -462,7 +357,7 @@ def forall_sandwich_zero_laurent(p: LaurentSkewPoly, q: LaurentSkewPoly) -> bool
     enough: the twist is an automorphism, so k and k - period give the same
     products shifted by ``period``, and every negative k repeats some k in
     [0, period)."""
-    return _forall_sandwich_zero(p, q, laurent_sandwich)
+    return _forall_sandwich_zero(p, q)
 
 
 def forall_sandwich_zero_series(
@@ -473,19 +368,12 @@ def forall_sandwich_zero_series(
     A truncated series stores a finite support, and for finite supports the
     product against any series has finitely many contributions per
     coefficient, so the quantifier reduces exactly to monomial sandwiches
-    over one orbit window of twist exponents; products are compared to zero
+    over one orbit window of twist exponents.  Both series are lifted to
+    exact values (``order`` None) first, so products are compared to zero
     exactly, not modulo the truncation order.
     """
-    _same_carrier(p, q)
-    ring, endo = p.ring, p.endo
-    zero = ring.zero
-    if p.min_exp >= 0 and q.min_exp >= 0:
-        pp = SkewPoly(ring, endo, (zero,) * p.min_exp + p.coeffs)
-        qq = SkewPoly(ring, endo, (zero,) * q.min_exp + q.coeffs)
-        return _forall_sandwich_zero(pp, qq, sandwich)
-    pp = LaurentSkewPoly(ring, endo, p.min_exp, p.coeffs)
-    qq = LaurentSkewPoly(ring, endo, q.min_exp, q.coeffs)
-    return _forall_sandwich_zero(pp, qq, laurent_sandwich)
+    exact = [s._like(s.min_exp, list(s.coeffs), None) for s in (p, q)]
+    return _forall_sandwich_zero(*exact)
 
 
 _TERM_POW_RE = re.compile(r"^(?P<label>.+)\*x\^(?P<exp>-?\d+)$")
@@ -535,23 +423,16 @@ def _parse_terms(ring: FiniteRing, text: str) -> dict[int, int]:
     return out
 
 
-def parse_poly(ring: FiniteRing, endo: Endomorphism, text: str) -> SkewPoly:
+def _parse(cls, ring: FiniteRing, endo: Endomorphism, text: str):
     terms = _parse_terms(ring, text)
-    if not terms:
-        return SkewPoly(ring, endo, ())
-    if min(terms) < 0:
-        raise RingError("negative exponents in a plain polynomial")
-    deg = max(terms)
-    return SkewPoly(
-        ring, endo, [terms.get(i, ring.zero) for i in range(deg + 1)]
-    )
+    lo = min(terms, default=0)
+    cs = [terms.get(e, ring.zero) for e in range(lo, max(terms, default=-1) + 1)]
+    return cls._of(ring, endo, lo, cs)
+
+
+def parse_poly(ring: FiniteRing, endo: Endomorphism, text: str) -> SkewPoly:
+    return _parse(SkewPoly, ring, endo, text)
 
 
 def parse_laurent(ring: FiniteRing, endo: Endomorphism, text: str) -> LaurentSkewPoly:
-    terms = _parse_terms(ring, text)
-    if not terms:
-        return LaurentSkewPoly(ring, endo, 0, ())
-    lo, hi = min(terms), max(terms)
-    return LaurentSkewPoly(
-        ring, endo, lo, [terms.get(e, ring.zero) for e in range(lo, hi + 1)]
-    )
+    return _parse(LaurentSkewPoly, ring, endo, text)

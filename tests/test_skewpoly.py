@@ -1,5 +1,7 @@
 import itertools
+import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from hypothesis import strategies as st
 
 from skewarm import (
     CarrierMismatchError,
+    LaurentSkewPoly,
+    SkewPoly,
+    TruncatedSkewSeries,
     RingError,
     forall_sandwich_zero,
     identity_endomorphism,
@@ -26,6 +31,7 @@ from skewarm import (
     truncated_series,
     zero_endomorphism,
 )
+from test_oracle import RINGS, carriers
 
 
 def naive_mul(n, a, b):
@@ -48,6 +54,16 @@ def test_normalization_and_degree(z4, z4_id):
     assert p.degree == 1
     zero = skew_poly(z4, z4_id, [0, 0])
     assert zero.is_zero and zero.degree == -1
+    # a plain polynomial keeps the zeros below its lowest term; the Laurent
+    # and series classes move them into min_exp
+    low = skew_poly(z4, z4_id, [0, 0, 3, 1, 0])
+    assert (low.min_exp, low.coeffs, low.degree) == (0, (0, 0, 3, 1), 3)
+    for shifted in (
+        laurent_poly(z4, z4_id, 0, [0, 0, 3, 1, 0]),
+        truncated_series(z4, z4_id, [0, 0, 3, 1, 0], 5),
+    ):
+        assert (shifted.min_exp, shifted.coeffs) == (2, (3, 1))
+        assert shifted.render().startswith(low.render())
 
 
 def test_add_examples(z4, z4_id):
@@ -318,3 +334,48 @@ def test_series_render_mentions_order(z4, z4_id):
     s = truncated_series(z4, z4_id, [1, 2], 4)
     assert "(mod x^4)" in s.render()
     assert parse_poly(z4, z4_id, s.render()).coeffs == (1, 2)
+
+
+# The oracle's carriers whose twist is an automorphism, so every class exists.
+AUTOMORPHIC = [
+    pytest.param(ring, endo, id=f"{name}-{form}")
+    for name in RINGS
+    for form, ring, endo in carriers(name)
+    if endo.is_automorphism
+]
+
+
+def _unsuffixed(value) -> str:
+    return re.sub(r" \(mod x\^\d+\)$", "", value.render())
+
+
+@pytest.mark.parametrize("ring, endo", AUTOMORPHIC)
+def test_classes_agree_where_they_overlap(ring, endo):
+    """Plain, Laurent at min_exp 0 and a series whose order is past every
+    result's degree: the same coefficients and rendered body for +, - and
+    ×; never equal across classes or orders; hash agrees with ==."""
+    rng = random.Random(ring.size)
+    for _ in range(60):
+        a, b = ([rng.randrange(ring.size) for _ in range(rng.randint(0, 4))] for _ in "ab")
+        order = len(a) + len(b)
+        xs, ys = (
+            (
+                SkewPoly(ring, endo, c),
+                LaurentSkewPoly(ring, endo, 0, c),
+                TruncatedSkewSeries(ring, endo, c, order),
+            )
+            for c in (a, b)
+        )
+        for op in (operator.add, operator.sub, operator.mul):
+            got = [op(x, y) for x, y in zip(xs, ys)]
+            assert len({tuple(v.coefficient(e) for e in range(order)) for v in got}) == 1
+            assert len({_unsuffixed(v) for v in got}) == 1
+            assert all(u != v for u, v in itertools.combinations(got, 2))
+        copies = (
+            SkewPoly(ring, endo, a + [ring.zero]),
+            LaurentSkewPoly(ring, endo, -1, [ring.zero] + a),
+            TruncatedSkewSeries(ring, endo, a + [ring.zero], order),
+        )
+        for x, copy in zip(xs, copies):
+            assert x == copy and hash(x) == hash(copy)
+        assert xs[2] != TruncatedSkewSeries(ring, endo, a, order + 1)
