@@ -21,6 +21,9 @@ The output file holds, per workload:
   differ by more than the parent's interquartile range) and whether it is
   a regression (the change's median is worse than the parent's by more
   than the metric's bound, taken relative to the parent's median);
+- ``failed`` and ``attempted``: each side's op totals over the pairs, and
+  ``failed_share_rose``: whether the change failed a larger share of its
+  attempted ops than the parent;
 - ``counts``: each side's deterministic traced counts (every per-layer
   metric in ``count`` units) and whether the two sides agree on them.
 
@@ -100,6 +103,12 @@ def summarise(spec: dict, runs: list[dict]) -> dict:
     }
 
 
+def failed_share_rose(failed: dict, attempted: dict) -> bool:
+    """Whether failed/attempted is larger for the change than for the parent
+    (compared exactly, by cross-multiplying)."""
+    return failed["change"] * attempted["parent"] > failed["parent"] * attempted["change"]
+
+
 def traced_counts(root: Path, workload: str, seed: int) -> dict:
     result = run_bench(root, workload, seed, 0, trace=True)
     return {
@@ -148,10 +157,13 @@ def main(argv=None) -> int:
             runs.append(run)
             print(f"{workload} seed {seed} done", file=sys.stderr)
         counts = {side: traced_counts(roots[side], workload, seeds[0]) for side in SIDES}
+        failed = {side: sum(r[side]["failed"] for r in runs) for side in SIDES}
+        attempted = {side: sum(r[side]["attempted"] for r in runs) for side in SIDES}
         out["workloads"][workload] = {
             "metrics": {m["name"]: summarise(m, runs) for m in spec["end_to_end"]},
-            "failed": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
-            "attempted": {side: sum(r[side]["attempted"] for r in runs) for side in SIDES},
+            "failed": failed,
+            "attempted": attempted,
+            "failed_share_rose": failed_share_rose(failed, attempted),
             "counts": {**counts, "equal": counts["parent"] == counts["change"]},
             "runs": runs,
         }
@@ -166,6 +178,10 @@ def main(argv=None) -> int:
                 f"{'  GAIN' if m['gain'] else ''}{'  REGRESSION' if m['regression'] else ''}"
             )
         print(f"{workload:<18} counts equal: {entry['counts']['equal']}")
+        failed, attempted = entry["failed"], entry["attempted"]
+        shares = "  ".join(f"{side} {failed[side]}/{attempted[side]}" for side in SIDES)
+        rose = "  FAILED SHARE ROSE" if entry["failed_share_rose"] else ""
+        print(f"{workload:<18} failed ops: {shares}{rose}")
     return 0
 
 

@@ -12,6 +12,7 @@ versioned and byte-stable; the text output is human-oriented.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,6 +30,11 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 BUDGET_ENV_VAR = "SKEWARM_TUPLE_BUDGET"
+
+# check's envelope flags, by the argument of check_property each one sets
+_ENVELOPE_FLAGS = {
+    "degree": "--deg", "window": "--window", "truncation": "--trunc", "min_exp": "--min-exp"
+}
 
 
 def _budget(args) -> int:
@@ -106,17 +112,6 @@ def _parse_window(text: str) -> tuple[int, int, int, int]:
     return m, n, t, s
 
 
-def _envelope_flags_read(prop: PropertyId) -> tuple[str, ...]:
-    """The envelope flags ``check_property`` reads for ``prop``."""
-    if prop in dec.ELEMENT_PROPERTIES:
-        return ()
-    if prop is PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW:
-        return ("--trunc", "--min-exp")
-    return {"poly": ("--deg",), "laurent": ("--window",), "series": ("--trunc",)}[
-        dec._STATEMENTS[prop].kind
-    ]
-
-
 def cmd_check(args) -> int:
     try:
         prop = PropertyId(args.property)
@@ -125,28 +120,16 @@ def cmd_check(args) -> int:
             f"unknown property {args.property!r}; choose from: "
             + ", ".join(p.value for p in PropertyId)
         ) from None
-    given = {
-        "--deg": args.deg,
-        "--window": args.window,
-        "--trunc": args.trunc,
-        "--min-exp": args.min_exp,
-    }
-    read = _envelope_flags_read(prop)
-    for flag, value in given.items():
-        if value is not None and flag not in read:
-            raise formats.FormatError(f"{prop.value} does not read {flag}")
-    ring, endo = formats.load_ring_definition(args.file)
-    window = None if args.window is None else _parse_window(args.window)
-    verdict = dec.check_property(
-        ring,
-        endo,
-        prop,
-        degree=args.deg,
-        window=window,
-        truncation=args.trunc,
-        min_exp=args.min_exp,
-        budget=_budget(args),
+    envelope = dict(
+        degree=args.deg, window=args.window, truncation=args.trunc, min_exp=args.min_exp
     )
+    for arg, value in envelope.items():
+        if value is not None and arg not in dec.envelope_args(prop):
+            raise formats.FormatError(f"{prop.value} does not read {_ENVELOPE_FLAGS[arg]}")
+    ring, endo = formats.load_ring_definition(args.file)
+    if args.window is not None:
+        envelope["window"] = _parse_window(args.window)
+    verdict = dec.check_property(ring, endo, prop, budget=_budget(args), **envelope)
     if args.format == "structured":
         sys.stdout.write(formats.record_to_json(formats.verdict_to_record(verdict, ring, endo)))
     else:
@@ -227,7 +210,10 @@ def cmd_corpus(args) -> int:
     return EXIT_HOLDS if report.ok else EXIT_FAILS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use;
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="skewarm",
         description=(
@@ -279,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except dec.BudgetExceededError as err:

@@ -28,10 +28,12 @@ The prefix rule and the hypothesis only drop pairs that fail the
 hypothesis, and the (p × q) conclusion mask only pairs that satisfy the
 conclusion, so none can drop a witness.  The surviving pairs are tested in
 row-major order, so within a chunk the first is the least; across chunks a
-p that hits later beats a larger p that hit earlier.  The scalar
-``_conclusion_violation`` then names the violated instance.  Every sandwich
-table of the kernel takes r over the additive generators of R only (see
-``_Scanner``), at most log2 |R| of them.
+p that hits later beats a larger p that hit earlier.
+``_conclusion_violation`` then names the violated instance.  The plain
+hypothesis pq = 0 is the sandwich with the single left factor a and k = 0,
+so the kernel, the rank screen and the naming read their tables from one
+left-factor table (``_Scanner.left``); a sandwich table takes r over the
+additive generators of R only, at most log2 |R| of them.
 
 When (R,+) is the vector space F_p^m, a rank screen (``_RankScreen``) runs
 first.  It takes the p shapes in block order and decides by linear algebra
@@ -140,6 +142,23 @@ _STATEMENTS = {
     PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW: _Statement("series", True, "exponent"),
 }
 FAMILY_PROPERTIES = frozenset(p for p, s in _STATEMENTS.items() if s.kind == "poly")
+# The envelope argument of ``check_property`` that each kind of polynomial
+# property needs, and what it is called when it is missing.
+_NEEDS = {
+    "poly": ("degree", "a degree bound"),
+    "laurent": ("window", "a window (m,n,t,s)"),
+    "series": ("truncation", "a truncation order"),
+}
+
+
+def envelope_args(prop: PropertyId) -> tuple[str, ...]:
+    """The envelope arguments of ``check_property`` that ``prop`` reads:
+    none for an element property, else the one its kind needs (``_NEEDS``)
+    and, for the Laurent series, ``min_exp``."""
+    if prop not in _STATEMENTS:
+        return ()
+    need = _NEEDS[_STATEMENTS[prop].kind][0]
+    return (need, "min_exp") if prop is PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW else (need,)
 
 
 @dataclass(frozen=True)
@@ -498,54 +517,55 @@ def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
 class _Scanner:
     """Tables and caches for one decider invocation.
 
-    ``orbit`` holds the exponents of every distinct power of the twist;
-    ``ks``, the twist exponents k of the sandwich hypothesis
-    p (r x^k) q = 0, is ``orbit`` on every envelope (see
-    ``skewpoly._forall_sandwich_zero``), or ``None`` for the plain
-    hypothesis pq = 0.  Every sandwich table takes r over ``gens``, the
-    nonzero additive generators of R: each coefficient of p (r x^k) q, and
-    each a·r·b, is additive in r, so it vanishes for every r iff it
-    vanishes for every generator.  The Python tables serve the scalar scan
-    that names a witness, which still runs over every r; the ring's own
-    read-only arrays (``FiniteRing.add_array``/``mul_array``, in the least
-    unsigned dtype that holds every element index) serve the block kernel
-    ``_least_violation``, and the twist's powers are converted to that dtype.
+    ``orbit`` holds the exponents of every distinct power of the twist.
+    The plain hypothesis pq = 0 is the sandwich p (r x^k) q = 0 with the
+    single left factor a of p's coefficient and k = 0, so every table is
+    built from one left-factor table, ``left(e)``, with no other branch.  A
+    sandwich takes k over ``ks`` = ``orbit`` on every envelope (see
+    ``skewpoly._forall_sandwich_zero``) and r over ``gens``, the nonzero
+    additive generators of R: each coefficient of p (r x^k) q, and each
+    a·r·b, is additive in r, so it vanishes for every r iff it vanishes for
+    every generator.  The plain hypothesis takes ``ks`` = ``range(1)`` and
+    no ``gens``.  Every table is read from the ring's read-only arrays
+    (``FiniteRing.add_array``/``mul_array``, in the least unsigned dtype
+    that holds every element index), and the twist's powers are converted
+    to that dtype.
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
-        self.endo = endo
         self.statement = _STATEMENTS[variant]
         self.orbit = range(endo.preperiod + endo.period)
-        self.ks = self.orbit if self.statement.sandwich else None
         self.n = ring.size
-        self.mul = ring.mul_table
         self.zero = ring.zero
-        self.pow_maps = endo.pow_maps
+        self.surjective = endo.is_surjective
         self.red = endo.reduce_exponent
-        self.nonzero = [r for r in range(ring.size) if r != ring.zero]
         self.dtype = ring.mul_array.dtype
         self.add_np = ring.add_array
         self.mul_np = ring.mul_array
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
-        self.gens = self.ann = None
-        if self.ks is not None:
+        if self.statement.sandwich:
             self.gens = np.array([g for g in ring.generators if g != ring.zero], dtype=np.intp)
-            self.ann = self._annihilator_table()
-        # columns of the hypothesis arrays: one per generator, one for pq = 0
-        self.width = 1 if self.gens is None else max(1, len(self.gens))
+            self.ks = self.orbit
+        else:
+            self.gens, self.ks = None, range(1)
+        factors = self.left(0)
+        # ann[a, b]: a·R·b = 0 (a·b = 0 for pq = 0); α^0 is the identity
+        self.ann = (self.mul_np[factors] == self.zero).all(axis=1)
+        # columns of the hypothesis arrays: one per left factor
+        self.width = factors.shape[1]
         self._allowed: dict = {}
         self._bad: dict = {}
         self._products: dict = {}
         self._memo: dict = {}
         self._memo_room = _MEMO_CELLS
 
-    def _annihilator_table(self) -> np.ndarray:
-        """ann[a, b]: a·R·b = 0, i.e. a·g·b = 0 for every generator g."""
-        mul = self.mul_np
-        return (mul[mul[:, self.gens]] == self.zero).all(axis=1)
-
-    def power(self, e: int, x: int) -> int:
-        return self.pow_maps[self.red(e)][x]
+    def left(self, e: int) -> np.ndarray:
+        """left[a, g]: the left factors of the hypothesis terms from a
+        coefficient a of p at exponent e, a·α^e(g) for each generator g of a
+        sandwich, or the single column a for pq = 0."""
+        if self.gens is None:
+            return np.arange(self.n, dtype=self.dtype)[:, None]
+        return self.mul_np[:, self.power_row(e)[self.gens]]
 
     def power_row(self, e: int) -> np.ndarray:
         return self.pow_np[self.red(e)]
@@ -582,30 +602,27 @@ class _Scanner:
         no v may), and ``heads`` lists the a with some v.  Built at once for
         each class of exponents that share them.
 
-        The lowest coefficient of pq is the single term a·α^e(v), and that of
-        p (r x^k) q is a·α^e(r)·α^(e+k)(v), so a nonzero value there fails
-        the hypothesis; the rule therefore only drops failing pairs.  For a
-        surjective twist α^e(r) ranges over R, so the rule is a·R·α^k(v) = 0
-        over one period of k and does not depend on e.
+        The lowest coefficient of p (r x^k) q is the single term
+        a·α^e(r)·α^(e+k)(v) (a·α^e(v) for pq = 0), so a nonzero value there
+        fails the hypothesis; the rule therefore only drops failing pairs.
+        For a surjective twist α^e(r) ranges over R, so the sandwich rule is
+        a·R·α^k(v) = 0 over one period of k and does not depend on e; the
+        rule for pq = 0 does.
         """
-        surj = self.ks is not None and self.endo.is_surjective
+        surj = self.gens is not None and self.surjective
         key = None if surj else self.red(e)
         if key not in self._allowed:
-            mul, zero = self.mul_np, self.zero
-            if self.ks is None:
-                tab = mul[:, self.power_row(e)] == zero
-            elif surj:
-                tab = np.ones((self.n, self.n), dtype=bool)
+            tab = np.ones((self.n, self.n), dtype=bool)
+            if surj:
                 for row in self.pow_np:
                     tab &= self.ann[:, row]
             else:
-                us = mul[:, self.power_row(e)[self.gens]]  # a·α^e(g)
-                tab = np.ones((self.n, self.n), dtype=bool)
+                terms = self.mul_np[self.left(e)]  # [a, g, v]: left[a, g]·v
                 for k in self.ks:
-                    tab &= (mul[us][:, :, self.power_row(e + k)] == zero).all(axis=1)
-            tab[:, zero] = False
+                    tab &= (terms[:, :, self.power_row(e + k)] == self.zero).all(axis=1)
+            tab[:, self.zero] = False
             some = tab.any(axis=1)
-            some[zero] = False
+            some[self.zero] = False
             tables = [tab[b] if some[b] else None for b in range(self.n)]
             self._allowed[key] = tables, np.flatnonzero(some).astype(self.dtype)
         return self._allowed[key]
@@ -618,30 +635,19 @@ class _Scanner:
         if key not in self._bad:
             twists = self.statement.twists(e, self.orbit)
             maps = self.pow_np[[self.red(t) for t in twists]]
-            if self.statement.sandwich:
-                bad = ~self.ann[:, maps].all(axis=1)
-            else:
-                bad = (self.mul_np[:, maps] != self.zero).any(axis=1)
-            self._bad[key] = bad
+            self._bad[key] = ~self.ann[:, maps].all(axis=1)
         return self._bad[key]
 
-    def products(self, e: int, k: int, bs: np.ndarray | None = None) -> np.ndarray:
-        """prod[a, b, g]: a·α^e(g)·α^(e+k)(b), the term of p (g x^k) q from a
-        coefficient a of p at exponent e and b of q, one entry per generator
-        g; the single entry a·α^e(b) for the plain hypothesis pq = 0.  Over
-        every b, kept while the memo has room, or over the b in ``bs``."""
+    def products(self, e: int, k: int) -> np.ndarray:
+        """prod[a, b, g]: left[a, g]·α^(e+k)(b), the term of p (g x^k) q
+        from a coefficient a of p at exponent e and b of q, one entry per
+        left factor (``left``): a·α^e(g)·α^(e+k)(b) per generator g, or the
+        single a·α^e(b) for pq = 0.  Kept while the memo has room."""
         key = (self.red(e), self.red(e + k))
-        prod = self._products.get(key)
-        if prod is not None:
-            return prod if bs is None else prod[:, bs]
-        if self.ks is None:
-            left = np.arange(self.n, dtype=self.dtype)[:, None]
-        else:
-            left = self.mul_np[:, self.power_row(e)[self.gens]]
-        right = self.power_row(e + k)
-        if bs is not None:
-            return self.mul_np[left[:, None, :], right[bs][None, :, None]]
-        prod = self.mul_np[left[:, None, :], right[None, :, None]]
+        if key in self._products:
+            return self._products[key]
+        left = self.left(e)
+        prod = self.mul_np[left[:, None, :], self.power_row(e + k)[None, :, None]]
         if prod.size <= self._memo_room:
             self._memo_room -= prod.size
             self._products[key] = prod
@@ -686,25 +692,20 @@ class _RankScreen:
         for pq = 0), rows the output coordinates, columns b's."""
         key = (self.sc.red(e), self.sc.red(e + k))
         if key not in self._hyp:
-            prod = self.sc.products(e, k, self.basis)  # [a, basis c, g]
+            prod = self.sc.products(e, k)[:, self.basis]  # [a, basis c, g]
             self._hyp[key] = self.coords[prod].transpose(0, 2, 3, 1)
         return self._hyp[key]
 
     def conclusion_table(self, e: int) -> np.ndarray:
         """tab[a]: the matrices of b ↦ a·g·α^t(b) (of b ↦ a·α^t(b)) for a
         coefficient a at exponent e, stacked over the twists t and the g,
-        reduced to their echelon form of m rows."""
+        reduced to their echelon form of m rows.  They are the hypothesis
+        tables at exponent 0 and twist t."""
         sc = self.sc
         key = sc.red(e)
         if key not in self._con:
             twists = sc.statement.twists(e, sc.orbit)
-            tb = sc.pow_np[[sc.red(t) for t in twists]][:, self.basis]  # [t, c]
-            if sc.statement.sandwich:
-                left = sc.mul_np[:, sc.gens]  # [a, g]
-            else:
-                left = np.arange(sc.n)[:, None]
-            vals = sc.mul_np[left[:, None, :, None], tb[None, :, None, :]]  # [a, t, g, c]
-            tab = self.coords[vals].swapaxes(3, 4)
+            tab = np.stack([self.hypothesis_table(0, t) for t in twists], axis=1)
             self._con[key] = self._echelon(tab.reshape(sc.n, -1, self.m))
         return self._con[key]
 
@@ -720,10 +721,8 @@ class _RankScreen:
         screen cheaply; the first batch with one ends it."""
         sc = self.sc
         width = max(lp for lp, _ in shapes)
-        ks = len(sc.ks or (0,))
-        gens = 1 if sc.gens is None else len(sc.gens)
         # per p: H(p), and K(p) times the null vectors' coefficients
-        cells = (ks * (width + lq - 1) * gens + width * lq) * self.m * lq * self.m
+        cells = (len(sc.ks) * (width + lq - 1) * sc.width + width * lq) * self.m * lq * self.m
         cap = max(1, _RANK_CELLS // cells)
 
         def heads(f):
@@ -747,10 +746,8 @@ class _RankScreen:
         """Which p of ``ps`` have Q(p) ⊄ C(p)."""
         sc, m, p = self.sc, self.m, self.p
         count, lp = ps.shape
-        ks = sc.ks or (0,)
-        gens = 1 if sc.gens is None else len(sc.gens)
-        hyp = np.zeros((count, len(ks), lp + lq - 1, gens, m, lq, m), dtype=self.dtype)
-        for x, k in enumerate(ks):
+        hyp = np.zeros((count, len(sc.ks), lp + lq - 1, sc.width, m, lq, m), dtype=self.dtype)
+        for x, k in enumerate(sc.ks):
             for i in range(lp):
                 block = self.hypothesis_table(amin + i, k)[ps[:, i]]
                 for j in range(lq):
@@ -895,7 +892,7 @@ def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, qs: np.ndar
     for j in range(1, qs.shape[1]):
         mask |= bad[:, qs[:, j]]
     pi, qi = np.nonzero(mask)
-    step = max(1, _PAIR_CELLS // sc.width)
+    step = max(1, _PAIR_CELLS // max(1, sc.width))
     for lo in range(0, len(pi), step):
         ok = _passing(sc, ps, f, amin, qs, pi[lo : lo + step], qi[lo : lo + step])
         if len(ok):
@@ -917,7 +914,7 @@ def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
     lp, lq = ps.shape[1], qs.shape[1]
     pa, qb = ps.T, qs.T  # pa[i]: coefficient i of every p
     idx = np.arange(len(pi))
-    for k in sc.ks or (0,):
+    for k in sc.ks:
         # coefficient f is p's head times q's first coefficient: zero if that
         # is zero, and zero by the prefix rule if it is q's head
         for e in range(f + 1, lp + lq - 1):
@@ -937,29 +934,26 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
     """First violated conclusion instance in (i, j, t, r) order, or None.
 
     Exponents are the actual ones (``amin``/``bmin`` shifted); the returned
-    monomial records the conclusion's sandwich element and twist exponent,
-    or is None for a conclusion without one.
+    monomial records the conclusion's sandwich element (the least r) and
+    twist exponent, or is None for a conclusion without one.
     """
-    mul, zero = sc.mul, sc.zero
+    mul, zero = sc.mul_np, sc.zero
     for i, a in enumerate(ap):
-        if a == zero:
-            continue
         ei = amin + i
-        bad = sc.bad_table(ei)[a]
+        bad = sc.bad_table(ei)[a]  # row and column zero are all False
         for j, b in enumerate(bq):
-            if b == zero or not bad[b]:
+            if not bad[b]:
                 continue
-            row = mul[a]
             for t in sc.statement.twists(ei, sc.orbit):
-                tb = sc.power(t, b)
+                tb = sc.power_row(t)[b]
                 if not sc.statement.sandwich:
-                    if row[tb] != zero:
-                        return (ei, bmin + j), None, row[tb]
+                    if mul[a, tb] != zero:
+                        return (ei, bmin + j), None, int(mul[a, tb])
                     continue
-                for r in sc.nonzero:
-                    v = mul[row[r]][tb]
-                    if v != zero:
-                        return (ei, bmin + j), (r, t), v
+                vals = mul[mul[a], tb]  # a·r·α^t(b) for every r
+                hit = np.flatnonzero(vals != zero)
+                if hit.size:
+                    return (ei, bmin + j), (int(hit[0]), t), int(vals[hit[0]])
     return None
 
 
@@ -1115,18 +1109,15 @@ def check_property(
         }[prop]
         return fn(ring)
     kind = _STATEMENTS[prop].kind
+    need, what = _NEEDS[kind]
+    if {"degree": degree, "window": window, "truncation": truncation}[need] is None:
+        raise RingError(f"{prop.value} needs {what}")
     if kind == "poly":
-        if degree is None:
-            raise RingError(f"{prop.value} needs a degree bound")
         return check_armendariz_family(ring, alpha, degree, prop, budget)
     if kind == "laurent":
-        if window is None:
-            raise RingError(f"{prop.value} needs a window (m,n,t,s)")
         if alpha is None:
             raise RingError("the Laurent property needs an endomorphism")
         return check_laurent_q_alpha_skew(ring, alpha, window, budget)
-    if truncation is None:
-        raise RingError(f"{prop.value} needs a truncation order")
     if alpha is None:
         raise RingError("series properties need an endomorphism")
     return check_powerseries_q_alpha_skew(

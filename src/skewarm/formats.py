@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
+
 from . import corpus as corpus_mod
 from .deciders import (
     ELEMENT_PROPERTIES,
@@ -54,7 +56,7 @@ class FormatError(RingError):
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], where: str) -> None:
-    keys = set(doc)
+    keys = set(_object(doc, where))
     missing = required - keys
     if missing:
         raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
@@ -63,11 +65,57 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], where: str)
         raise FormatError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
+# JSON type checks for the fields the readers below take: each returns the
+# value when it has the type, and raises FormatError naming the field
+# otherwise, so a malformed document never reaches a constructor.
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{where} must be an object")
+    return value
+
+
+def _int(value, where: str) -> int:
+    if type(value) is not int:  # JSON true/false and 1.5 are not integers
+        raise FormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(value, where: str, length: int | None = None) -> list[int]:
+    if not isinstance(value, list) or not {type(x) for x in value} <= {int}:
+        raise FormatError(f"{where} must be a list of integers")
+    if length is not None and len(value) != length:
+        raise FormatError(f"{where} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _table(value, where: str) -> np.ndarray:
+    """A square table of element indices, given as a list of rows, as an
+    array.  (numpy's type inference reads a JSON true among integers as 1.)"""
+    try:
+        table = np.array(value)
+    except ValueError:  # rows of unequal shapes
+        table = np.array(None)
+    if not isinstance(value, list) or table.shape != (len(value), len(value)):
+        raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
+    if table.dtype.kind not in "iu":  # 1.5, "1", null and integers past 64 bits
+        raise FormatError(f"{where} entries must be integers")
+    if not 0 <= table.min() <= table.max() < len(value):
+        raise FormatError(f"{where} entries must lie in 0..{len(value) - 1}")
+    return table
+
+
+def _labels(value, where: str) -> list | None:
+    if value is not None and not isinstance(value, list):
+        raise FormatError(f"{where} must be a list of labels")
+    return value
+
+
 def _build_kind(doc: dict, where: str, size_cap: int):
-    kind = doc.get("kind")
+    kind = _object(doc, where).get("kind")
     if kind == "zmod":
         _require_keys(doc, {"kind", "n"}, set(), where)
-        return make_zmod(int(doc["n"]), size_cap)
+        return make_zmod(_int(doc["n"], where + ".n"), size_cap)
     if kind == "product":
         _require_keys(doc, {"kind", "factors"}, set(), where)
         factors = doc["factors"]
@@ -83,17 +131,21 @@ def _build_kind(doc: dict, where: str, size_cap: int):
     if kind == "quotient":
         _require_keys(doc, {"kind", "base", "ideal"}, set(), where)
         base = _build_kind(doc["base"], where + ".base", size_cap)
-        ideal = make_ideal(base, doc["ideal"])
+        ideal = make_ideal(base, _ints(doc["ideal"], where + ".ideal"))
         quot, _ = make_quotient(base, ideal)
         return quot
     if kind == "table":
         _require_keys(doc, {"kind", "add_table", "mul_table"}, {"labels"}, where)
         return make_table_ring(
-            doc["add_table"], doc["mul_table"], doc.get("labels"), size_cap=size_cap
+            _table(doc["add_table"], where + ".add_table"),
+            _table(doc["mul_table"], where + ".mul_table"),
+            _labels(doc.get("labels"), where + ".labels"),
+            size_cap=size_cap,
         )
     if kind == "galois_field":
         _require_keys(doc, {"kind", "p", "k"}, set(), where)
-        return make_galois_field(int(doc["p"]), int(doc["k"]), size_cap)
+        p, k = _int(doc["p"], where + ".p"), _int(doc["k"], where + ".k")
+        return make_galois_field(p, k, size_cap)
     raise FormatError(f"{where}: unknown kind {kind!r}")
 
 
@@ -157,9 +209,8 @@ def parse_ring_definition(
         if ("images" in spec) == ("builtin" in spec):
             raise FormatError("'endomorphism' needs exactly one of 'images'/'builtin'")
         if "images" in spec:
-            endo = table_endomorphism(
-                ring, spec["images"], str(spec.get("label", "endo"))
-            )
+            images = _ints(spec["images"], "endomorphism.images")
+            endo = table_endomorphism(ring, images, str(spec.get("label", "endo")))
         else:
             endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap)
             if "label" in spec:
@@ -194,13 +245,18 @@ def _envelope_to_json(env: Envelope) -> dict:
     return out
 
 
-def _envelope_from_json(doc: dict) -> Envelope:
+def _envelope_from_json(doc) -> Envelope:
+    _object(doc, "envelope")
+    bounds = {
+        key: _int(doc[key], f"envelope.{key}")
+        for key in ("degree", "truncation", "min_exp")
+        if doc.get(key) is not None
+    }
+    window = doc.get("window")
     return Envelope(
-        degree=doc.get("degree"),
-        window=None if doc.get("window") is None else tuple(doc["window"]),
-        truncation=doc.get("truncation"),
-        min_exp=doc.get("min_exp"),
+        window=None if window is None else tuple(_ints(window, "envelope.window", 4)),
         exhaustive=bool(doc.get("exhaustive", False)),
+        **bounds,
     )
 
 
@@ -231,18 +287,26 @@ def _witness_to_json(w: Witness, ring: FiniteRing) -> dict:
     return out
 
 
-def _witness_from_json(doc: dict) -> Witness:
+def _witness_from_json(doc) -> Witness:
+    _object(doc, "witness")
+    p, q = _object(doc.get("p", {}), "witness.p"), _object(doc.get("q", {}), "witness.q")
+    for key in ("p_text", "q_text"):
+        if not isinstance(doc.get(key, ""), str):
+            raise FormatError(f"witness.{key} must be a string")
+    order, pair = doc.get("order"), doc.get("pair")
     try:
         mono = doc.get("monomial")
         return Witness(
             kind=doc["kind"],
-            p_coeffs=tuple(doc["p"]["coeffs"]) if "p" in doc else None,
-            p_min=doc.get("p", {}).get("min_exp", 0),
-            q_coeffs=tuple(doc["q"]["coeffs"]) if "q" in doc else None,
-            q_min=doc.get("q", {}).get("min_exp", 0),
-            order=doc.get("order"),
-            pair=None if doc.get("pair") is None else tuple(doc["pair"]),
-            monomial=None if mono is None else (mono["r"], mono["exponent"]),
+            p_coeffs=tuple(p["coeffs"]) if "p" in doc else None,
+            p_min=_int(p.get("min_exp", 0), "witness.p.min_exp"),
+            q_coeffs=tuple(q["coeffs"]) if "q" in doc else None,
+            q_min=_int(q.get("min_exp", 0), "witness.q.min_exp"),
+            order=None if order is None else _int(order, "witness.order"),
+            pair=None if pair is None else tuple(_ints(pair, "witness.pair", 2)),
+            monomial=None
+            if mono is None
+            else (mono["r"], _int(mono["exponent"], "witness.monomial.exponent")),
             offending=doc.get("offending", {}).get("index")
             if isinstance(doc.get("offending"), dict)
             else doc.get("offending"),
@@ -300,15 +364,16 @@ def parse_verdict_record(
     if not isinstance(rdoc, dict):
         raise FormatError("verdict record lacks the ring tables")
     ring = make_table_ring(
-        rdoc["add_table"],
-        rdoc["mul_table"],
-        rdoc.get("element_labels"),
+        _table(rdoc.get("add_table"), "ring.add_table"),
+        _table(rdoc.get("mul_table"), "ring.mul_table"),
+        _labels(rdoc.get("element_labels"), "ring.element_labels"),
         label=str(rdoc.get("label", "ring")),
     )
     endo = None
     edoc = doc.get("endomorphism")
     if edoc is not None:
-        endo = table_endomorphism(ring, edoc["images"], str(edoc.get("label", "endo")))
+        images = _ints(_object(edoc, "endomorphism").get("images"), "endomorphism.images")
+        endo = table_endomorphism(ring, images, str(edoc.get("label", "endo")))
     env = _envelope_from_json(doc.get("envelope", {}))
     holds = doc.get("outcome") == "holds"
     witness = None
@@ -398,6 +463,8 @@ def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
     ring, endo = parse_ring_definition(doc["definition"])
     if endo is None:
         raise FormatError(f"corpus entry {doc['name']!r} lacks an endomorphism")
+    if not isinstance(doc["expectations"], list):
+        raise FormatError("corpus entry: 'expectations' must be a list")
     expected = []
     for edoc in doc["expectations"]:
         _require_keys(
@@ -406,9 +473,13 @@ def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
             {"confirm_witness"},
             "expectation",
         )
+        try:
+            prop = PropertyId(edoc["property"])
+        except ValueError as err:
+            raise FormatError(f"unknown property: {err}") from err
         expected.append(
             corpus_mod.Expectation(
-                prop=PropertyId(edoc["property"]),
+                prop=prop,
                 envelope=_envelope_from_json(edoc["envelope"]),
                 holds=edoc["outcome"] == "holds",
                 provenance=edoc["provenance"],
@@ -434,6 +505,11 @@ def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read corpus manifest: {err}") from err
-    if doc.get("kind") != "corpus" or doc.get("schema_version") != SCHEMA_VERSION:
+    if (
+        not isinstance(doc, dict)
+        or doc.get("kind") != "corpus"
+        or doc.get("schema_version") != SCHEMA_VERSION
+        or not isinstance(doc.get("entries"), list)
+    ):
         raise FormatError("not a corpus manifest")
     return [parse_manifest_entry(e) for e in doc["entries"]]

@@ -59,15 +59,15 @@ if args["--trace"] == "1":
     metrics = {{"rings.build_calls": {{"value": 5, "unit": "count"}}}}
 with open("../order.log", "a") as fh:  # shared by both stub checkouts
     fh.write(f"{WALL} {{args['--seed']}} {{args['--trace']}}\\n")
-print(json.dumps({{"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}}))
+print(json.dumps({{"correct": True, "attempted": 3, "failed": {FAILED}, "metrics": metrics}}))
 """
 
 
-def _stub_checkout(root: Path, wall: float) -> Path:
+def _stub_checkout(root: Path, wall: float, failed: int = 0) -> Path:
     (root / "bench").mkdir(parents=True)
     (root / "src" / "skewarm").mkdir(parents=True)
     (root / "src" / "skewarm" / "__init__.py").write_text(f"# {wall}\n")
-    (root / "bench" / "run.py").write_text(textwrap.dedent(STUB.format(WALL=wall)))
+    (root / "bench" / "run.py").write_text(textwrap.dedent(STUB.format(WALL=wall, FAILED=failed)))
     spec = {"workloads": [{"name": "w"}], "end_to_end": [WALL]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return root
@@ -96,5 +96,26 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     assert (wall["change_wins"], wall["gain"], wall["regression"]) == (4, True, False)
     assert entry["counts"]["equal"] and entry["counts"]["change"] == {"rings.build_calls": 5}
     assert entry["failed"] == {"parent": 0, "change": 0}
+    assert not entry["failed_share_rose"]
     assert doc["source_sha256"]["parent"] != doc["source_sha256"]["change"]
-    assert "w" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "w" in out and "FAILED SHARE ROSE" not in out
+
+
+def test_a_rise_in_the_failed_op_share_is_flagged(tmp_path, capsys):
+    parent = _stub_checkout(tmp_path / "parent", 1.0)
+    change = _stub_checkout(tmp_path / "change", 1.0, failed=1)
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main([str(parent), str(change), "--out", str(out), "--pairs", "2"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["failed"] == {"parent": 0, "change": 2}
+    assert entry["attempted"] == {"parent": 6, "change": 6}
+    assert entry["failed_share_rose"]
+    assert "w                  failed ops: parent 0/6  change 2/6  FAILED SHARE ROSE" in (
+        capsys.readouterr().out
+    )
+    # the share, not the count: more failures out of many more ops is no rise
+    assert not bench_pair.failed_share_rose(
+        {"parent": 1, "change": 2}, {"parent": 10, "change": 40}
+    )
+    assert bench_pair.failed_share_rose({"parent": 1, "change": 2}, {"parent": 10, "change": 15})

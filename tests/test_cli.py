@@ -293,3 +293,90 @@ def test_check_rejects_envelope_flags_the_property_does_not_read(
 def test_check_laurent_series_reads_trunc_and_min_exp(ex1_file):
     args = ["check", ex1_file, "--property", "laurent-powerseries-q-alpha-skew", "--trunc", "2"]
     assert main(args + ["--min-exp", "-1"]) == 0
+
+
+
+Z2_ADD = [[0, 1], [1, 0]]
+Z2_MUL = [[0, 0], [0, 1]]
+
+
+def _table(add, mul):
+    return {"kind": "table", "add_table": add, "mul_table": mul}
+
+
+def _quotient(ideal):
+    return {"kind": "quotient", "base": {"kind": "zmod", "n": 4}, "ideal": ideal}
+
+
+def _edit(*path, value=None):
+    """An edit of a verdict record: set the field at ``path`` to ``value``,
+    or delete it when ``value`` is None."""
+
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        if value is None:
+            del doc[path[-1]]
+        else:
+            doc[path[-1]] = value
+
+    return edit
+
+
+MALFORMED_DEFINITIONS = [
+    {"kind": "zmod", "n": "abc"},
+    {"kind": "zmod", "n": None},
+    {"kind": "product", "factors": [1, 2]},
+    {"kind": "trivial_extension", "base": [1]},
+    _table([[0, 1], [1]], Z2_MUL),
+    _table("ab", Z2_MUL),
+    _table(Z2_ADD, [[0, 0], [0, 1.5]]),  # 1.5 must not read as 1
+    _table(Z2_ADD, [[0, 0], [0, 10**30]]),  # beyond any machine integer
+    _quotient([0, "a"]),
+    _quotient(5),
+    {"kind": "galois_field", "p": 2, "k": "x"},
+    dict(EX1, endomorphism={"images": "0123"}),  # a string is not four images
+]
+MALFORMED_RECORD_EDITS = [
+    _edit("witness", value=[1, 2]),
+    _edit("ring", "add_table"),
+    _edit("endomorphism", "images"),
+    _edit("witness", "pair", value=["a", 0]),
+    _edit("witness", "pair", value=[0]),
+    _edit("witness", "p", "min_exp", value="x"),
+    _edit("envelope", value=[1]),
+]
+
+_ENTRY = {"name": "e", "definition": dict(EX1, schema_version="1"), "expectations": []}
+_MYSTERY = {"property": "mystery", "envelope": {}, "outcome": "holds", "provenance": ""}
+MALFORMED_MANIFESTS = [
+    [1],
+    {"schema_version": "1", "kind": "corpus", "entries": 5},
+    {"schema_version": "1", "kind": "corpus", "entries": [dict(_ENTRY, expectations=5)]},
+    {"schema_version": "1", "kind": "corpus", "entries": [dict(_ENTRY, expectations=[_MYSTERY])]},
+]
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [("validate", d) for d in MALFORMED_DEFINITIONS]
+    + [("replay", e) for e in MALFORMED_RECORD_EDITS]
+    + [("corpus", m) for m in MALFORMED_MANIFESTS],
+)
+def test_malformed_document_is_invalid_input(ex2_file, tmp_path, capsys, command, bad):
+    path = tmp_path / "bad.json"
+    argv = [command, str(path)]
+    if command == "validate":
+        doc = {"schema_version": "1", **bad}
+    elif command == "corpus":
+        doc, argv = bad, [command, "--all", "--manifest", str(path)]
+    else:
+        args = ["check", ex2_file, "--property", "q-alpha-skew-armendariz", "--deg", "1"]
+        assert main(args + ["--format", "structured"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        bad(doc)
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "Traceback" not in out.out + out.err

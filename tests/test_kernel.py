@@ -264,20 +264,33 @@ def test_least_p_may_hit_in_a_later_q_chunk(monkeypatch):
 
 # --------------------------------------------------------------------------
 # the generator shortcut: every sandwich table of the kernel takes r over the
-# nonzero additive generators of R only; each must equal its every-r version
+# nonzero additive generators of R only; each must equal its every-r version,
+# and each plain table its version for pq = 0
 
 
-def every_r_annihilators(ring):
-    """ann[a, b]: a·r·b = 0 for every r."""
+def left_factors(ring, endo, e, a, sandwich):
+    """The left factors of the hypothesis terms from coefficients ``a`` at
+    exponent e, on a new last axis: a·α^e(r) for every r of a sandwich, or
+    the single a for pq = 0."""
+    a = np.asarray(a)[..., None]
+    if not sandwich:
+        return a
+    return np.asarray(ring.mul_table)[a, np.asarray(endo.power_map(e))]
+
+
+def every_r_annihilators(ring, sandwich):
+    """ann[a, b]: a·r·b = 0 for every r, or a·b = 0 for pq = 0."""
     mul = np.asarray(ring.mul_table)
+    if not sandwich:
+        return mul == ring.zero
     return (mul[mul] == ring.zero).all(axis=1)
 
 
-def every_r_head_tables(ring, endo, e, ks):
-    """allowed[a, v]: a·α^e(r)·α^(e+k)(v) = 0 for every r and every k in ks,
-    for a != 0 and v != 0."""
+def every_r_head_tables(ring, endo, e, ks, sandwich):
+    """allowed[a, v]: a·α^e(r)·α^(e+k)(v) = 0 for every r and every k in ks
+    (a·α^e(v) = 0 for pq = 0), for a != 0 and v != 0."""
     mul, zero = np.asarray(ring.mul_table), ring.zero
-    us = mul[:, np.asarray(endo.power_map(e))]  # us[a, r] = a·α^e(r)
+    us = left_factors(ring, endo, e, np.arange(ring.size), sandwich)  # us[a, r]
     tab = np.ones((ring.size, ring.size), dtype=bool)
     for k in ks:
         tab &= (mul[us][:, :, np.asarray(endo.power_map(e + k))] == zero).all(axis=1)
@@ -285,17 +298,17 @@ def every_r_head_tables(ring, endo, e, ks):
     return tab
 
 
-def every_r_passes(ring, endo, ks, amin, ps, qs):
-    """passes[x, y]: ps[x] (r x^k) qs[y] = 0 for every r and every k in ks,
-    coefficient by coefficient."""
+def every_r_passes(ring, endo, ks, amin, ps, qs, sandwich):
+    """passes[x, y]: ps[x] (r x^k) qs[y] = 0 for every r and every k in ks
+    (ps[x] qs[y] = 0 for pq = 0), coefficient by coefficient."""
     mul, add, zero = np.asarray(ring.mul_table), np.asarray(ring.add_table), ring.zero
     lp, lq = ps.shape[1], qs.shape[1]
     passes = np.ones((len(ps), len(qs)), dtype=bool)
     for k in ks:
         for e in range(lp + lq - 1):
-            s = np.full((len(ps), len(qs), ring.size), zero)
+            s = zero
             for i in range(max(0, e - lq + 1), min(lp, e + 1)):
-                u = mul[ps[:, i, None], np.asarray(endo.power_map(amin + i))]  # p × r
+                u = left_factors(ring, endo, amin + i, ps[:, i], sandwich)  # p × r
                 b = np.asarray(endo.power_map(amin + i + k))[qs[:, e - i]]  # q
                 s = add[s, mul[u[:, None, :], b[None, :, None]]]
             passes &= (s == zero).all(axis=2)
@@ -304,14 +317,17 @@ def every_r_passes(ring, endo, ks, amin, ps, qs):
 
 def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMENDARIZ):
     sc = deciders._Scanner(ring, endo, prop)
-    assert ring.zero not in sc.gens.tolist()
-    assert np.array_equal(sc.ann, every_r_annihilators(ring))
+    sandwich = deciders._STATEMENTS[prop].sandwich
+    if sandwich:
+        assert ring.zero not in sc.gens.tolist()
+    assert np.array_equal(sc.ann, every_r_annihilators(ring, sandwich))
     orbit = range(endo.preperiod + endo.period)
+    ks = orbit if sandwich else (0,)
     # Laurent exponents are negative: e in [-period, 0) for an automorphism
     low = -endo.period if endo.is_automorphism else 0
     for e in range(low, len(orbit) + 1):
         tables, heads = sc.head_tables(e)
-        tab = every_r_head_tables(ring, endo, e, sc.ks)
+        tab = every_r_head_tables(ring, endo, e, ks, sandwich)
         assert [t is None for t in tables] == (~tab.any(axis=1)).tolist()
         assert all(t is None or np.array_equal(t, tab[a]) for a, t in enumerate(tables))
         assert heads.tolist() == [a for a in range(ring.size) if a != ring.zero and tab[a].any()]
@@ -328,18 +344,25 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
                 qs = np.concatenate(list(chunks()))
                 pi, qi = np.nonzero(np.ones((len(ps), len(qs)), dtype=bool))
                 got = deciders._passing(sc, ps, f, amin, qs, pi, qi)
-                expected = every_r_passes(ring, endo, sc.ks, amin, ps.astype(int), qs.astype(int))
+                expected = every_r_passes(
+                    ring, endo, ks, amin, ps.astype(int), qs.astype(int), sandwich
+                )
                 assert got.tolist() == np.flatnonzero(expected.ravel()).tolist()
 
 
+# the plain hypothesis pq = 0 is the sandwich with the single left factor a
+PLAIN_AND_SANDWICH = [PropertyId.ALPHA_SKEW_ARMENDARIZ, PropertyId.Q_ALPHA_SKEW_ARMENDARIZ]
+
+
+@pytest.mark.parametrize("prop", PLAIN_AND_SANDWICH)
 @settings(max_examples=40, deadline=None)
 @given(tables=relabelled_carriers(), zero_twist=st.booleans())
-def test_generator_tables_match_every_r_on_relabelled_carriers(tables, zero_twist):
+def test_generator_tables_match_every_r_on_relabelled_carriers(prop, tables, zero_twist):
     # relabelled with zero off index 0; among them non-unital rings and a
     # null multiplication
     ring = make_table_ring(*tables)
     endo = zero_endomorphism(ring) if zero_twist else identity_endomorphism(ring)
-    assert_generator_tables_match(ring, endo)
+    assert_generator_tables_match(ring, endo, prop)
 
 
 def test_generator_tables_match_every_r_with_preperiod_and_period_four():
@@ -347,9 +370,11 @@ def test_generator_tables_match_every_r_with_preperiod_and_period_four():
     swap_corner = table_endomorphism(ring, (0, 2, 1, 3) * 4, "swap-corner")
     assert (swap_corner.preperiod, swap_corner.period) == (1, 2)
     assert_generator_tables_match(ring, swap_corner, PropertyId.ALPHA_QUASI_ARMENDARIZ)
+    assert_generator_tables_match(ring, swap_corner, PropertyId.ALPHA_SKEW_ARMENDARIZ)
     entry = entry_by_name("example3_analogue")
     assert entry.endo.period == 4
-    assert_generator_tables_match(entry.ring, entry.endo)
+    for prop in PLAIN_AND_SANDWICH:
+        assert_generator_tables_match(entry.ring, entry.endo, prop)
 
 
 def test_zero_among_the_greedy_generators_is_dropped():
