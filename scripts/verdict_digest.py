@@ -18,7 +18,9 @@ Laurent property on six windows, the power-series property at truncation
 Each line is a JSON object with the request and either the
 ``verdict_to_record`` record, ``"blocked"`` (the budget refused it) or the
 error that refused it.  Every failing witness is replayed; a witness that
-does not replay stops the run with an error.  A failing request is followed
+does not replay stops the run with an error, and so does a record whose
+``record_to_json`` bytes differ from ``json.dumps`` with sorted keys and
+compact separators.  A failing request is followed
 by a second line with the request and the witness lines ``skewarm check``
 prints (``cli._witness_text``), so the classes' ``render`` is compared too.
 """
@@ -55,7 +57,7 @@ from skewarm import (  # noqa: E402
 from skewarm.cli import _witness_text  # noqa: E402
 from skewarm.corpus import all_entries  # noqa: E402
 from skewarm.deciders import FAMILY_PROPERTIES  # noqa: E402
-from skewarm.formats import verdict_to_record  # noqa: E402
+from skewarm.formats import record_to_json, verdict_to_record  # noqa: E402
 
 WINDOWS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1), (0, 2, 0, 2), (2, 0, 0, 0), (0, 0, 2, 0))
 RELABEL_SEEDS = (1, 2)
@@ -125,6 +127,10 @@ def envelopes():
         yield PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW, {"truncation": truncation, "min_exp": -1}
 
 
+def compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def main() -> int:
     for name, form, ring, endo_name, endo in carriers():
         for prop, envelope in envelopes():
@@ -142,13 +148,15 @@ def main() -> int:
             except RingError as err:
                 line["error"] = f"{type(err).__name__}: {err}"
             else:
-                line["record"] = verdict_to_record(verdict, ring, endo)
-            print(json.dumps(line, sort_keys=True, separators=(",", ":")))
+                line["record"] = record = verdict_to_record(verdict, ring, endo)
+                if record_to_json(record) != compact(record) + "\n":
+                    raise AssertionError(f"record_to_json differs from json.dumps: {line}")
+            print(compact(line))
             if "record" in line and not verdict.holds:
                 replay_witness(ring, endo, prop, verdict.witness)
                 del line["record"]
                 line["witness_text"] = _witness_text(ring, endo, prop, verdict.witness)
-                print(json.dumps(line, sort_keys=True, separators=(",", ":")))
+                print(compact(line))
     return 0
 
 

@@ -142,12 +142,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise formats.FormatError(f"cannot read verdict record: {err}") from err
-    ring, endo, prop, _env, witness, holds = formats.parse_verdict_record(doc)
+    doc, list_booleans = formats.read_json(args.file, "verdict record")
+    ring, endo, prop, _env, witness, holds = formats.parse_verdict_record(doc, list_booleans)
     if holds:
         print("verdict records a holding outcome; nothing to replay")
         return EXIT_HOLDS

@@ -11,6 +11,8 @@ other inputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 
 import numpy as np
@@ -89,16 +91,23 @@ def _ints(value, where: str, length: int | None = None) -> list[int]:
     return value
 
 
-def _table(value, where: str) -> np.ndarray:
+def _table(value, where: str, list_booleans: bool) -> np.ndarray:
     """A square table of element indices, given as a list of rows, as an
-    array.  (numpy's type inference reads a JSON true among integers as 1.)"""
+    array.
+
+    numpy's type inference reads a JSON true among integers as 1, so when
+    ``list_booleans`` says the document may hold a true or false in a list,
+    each entry's type is tested as well.
+    """
     try:
         table = np.array(value)
     except ValueError:  # rows of unequal shapes
         table = np.array(None)
     if not isinstance(value, list) or table.shape != (len(value), len(value)):
         raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
-    if table.dtype.kind not in "iu":  # 1.5, "1", null and integers past 64 bits
+    if table.dtype.kind not in "iu" or (  # 1.5, "1", null and integers past 64 bits
+        list_booleans and bool in set(map(type, itertools.chain.from_iterable(value)))
+    ):
         raise FormatError(f"{where} entries must be integers")
     if not 0 <= table.min() <= table.max() < len(value):
         raise FormatError(f"{where} entries must lie in 0..{len(value) - 1}")
@@ -111,7 +120,7 @@ def _labels(value, where: str) -> list | None:
     return value
 
 
-def _build_kind(doc: dict, where: str, size_cap: int):
+def _build_kind(doc: dict, where: str, size_cap: int, list_booleans: bool):
     kind = _object(doc, where).get("kind")
     if kind == "zmod":
         _require_keys(doc, {"kind", "n"}, set(), where)
@@ -121,24 +130,24 @@ def _build_kind(doc: dict, where: str, size_cap: int):
         factors = doc["factors"]
         if not isinstance(factors, list) or len(factors) != 2:
             raise FormatError(f"{where}: 'factors' must be a list of two ring documents")
-        r1 = _build_kind(factors[0], where + ".factors[0]", size_cap)
-        r2 = _build_kind(factors[1], where + ".factors[1]", size_cap)
+        r1 = _build_kind(factors[0], where + ".factors[0]", size_cap, list_booleans)
+        r2 = _build_kind(factors[1], where + ".factors[1]", size_cap, list_booleans)
         return make_direct_product(r1, r2, size_cap)
     if kind == "trivial_extension":
         _require_keys(doc, {"kind", "base"}, set(), where)
-        base = _build_kind(doc["base"], where + ".base", size_cap)
+        base = _build_kind(doc["base"], where + ".base", size_cap, list_booleans)
         return make_trivial_extension(base, regular_bimodule(base), size_cap)
     if kind == "quotient":
         _require_keys(doc, {"kind", "base", "ideal"}, set(), where)
-        base = _build_kind(doc["base"], where + ".base", size_cap)
+        base = _build_kind(doc["base"], where + ".base", size_cap, list_booleans)
         ideal = make_ideal(base, _ints(doc["ideal"], where + ".ideal"))
         quot, _ = make_quotient(base, ideal)
         return quot
     if kind == "table":
         _require_keys(doc, {"kind", "add_table", "mul_table"}, {"labels"}, where)
         return make_table_ring(
-            _table(doc["add_table"], where + ".add_table"),
-            _table(doc["mul_table"], where + ".mul_table"),
+            _table(doc["add_table"], where + ".add_table", list_booleans),
+            _table(doc["mul_table"], where + ".mul_table", list_booleans),
             _labels(doc.get("labels"), where + ".labels"),
             size_cap=size_cap,
         )
@@ -150,7 +159,7 @@ def _build_kind(doc: dict, where: str, size_cap: int):
 
 
 def _builtin_endomorphism(
-    ring: FiniteRing, name: str, doc: dict, size_cap: int
+    ring: FiniteRing, name: str, doc: dict, size_cap: int, list_booleans: bool
 ) -> Endomorphism:
     n = ring.size
     if name == "identity":
@@ -173,9 +182,9 @@ def _builtin_endomorphism(
         )
     if name == "negate_second_component":
         if doc.get("kind") == "product":
-            sub = _build_kind(doc["factors"][1], "factors[1]", size_cap)
+            sub = _build_kind(doc["factors"][1], "factors[1]", size_cap, list_booleans)
         elif doc.get("kind") == "trivial_extension":
-            sub = _build_kind(doc["base"], "base", size_cap)
+            sub = _build_kind(doc["base"], "base", size_cap, list_booleans)
         else:
             raise FormatError(
                 "'negate_second_component' needs a product or trivial extension"
@@ -187,9 +196,14 @@ def _builtin_endomorphism(
 
 
 def parse_ring_definition(
-    doc: dict, size_cap: int = 256
+    doc: dict, size_cap: int = 256, list_booleans: bool = True
 ) -> tuple[FiniteRing, Endomorphism | None]:
-    """Build (ring, optional endomorphism) from a definition document."""
+    """Build (ring, optional endomorphism) from a definition document.
+
+    ``list_booleans=False`` promises that no list in the document holds a
+    JSON true or false (``read_json`` tells from the text), which spares
+    the per-entry type test of the tables.
+    """
     if not isinstance(doc, dict):
         raise FormatError("ring definition must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -197,7 +211,7 @@ def parse_ring_definition(
             f"unsupported schema_version {doc.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
         )
     body = {k: v for k, v in doc.items() if k not in ("schema_version", "endomorphism", "label")}
-    ring = _build_kind(body, "ring", size_cap)
+    ring = _build_kind(body, "ring", size_cap, list_booleans)
     if "label" in doc:
         ring = dataclasses.replace(ring, label=str(doc["label"]))
     endo = None
@@ -212,19 +226,42 @@ def parse_ring_definition(
             images = _ints(spec["images"], "endomorphism.images")
             endo = table_endomorphism(ring, images, str(spec.get("label", "endo")))
         else:
-            endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap)
+            endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap, list_booleans)
             if "label" in spec:
                 endo = dataclasses.replace(endo, label=str(spec["label"]))
     return ring, endo
 
 
 def load_ring_definition(path, size_cap: int = 256):
+    doc, list_booleans = read_json(path, "ring definition")
+    return parse_ring_definition(doc, size_cap, list_booleans)
+
+
+def read_json(path, what: str) -> tuple[object, bool]:
+    """The JSON document in a file, and whether a JSON true or false may be
+    an entry of one of its lists (``_booleans_in_lists``)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        return json.loads(text), _booleans_in_lists(text)
     except (OSError, json.JSONDecodeError) as err:
-        raise FormatError(f"cannot read ring definition: {err}") from err
-    return parse_ring_definition(doc, size_cap)
+        raise FormatError(f"cannot read {what}: {err}") from err
+
+
+def _booleans_in_lists(text: str) -> bool:
+    """Whether some true or false in JSON text follows "[" or "," past
+    whitespace, as a list entry does.  One inside a string can raise a false
+    alarm, never hide an entry."""
+    for word in ("true", "false"):
+        at = text.find(word)
+        while at >= 0:
+            before = at - 1
+            while before >= 0 and text[before] in " \t\n\r":
+                before -= 1
+            if before >= 0 and text[before] in "[,":
+                return True
+            at = text.find(word, at + 1)
+    return False
 
 
 # --------------------------------------------------------------------------
@@ -330,8 +367,8 @@ def verdict_to_record(
         "ring": {
             "label": ring.label,
             "size": ring.size,
-            "add_table": [list(row) for row in ring.add_table],
-            "mul_table": [list(row) for row in ring.mul_table],
+            "add_table": _Table(ring.add_table, ring.add_array),
+            "mul_table": _Table(ring.mul_table, ring.mul_array),
             "element_labels": list(ring.element_labels),
         },
         "endomorphism": None
@@ -344,14 +381,67 @@ def verdict_to_record(
     return rec
 
 
+class _Table(tuple):
+    """A ring table in a verdict record: the ring's row tuples, which
+    ``json.dumps`` writes as a list of lists, and the same table as the
+    ring's read-only array, from which ``record_to_json`` writes it."""
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...], array: np.ndarray):
+        table = super().__new__(cls, rows)
+        table.array = array
+        return table
+
+    def __reduce__(self):
+        return _Table, (tuple(self), self.array)
+
+
 def record_to_json(rec: dict) -> str:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+    """The structured form of a record, byte for byte
+    ``json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n"``.
+
+    Objects with string keys are written member by member in key order, the
+    ring tables of ``verdict_to_record`` from their arrays (``_table_json``)
+    and every other value by ``json.dumps``.
+    """
+    return _to_json(rec) + "\n"
+
+
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _to_json(value) -> str:
+    if isinstance(value, _Table):
+        return _table_json(value.array)
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        members = (_encode(key) + ":" + _to_json(value[key]) for key in sorted(value))
+        return "{" + ",".join(members) + "}"
+    return _encode(value)
+
+
+@functools.cache
+def _digits(n: int) -> np.ndarray:
+    """Row i: i in decimal as bytes, padded with spaces to the width of
+    n - 1, between a space and ", " (the space slots take the row brackets)."""
+    width = len(str(n - 1))
+    text = "".join(f" {i:<{width}}, " for i in range(n))
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(n, width + 3)
+
+
+def _table_json(table: np.ndarray) -> str:
+    """The compact JSON list of rows of an n × n table of indices 0..n-1:
+    every entry's digits gathered from ``_digits`` at once, the row brackets
+    written into the space slots, then every space dropped."""
+    cells = np.take(_digits(len(table)), table, axis=0)
+    cells[:, 0, 0] = ord("[")
+    cells[:, -1, -2:] = (ord("]"), ord(","))
+    return "[" + cells.tobytes().translate(None, b" ")[:-1].decode("ascii") + "]"
 
 
 def parse_verdict_record(
-    doc: dict,
+    doc: dict, list_booleans: bool = True
 ) -> tuple[FiniteRing, Endomorphism | None, PropertyId, Envelope, Witness | None, bool]:
-    """Rebuild (ring, endo, property, envelope, witness, holds) from a record."""
+    """Rebuild (ring, endo, property, envelope, witness, holds) from a record;
+    ``list_booleans`` as for ``parse_ring_definition``."""
     if not isinstance(doc, dict) or doc.get("kind") != "verdict":
         raise FormatError("not a verdict record")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -364,8 +454,8 @@ def parse_verdict_record(
     if not isinstance(rdoc, dict):
         raise FormatError("verdict record lacks the ring tables")
     ring = make_table_ring(
-        _table(rdoc.get("add_table"), "ring.add_table"),
-        _table(rdoc.get("mul_table"), "ring.mul_table"),
+        _table(rdoc.get("add_table"), "ring.add_table", list_booleans),
+        _table(rdoc.get("mul_table"), "ring.mul_table", list_booleans),
         _labels(rdoc.get("element_labels"), "ring.element_labels"),
         label=str(rdoc.get("label", "ring")),
     )
@@ -453,14 +543,14 @@ def corpus_manifest() -> dict:
     return {"schema_version": SCHEMA_VERSION, "kind": "corpus", "entries": entries}
 
 
-def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
+def parse_manifest_entry(doc: dict, list_booleans: bool = True) -> corpus_mod.CorpusEntry:
     _require_keys(
         doc,
         {"name", "definition", "expectations"},
         {"description", "exploratory"},
         "corpus entry",
     )
-    ring, endo = parse_ring_definition(doc["definition"])
+    ring, endo = parse_ring_definition(doc["definition"], list_booleans=list_booleans)
     if endo is None:
         raise FormatError(f"corpus entry {doc['name']!r} lacks an endomorphism")
     if not isinstance(doc["expectations"], list):
@@ -500,11 +590,7 @@ def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
 
 
 def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise FormatError(f"cannot read corpus manifest: {err}") from err
+    doc, list_booleans = read_json(path, "corpus manifest")
     if (
         not isinstance(doc, dict)
         or doc.get("kind") != "corpus"
@@ -512,4 +598,4 @@ def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
         or not isinstance(doc.get("entries"), list)
     ):
         raise FormatError("not a corpus manifest")
-    return [parse_manifest_entry(e) for e in doc["entries"]]
+    return [parse_manifest_entry(e, list_booleans) for e in doc["entries"]]

@@ -3,15 +3,21 @@
 Elements are dense indices ``0..n-1`` into immutable Cayley tables.  Every
 constructor funnels through one exhaustive validator, so a ``FiniteRing``
 that exists is guaranteed to satisfy all ring axioms.  Validation is never
-sampled: the cubic axioms reduce to the additive generators, so the whole
-check is O(n^2 log n), and the deciders rely on the resulting hard
-guarantees.  Each ring keeps the validated tables as read-only numpy arrays
-beside the tuples, and the constructors, the endomorphism checks and the
-deciders read those arrays instead of converting the tuples again.
+sampled: the cubic axioms reduce to the additive generators G, so the
+whole check is O(|G|·n^2), |G| <= log2 n, as flat gathers (a sum x + y
+read at x·n + y of the flattened table) on the least-dtype tables, one
+generator at a time, with temporaries of O(n^2) size; the deciders rely
+on the resulting hard guarantees.  A bimodule is checked by arrays the
+same way, with an ordered scan of every instance only when a law fails,
+so the error still names the least one.  Each ring keeps the validated
+tables as read-only numpy arrays beside the tuples, and the constructors,
+the endomorphism checks and the deciders read those arrays instead of
+converting the tuples again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field, replace
@@ -43,8 +49,15 @@ class CarrierMismatchError(RingError):
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
-    if len(set(labels)) != len(labels):
+    names = set(labels)
+    if len(names) != len(labels):
         raise AxiomError("element labels must be unique")
+    # whole-text tests first; a forbidden character or "x^" cannot straddle
+    # the NUL between two labels
+    text = "\0".join(labels)
+    if not ("" in names or "x" in names or "x^" in text
+            or any(ch in text for ch in _FORBIDDEN_IN_LABELS)):
+        return
     for lab in labels:
         if not lab:
             raise AxiomError("element labels must be nonempty")
@@ -237,26 +250,24 @@ def _additive_generators(add: np.ndarray) -> list[int]:
 
     In a group each new generator at least doubles the closure, so there are
     at most log2(n) of them.  Work is O(n^2): every pair of closed elements
-    is summed once.
+    is summed once.  Each round sums the whole frontier with every closed
+    element in one gather, so a group of order n closes in O(log n) rounds
+    per generator.
     """
     n = len(add)
     inside = np.zeros(n, dtype=bool)
-    closed = np.empty(n, dtype=np.int64)  # closed[:k]: all their pairwise sums are taken
-    k = 0
+    closed = np.empty(0, dtype=np.intp)  # all their pairwise sums are taken
     gens = []
-    for g in range(n):
-        if inside[g]:
-            continue
+    while not inside.all():
+        g = int(np.argmin(inside))  # the least index outside the closure
         gens.append(g)
         inside[g] = True
-        queue = [g]
-        while queue:
-            z = queue.pop()
-            closed[k] = z
-            k += 1
+        new = np.array([g])
+        while new.size:
+            closed = np.concatenate([closed, new])
             reached = np.zeros(n, dtype=bool)
-            reached[add[z, closed[:k]]] = True
-            queue.extend(np.flatnonzero(reached & ~inside).tolist())
+            reached[add[new[:, None], closed]] = True
+            new = np.flatnonzero(reached & ~inside)
             inside |= reached
     return gens
 
@@ -301,18 +312,30 @@ def _prime_basis(add: np.ndarray, zero: int):
     return p, basis, coords
 
 
+def _light_test(add: np.ndarray, gens: list[int]) -> bool:
+    """Light's associativity test with each generator g in the middle:
+    (x+g)+y = x+(g+y).  The g that pass are closed under + in any magma, so
+    generators suffice."""
+    return all(np.array_equal(add[add[:, g]], add[:, add[g]]) for g in gens)
+
+
 def _axioms_hold_on(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
     """Associativity and distributivity, checked on the additive generators
-    only (see ``_validate`` for why that is complete)."""
-    for g in gens:
-        # Light's test with g in the middle: (x+g)+y = x+(g+y)
-        if not np.array_equal(add[add[:, g]], add[:, add[g]]):
-            return False
+    only (see ``_validate`` for why that is complete).
+
+    A sum of two products x + y is read from the flat table at x·n + y, one
+    ``np.take`` per generator, so each temporary is a single n × n array.
+    """
+    if not _light_test(add, gens):
+        return False
+    n = len(add)
+    flat_add = add.ravel()
+    mul_n = mul.astype(np.intp) * n
     for g in gens:
         # a·(b+g) = a·b + a·g, and (b+g)·a = b·a + g·a
-        if not np.array_equal(mul[:, add[:, g]], add[mul, mul[:, g, None]]):
+        if not np.array_equal(mul[:, add[:, g]], np.take(flat_add, mul_n + mul[:, g, None])):
             return False
-        if not np.array_equal(mul[add[:, g]], add[mul, mul[None, g]]):
+        if not np.array_equal(mul[add[:, g]], np.take(flat_add, mul_n + mul[g])):
             return False
     g = np.asarray(gens)
     gg = mul[np.ix_(g, g)]
@@ -326,7 +349,7 @@ def _validate_tables(
     labels: tuple[str, ...],
 ) -> tuple[int, tuple[int, ...], int | None]:
     """Exhaustively check all ring axioms; return (zero, neg_table, one)."""
-    zero, neg, one, _ = _validate(n, add, mul, labels)
+    zero, neg, one, _, _, _ = _validate(n, add, mul, labels)
     return zero, neg, one
 
 
@@ -335,9 +358,10 @@ def _validate(
     add: np.ndarray,
     mul: np.ndarray,
     labels: tuple[str, ...],
-) -> tuple[int, tuple[int, ...], int | None, list[int]]:
+) -> tuple[int, tuple[int, ...], int | None, list[int], np.ndarray, np.ndarray]:
     """Exhaustively check all ring axioms; return (zero, neg_table, one,
-    additive generators).
+    additive generators, add, mul), the tables as new arrays in the least
+    dtype that holds every index (``np.min_scalar_type(n - 1)``).
 
     Commutativity, the unique zero and unique inverses of ``+`` are checked
     at every pair.  The cubic axioms are then reduced to a generating set G
@@ -361,6 +385,8 @@ def _validate(
             raise AxiomError(f"{name} table must be {n}x{n}, got {t.shape}")
         if t.min() < 0 or t.max() >= n:
             raise AxiomError(f"{name} table entry out of range 0..{n - 1}")
+    dtype = np.min_scalar_type(n - 1)
+    add, mul = add.astype(dtype), mul.astype(dtype)
 
     if not np.array_equal(add, add.T):
         a, b = _first_mismatch(add, add.T)
@@ -386,7 +412,7 @@ def _validate(
 
     ones = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
     one = int(ones[0]) if ones.size else None
-    return zero, tuple(neg.tolist()), one, gens
+    return zero, tuple(neg.tolist()), one, gens, add, mul
 
 
 def _build_ring(
@@ -411,7 +437,9 @@ def _build_ring(
 
     add = np.asarray(add_table, dtype=np.int64)
     mul = np.asarray(mul_table, dtype=np.int64)
-    zero, neg, one, gens = _validate(n, add, mul, labels)
+    zero, neg, one, gens, add, mul = _validate(n, add, mul, labels)
+    add.setflags(write=False)
+    mul.setflags(write=False)
 
     return FiniteRing(
         ring_id=_next_ring_id(),
@@ -424,17 +452,10 @@ def _build_ring(
         label=label,
         element_labels=labels,
         _label_index={lab: i for i, lab in enumerate(labels)},
-        add_array=_frozen(add),
-        mul_array=_frozen(mul),
+        add_array=add,
+        mul_array=mul,
         generators=tuple(gens),
     )
-
-
-def _frozen(table: np.ndarray) -> np.ndarray:
-    """A read-only copy of a validated table in the least dtype holding its indices."""
-    out = table.astype(np.min_scalar_type(len(table) - 1))
-    out.setflags(write=False)
-    return out
 
 
 def make_table_ring(
@@ -511,7 +532,13 @@ def make_bimodule(
     labels=None,
     label: str = "bimodule",
 ) -> Bimodule:
-    """Validate and build a bimodule; all axioms are checked exhaustively."""
+    """Validate and build a bimodule; all axioms are checked exhaustively.
+
+    The checks run on arrays, the seven action laws on the additive
+    generators of R and of M (``_bimodule_laws_hold``); when a law fails,
+    ``_scan_bimodule_laws`` checks every instance in order, so the error
+    names the first violated law and its least instance.
+    """
     m = len(add_table)
     n = ring.size
     if labels is None:
@@ -519,30 +546,96 @@ def make_bimodule(
     labels = tuple(str(x) for x in labels)
     _check_labels(labels)
 
-    add = np.asarray([[int(x) for x in row] for row in add_table], dtype=np.int64)
+    add = np.asarray(add_table, dtype=np.int64)
     if not np.array_equal(add, add.T):
         raise AxiomError("bimodule addition not commutative")
     idx = np.arange(m)
-    zero_rows = [z for z in range(m) if np.array_equal(add[z], idx)]
+    zero_rows = np.flatnonzero((add == idx).all(axis=1))
     if len(zero_rows) != 1:
         raise AxiomError("bimodule addition has no unique identity")
-    zero = zero_rows[0]
-    neg = []
-    for a in range(m):
-        inv = np.flatnonzero(add[a] == zero)
-        if inv.size != 1:
-            raise AxiomError(f"bimodule element {labels[a]} has no unique inverse")
-        neg.append(int(inv[0]))
-    for a in range(m):
-        if not np.array_equal(add[add[a], :], add[a][add]):
-            raise AxiomError("bimodule addition not associative")
+    zero = int(zero_rows[0])
+    is_zero = add == zero
+    no_inverse = np.flatnonzero(is_zero.sum(axis=1) != 1)
+    if no_inverse.size:
+        raise AxiomError(f"bimodule element {labels[no_inverse[0]]} has no unique inverse")
+    neg = is_zero.argmax(axis=1)
 
-    lact = [[int(x) for x in row] for row in left_action]
-    ract = [[int(x) for x in row] for row in right_action]
-    radd = ring.add_table
-    rmul = ring.mul_table
-    madd = [[int(x) for x in row] for row in add]
+    _check_action_table("addition", add, (m, m), m)
+    gens = _additive_generators(add)
+    if not _light_test(add, gens):
+        raise AxiomError("bimodule addition not associative")
+    lact = _check_action_table("left action", np.asarray(left_action, dtype=np.int64), (n, m), m)
+    ract = _check_action_table("right action", np.asarray(right_action, dtype=np.int64), (m, n), m)
+    if not _bimodule_laws_hold(ring, add, gens, lact, ract):
+        _scan_bimodule_laws(ring, add.tolist(), lact.tolist(), ract.tolist())
 
+    return Bimodule(
+        ring=ring,
+        size=m,
+        add_table=tuple(map(tuple, add.tolist())),
+        neg_table=tuple(neg.tolist()),
+        zero=zero,
+        left_action=tuple(map(tuple, lact.tolist())),
+        right_action=tuple(map(tuple, ract.tolist())),
+        element_labels=labels,
+        label=label,
+    )
+
+
+def _check_action_table(name: str, table: np.ndarray, shape: tuple[int, int], m: int):
+    """``table``, once it has the shape and entries in 0..m-1 (M's elements)."""
+    if table.shape != shape or table.min() < 0 or table.max() >= m:
+        raise AxiomError(
+            f"bimodule {name} must be a {shape[0]}x{shape[1]} table with entries in 0..{m - 1}"
+        )
+    return table
+
+
+def _bimodule_laws_hold(
+    ring: FiniteRing, madd: np.ndarray, mgens: list[int], lact: np.ndarray, ract: np.ndarray
+) -> bool:
+    """The seven action laws, checked on the additive generators g of R and
+    h of M only, one generator per gather.  With both additions abelian
+    groups this is complete:
+
+    - Additivity: the h with r(x+h) = rx + rh for all r, x are closed under
+      +, so h in M's generators suffices; likewise (x+h)r, (r+g)x and x(r+g).
+    - Associativity and compatibility: once the four additive laws hold,
+      (rg)x - r(gx), x(gs) - (xg)s and (rh)s - r(hs) are additive in g, g
+      and h, so generators suffice there too.
+
+    A sum of two module elements x + y is read from the flat table at
+    x·m + y.
+    """
+    radd, rmul, rgens = ring.add_array, ring.mul_array, ring.generators
+    m = len(madd)
+    flat = madd.ravel()
+    lact_m, ract_m = lact * m, ract * m
+    for h in mgens:
+        # r(x+h) = rx + rh, (x+h)r = xr + hr, (rh)s = r(hs)
+        if not (
+            np.array_equal(lact[:, madd[:, h]], np.take(flat, lact_m + lact[:, h, None]))
+            and np.array_equal(ract[madd[:, h]], np.take(flat, ract_m + ract[h]))
+            and np.array_equal(ract[lact[:, h]], lact[:, ract[h]])
+        ):
+            return False
+    for g in rgens:
+        # (r+g)x = rx + gx, x(r+g) = xr + xg, (rg)x = r(gx), x(gs) = (xg)s
+        if not (
+            np.array_equal(lact[radd[:, g]], np.take(flat, lact_m + lact[g]))
+            and np.array_equal(ract[:, radd[:, g]], np.take(flat, ract_m + ract[:, g, None]))
+            and np.array_equal(lact[rmul[:, g]], lact[:, lact[g]])
+            and np.array_equal(ract[:, rmul[g]], ract[ract[:, g]])
+        ):
+            return False
+    return True
+
+
+def _scan_bimodule_laws(ring: FiniteRing, madd: list, lact: list, ract: list) -> None:
+    """Check every instance of the seven action laws in order; raise
+    AxiomError for the first violation."""
+    n, m = ring.size, len(madd)
+    radd, rmul = ring.add_table, ring.mul_table
     for r in range(n):
         for m1 in range(m):
             for m2 in range(m):
@@ -578,26 +671,14 @@ def make_bimodule(
                         f"actions not compatible at (r,m,s)=({r},{mm},{s})"
                     )
 
-    return Bimodule(
-        ring=ring,
-        size=m,
-        add_table=tuple(tuple(row) for row in madd),
-        neg_table=tuple(neg),
-        zero=zero,
-        left_action=tuple(tuple(row) for row in lact),
-        right_action=tuple(tuple(row) for row in ract),
-        element_labels=labels,
-        label=label,
-    )
-
 
 def regular_bimodule(ring: FiniteRing) -> Bimodule:
     """The ring acting on itself by multiplication on both sides."""
     return make_bimodule(
         ring,
-        ring.add_table,
-        ring.mul_table,
-        ring.mul_table,
+        ring.add_array,
+        ring.mul_array,
+        ring.mul_array,
         labels=ring.element_labels,
         label=ring.label,
     )
@@ -795,13 +876,13 @@ def _first_non_homomorphic(
     """The least (a,b) with f(a+b) != f(a)+f(b) or f(a·b) != f(a)·f(b), as
     (additive failure?, a, b); the additive law is reported first at a tie."""
     f = np.asarray(images)
-    pairs = (f[:, None], f[None, :])
-    not_additive = f[domain.add_array] != codomain.add_array[pairs]
-    not_multiplicative = f[domain.mul_array] != codomain.mul_array[pairs]
-    bad = np.argwhere(not_additive | not_multiplicative)
-    if bad.size == 0:
+    pairs = f[:, None] * codomain.size + f  # (f(a), f(b)) in the flat tables
+    not_additive = f[domain.add_array] != np.take(codomain.add_array.ravel(), pairs)
+    not_multiplicative = f[domain.mul_array] != np.take(codomain.mul_array.ravel(), pairs)
+    bad = not_additive | not_multiplicative
+    if not bad.any():
         return None
-    a, b = bad[0].tolist()
+    a, b = np.argwhere(bad)[0].tolist()
     return bool(not_additive[a, b]), a, b
 
 
@@ -1073,6 +1154,21 @@ def _irreducible(f: list[int], p: int) -> bool:
     return True
 
 
+@functools.cache
+def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The lexicographically least monic irreducible of degree k over Z_p,
+    little-endian (compared from the constant term up)."""
+    for m in range(p**k):
+        f = [0] * k + [1]
+        mm = m
+        for i in range(k):
+            f[i] = mm % p
+            mm //= p
+        if _irreducible(f, p):
+            return tuple(f)
+    raise AssertionError("degree-k irreducibles always exist")  # pragma: no cover
+
+
 def make_galois_field(p: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
     """GF(p^k) with a deterministic modulus: the lexicographically least monic
     irreducible of degree k (coefficients compared from the constant term up).
@@ -1091,36 +1187,28 @@ def make_galois_field(p: int, k: int, size_cap: int = DEFAULT_SIZE_CAP) -> Finit
         ring = make_zmod(p, size_cap)
         return replace(ring, ring_id=_next_ring_id(), label=f"GF({p})")
 
-    modulus = None
-    for m in range(n):
-        f = [0] * k + [1]
-        mm = m
-        for i in range(k):
-            f[i] = mm % p
-            mm //= p
-        if _irreducible(f, p):
-            modulus = f
-            break
-    assert modulus is not None  # degree-k irreducibles always exist
-
+    modulus = _least_irreducible(p, k)
     idx = np.arange(n)
     weight = p ** np.arange(k)
     digit = idx[:, None] // weight % p  # digit[a, i]: coefficient of x^i in a
     labels = tuple("(" + ",".join(map(str, row)) + ")" for row in digit.tolist())
-    add = np.zeros((n, n), dtype=np.int64)
-    for i in range(k):
-        add += (digit[:, None, i] + digit[None, :, i]) % p * weight[i]
+    # a = a_0 + x·(a div p), so each table is built one coefficient at a
+    # time: round i gives it on the p^i elements of degree below i
+    zp = np.arange(p)
+    add = np.zeros((1, 1), dtype=np.intp)
+    for _ in range(k):  # a + b = (a_0 + b_0) mod p + x·(a div p + b div p)
+        add = _pair_table(add, ((zp[:, None] + zp) % p)[None, :, None, :])
     # scale[c, b] = c·b for c in Z_p
     scale = np.arange(p)[:, None, None] * digit % p @ weight
     # x·b: shift the coefficients up, then replace x^k by -(modulus - x^k)
     minus_low = sum((-c) % p * int(w) for c, w in zip(modulus, weight))
     times_x = add[idx % weight[-1] * p, scale[digit[:, -1], minus_low]]
-    # a·b = sum over j of a_j·(x^j·b), accumulated one coefficient of a at a time
-    mul = np.zeros((n, n), dtype=np.int64)
-    power = idx  # x^j·b for every b
-    for j in range(k):
-        mul = add[mul, scale[digit[:, j, None], power]]
-        power = times_x[power]
+    # Horner: a·b = a_0·b + x·((a div p)·b), the sum read from the flat table
+    flat_add = add.ravel()
+    mul = np.zeros((1, n), dtype=np.intp)  # 0·b
+    for i in range(1, k + 1):
+        a = np.arange(p**i)
+        mul = np.take(flat_add, scale[a % p] * n + times_x[mul[a // p]])
 
     mod_str = "x^" + str(k)
     for i in range(k - 1, -1, -1):

@@ -332,6 +332,7 @@ MALFORMED_DEFINITIONS = [
     _table("ab", Z2_MUL),
     _table(Z2_ADD, [[0, 0], [0, 1.5]]),  # 1.5 must not read as 1
     _table(Z2_ADD, [[0, 0], [0, 10**30]]),  # beyond any machine integer
+    _table(Z2_ADD, [[0, 0], [0, True]]),  # true must not read as 1
     _quotient([0, "a"]),
     _quotient(5),
     {"kind": "galois_field", "p": 2, "k": "x"},
@@ -345,6 +346,7 @@ MALFORMED_RECORD_EDITS = [
     _edit("witness", "pair", value=[0]),
     _edit("witness", "p", "min_exp", value="x"),
     _edit("envelope", value=[1]),
+    _edit("ring", "add_table", 0, 0, value=False),  # false must not read as 0
 ]
 
 _ENTRY = {"name": "e", "definition": dict(EX1, schema_version="1"), "expectations": []}
@@ -380,3 +382,22 @@ def test_malformed_document_is_invalid_input(ex2_file, tmp_path, capsys, command
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "Traceback" not in out.out + out.err
+
+
+@pytest.mark.parametrize("command", ["validate", "replay"])
+def test_json_boolean_table_entry_is_refused(ex2_file, tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    if command == "validate":
+        doc = {"schema_version": "1", **_table(Z2_ADD, [[0, 0], [0, True]])}
+        where = "ring.mul_table"
+    else:
+        args = ["check", ex2_file, "--property", "q-alpha-skew-armendariz", "--deg", "1"]
+        assert main(args + ["--format", "structured"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        doc["ring"]["add_table"][0][0] = bool(doc["ring"]["add_table"][0][0])
+        where = "ring.add_table"
+    path.write_text(json.dumps(doc, indent=1))
+    assert main([command, str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {where} entries must be integers\n"

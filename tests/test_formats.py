@@ -1,10 +1,23 @@
+import copy
 import json
+import pickle
 
+import numpy as np
 import pytest
 
-from skewarm import PropertyId, check_armendariz_family, check_property, replay_witness
+from skewarm import (
+    PropertyId,
+    check_armendariz_family,
+    check_property,
+    identity_endomorphism,
+    is_reduced,
+    make_table_ring,
+    make_zmod,
+    replay_witness,
+)
 from skewarm.formats import (
     FormatError,
+    _booleans_in_lists,
     corpus_manifest,
     parse_ring_definition,
     parse_verdict_record,
@@ -192,3 +205,83 @@ def test_manifest_schema():
         for exp in entry["expectations"]:
             assert exp["outcome"] in ("holds", "fails")
             assert exp["provenance"] in ("literature", "trivial", "computed")
+
+
+# --------------------------------------------------------------------------
+# structured output: the bytes of json.dumps with sorted keys, compact
+
+
+def _reference_json(rec):
+    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# quotes, backslashes, non-ASCII text and the text of a table's key
+TRICKY_LABELS = ('a"b', "c\\d", "\u00e9", "\u2211", "\U0001F600", '"add_table":0,', '"mul_table":[')
+
+
+def _tricky_ring(size):
+    """Z_size with its first labels replaced by ``TRICKY_LABELS``."""
+    cap = max(size, 256)
+    base = make_zmod(size, size_cap=cap)
+    labels = list(base.element_labels)
+    labels[: len(TRICKY_LABELS)] = TRICKY_LABELS[:size]
+    label = 'Z "add_table":0, \\ \u00e9'
+    return make_table_ring(base.add_array, base.mul_array, labels, label, size_cap=cap)
+
+
+@pytest.mark.parametrize("size", [1, 10, 11, 100, 101, 256, 300])
+def test_record_bytes_match_the_reference_encoding(size):
+    ring = _tricky_ring(size)
+    assert ring.add_array.dtype == (np.uint16 if size > 256 else np.uint8)
+    verdicts = [is_reduced(ring)]
+    if size <= 11:
+        alpha = identity_endomorphism(ring)
+        verdicts.append(check_property(ring, alpha, PropertyId.ALPHA_SKEW_ARMENDARIZ, degree=1))
+    for verdict in verdicts:
+        for endo in (None, identity_endomorphism(ring)):
+            rec = verdict_to_record(verdict, ring, endo)
+            text = record_to_json(rec)
+            assert text == _reference_json(rec)
+            parsed = json.loads(text)
+            assert parsed["ring"]["mul_table"] == [list(row) for row in ring.mul_table]
+            assert record_to_json(parsed) == text  # a record read back writes the same bytes
+    assert any(not v.holds for v in verdicts) == (size in (100, 256, 300))
+
+
+def test_record_tables_are_the_rings_and_stay_read_only():
+    ring = _tricky_ring(10)
+    rec = verdict_to_record(is_reduced(ring), ring, None)
+    assert rec["ring"]["add_table"] == ring.add_table
+    assert rec["ring"]["mul_table"] == ring.mul_table
+    with pytest.raises(TypeError):
+        rec["ring"]["add_table"][0] = (0,) * 10
+    for copied in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert record_to_json(copied) == record_to_json(rec)
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ('{"t": [[0, 1], [1, true]]}', True),
+        ('{"t": [false, 1]}', True),
+        ('{"t": [\n  true]}', True),
+        ('{"exhaustive": true, "t": [[0, 1]]}', False),
+        ('{"exhaustive":false}', False),
+        ('{"labels": ["true", "false"]}', False),
+        ('{"labels": ["a,true"]}', True),  # a false alarm costs time, never a verdict
+        ("[1, 2]", False),
+    ],
+)
+def test_booleans_in_lists_are_found_from_the_text(text, found):
+    assert _booleans_in_lists(text) == found
+
+
+def test_json_booleans_in_a_table_are_refused():
+    definition = doc(kind="table", add_table=[[0, 1], [1, 0]], mul_table=[[0, 0], [0, True]])
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        parse_ring_definition(definition)
+    z4 = make_zmod(4)
+    rec = json.loads(record_to_json(verdict_to_record(is_reduced(z4), z4, None)))
+    rec["ring"]["add_table"][0][0] = False
+    with pytest.raises(FormatError, match=r"^ring\.add_table entries must be integers$"):
+        parse_verdict_record(rec)

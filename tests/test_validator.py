@@ -32,7 +32,13 @@ from skewarm.deciders import (
     is_semicommutative,
     is_symmetric,
 )
-from skewarm.rings import _irreducible, _poly_divmod, _validate_tables
+from skewarm.rings import (
+    _additive_generators,
+    _irreducible,
+    _poly_divmod,
+    _validate_tables,
+    make_bimodule,
+)
 
 
 # --------------------------------------------------------------------------
@@ -298,6 +304,214 @@ def test_single_entry_corruptions_break_each_axiom_in_turn():
             if isinstance(got, str):
                 seen.update(axiom for axiom in AXIOM_MESSAGES if axiom in got)
     assert seen == set(AXIOM_MESSAGES)
+
+
+# --------------------------------------------------------------------------
+# additive generators: the closure one queued element at a time
+
+
+def _reference_additive_generators(add):
+    """The least index outside the closure of the generators so far, the
+    closure grown by summing one queued element with every closed one."""
+    n = len(add)
+    inside = np.zeros(n, dtype=bool)
+    closed = np.empty(n, dtype=np.int64)  # closed[:k]: all their pairwise sums are taken
+    k = 0
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        inside[g] = True
+        queue = [g]
+        while queue:
+            z = queue.pop()
+            closed[k] = z
+            k += 1
+            reached = np.zeros(n, dtype=bool)
+            reached[add[z, closed[:k]]] = True
+            queue.extend(np.flatnonzero(reached & ~inside).tolist())
+            inside |= reached
+    return gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables=relabelled_carriers())
+def test_additive_generators_match_one_element_closure(tables):
+    # zero moved off index 0, non-unital and null multiplications among them
+    add, _ = tables
+    expected = _reference_additive_generators(add)
+    assert _additive_generators(add) == expected
+    # validation runs on the least dtype
+    assert _additive_generators(add.astype(np.min_scalar_type(len(add) - 1))) == expected
+
+
+# --------------------------------------------------------------------------
+# bimodules: the ordered scan of every law instance
+
+
+def _reference_bimodule(ring, add, lact, ract):
+    """The first violated bimodule axiom, as make_bimodule words it, from
+    loops over every instance in order; None when all hold."""
+    m, n = len(add), ring.size
+    radd, rmul = ring.add_table, ring.mul_table
+    if any(add[a][b] != add[b][a] for a in range(m) for b in range(m)):
+        return "bimodule addition not commutative"
+    zeros = [z for z in range(m) if list(add[z]) == list(range(m))]
+    if len(zeros) != 1:
+        return "bimodule addition has no unique identity"
+    for a in range(m):
+        if list(add[a]).count(zeros[0]) != 1:
+            return f"bimodule element m{a} has no unique inverse"
+    for a, b, c in itertools.product(range(m), repeat=3):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            return "bimodule addition not associative"
+    for r, m1, m2 in itertools.product(range(n), range(m), range(m)):
+        if lact[r][add[m1][m2]] != add[lact[r][m1]][lact[r][m2]]:
+            return f"left action not additive in the module at (r,m1,m2)=({r},{m1},{m2})"
+        if ract[add[m1][m2]][r] != add[ract[m1][r]][ract[m2][r]]:
+            return f"right action not additive in the module at (m1,m2,r)=({m1},{m2},{r})"
+    for r, s, x in itertools.product(range(n), range(n), range(m)):
+        if lact[radd[r][s]][x] != add[lact[r][x]][lact[s][x]]:
+            return f"left action not additive in the ring at (r,s,m)=({r},{s},{x})"
+        if ract[x][radd[r][s]] != add[ract[x][r]][ract[x][s]]:
+            return f"right action not additive in the ring at (m,r,s)=({x},{r},{s})"
+        if lact[rmul[r][s]][x] != lact[r][lact[s][x]]:
+            return f"left action not associative at (r,s,m)=({r},{s},{x})"
+        if ract[x][rmul[r][s]] != ract[ract[x][r]][s]:
+            return f"right action not associative at (m,r,s)=({x},{r},{s})"
+        if ract[lact[r][x]][s] != lact[r][ract[x][s]]:
+            return f"actions not compatible at (r,m,s)=({r},{x},{s})"
+    return None
+
+
+def _bimodule_outcome(ring, add, lact, ract):
+    try:
+        make_bimodule(ring, add, lact, ract)
+    except AxiomError as err:
+        return str(err)
+    return None
+
+
+def _ut2():
+    return make_table_ring(*_upper_triangular(2), label="UT2(Z2)")
+
+
+def _regular_tables(ring):
+    module = regular_bimodule(ring)
+    return [np.array(t) for t in (module.add_table, module.left_action, module.right_action)]
+
+
+BIMODULE_LAWS = (
+    "bimodule addition not commutative",
+    "bimodule addition has no unique identity",
+    "no unique inverse",
+    "bimodule addition not associative",
+    "left action not additive in the module",
+    "right action not additive in the module",
+    "left action not additive in the ring",
+    "right action not additive in the ring",
+    "left action not associative",
+    "right action not associative",
+    "actions not compatible",
+)
+
+
+def _corruptions(tables):
+    """Single-entry corruptions of each table (addition, left action, right
+    action), then every row of the left action copied over another and
+    every column of the right action likewise, which keeps the actions
+    additive in the module and breaks the ring laws."""
+    size = len(tables[0])
+    for which, table in enumerate(tables):
+        for (i, j), shift in itertools.product(np.ndindex(table.shape), range(1, size)):
+            out = [t.copy() for t in tables]
+            out[which][i, j] = (out[which][i, j] + shift) % size
+            yield out
+    for r, s in itertools.permutations(range(len(tables[1])), 2):
+        out = [t.copy() for t in tables]
+        out[1][r] = out[1][s]
+        yield out
+        out = [t.copy() for t in tables]
+        out[2][:, r] = out[2][:, s]
+        yield out
+
+
+def _twisted_right_action(ring):
+    """The regular bimodule with its right action moved through an additive
+    bijection tau of M that is not left R-linear: x·s = tau^-1(tau(x)s).
+    Both actions are module structures, but they are not compatible."""
+    add, lact, ract = _regular_tables(ring)
+    # swap the coordinates a and b of (a, b, d) at index 4a + 2b + d
+    tau = np.array([4 * ((i >> 1) & 1) + 2 * (i >> 2) + (i & 1) for i in range(8)])
+    inverse = np.argsort(tau)
+    return add, lact, inverse[ract[tau]]
+
+
+def _doubled_actions(ring):
+    """The regular bimodule with one action taken through r -> r + r, which
+    on Z4 is additive but not multiplicative: each action stays additive
+    and compatible with the other, and is no longer associative."""
+    add, lact, ract = _regular_tables(ring)
+    double = ring.add_array.diagonal()
+    yield add, lact[double], ract
+    yield add, lact, ract[:, double]
+
+
+def _non_additive_actions(ring):
+    """Z4 acting on Z4 by r·x = r·phi(x) with phi = (0, 0, 2, 2), which is
+    not additive, and the other action zero: every law holds but the
+    additivity in the module of that one action."""
+    add, lact, ract = _regular_tables(ring)
+    phi = np.array([0, 0, 2, 2])
+    yield add, lact[:, phi], np.zeros_like(ract)
+    yield add, np.zeros_like(lact), ract[phi]
+
+
+def test_bimodule_matches_ordered_scan_on_every_corruption():
+    seen = set()
+    for ring in (make_zmod(4), _ut2()):
+        cases = list(_corruptions(_regular_tables(ring)))
+        if ring.size == 4:
+            cases.extend(_doubled_actions(ring))
+            cases.extend(_non_additive_actions(ring))
+        else:
+            cases.append(_twisted_right_action(ring))
+        for add, lact, ract in cases:
+            got = _bimodule_outcome(ring, add, lact, ract)
+            assert got == _reference_bimodule(ring, add.tolist(), lact.tolist(), ract.tolist())
+            if got is not None:
+                seen.update(law for law in BIMODULE_LAWS if law in got)
+    assert seen == set(BIMODULE_LAWS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(which=st.integers(0, 2), data=st.data())
+def test_bimodule_matches_ordered_scan_on_z16(which, data):
+    ring = make_zmod(16)
+    tables = _regular_tables(ring)
+    i, j = data.draw(st.integers(0, 15)), data.draw(st.integers(0, 15))
+    tables[which][i, j] = (tables[which][i, j] + data.draw(st.integers(1, 15))) % 16
+    if data.draw(st.booleans()) and which > 0:  # a row or column copied instead
+        tables = _regular_tables(ring)
+        if which == 1:
+            tables[1][i] = tables[1][j]
+        else:
+            tables[2][:, i] = tables[2][:, j]
+    got = _bimodule_outcome(ring, *tables)
+    assert got == _reference_bimodule(ring, *(t.tolist() for t in tables))
+
+
+@pytest.mark.parametrize("build", [lambda: make_zmod(4), lambda: make_zmod(16), _ut2],
+                         ids=["Z4", "Z16", "UT2(Z2)"])
+def test_regular_bimodule_passes_the_ordered_scan(build):
+    ring = build()
+    module = regular_bimodule(ring)
+    assert _reference_bimodule(ring, module.add_table, module.left_action,
+                               module.right_action) is None
+    assert module.add_table == ring.add_table
+    assert module.left_action == module.right_action == ring.mul_table
+    assert module.neg_table == ring.neg_table and module.zero == ring.zero
 
 
 # --------------------------------------------------------------------------
