@@ -20,7 +20,9 @@ Each line is a JSON object with the request and either the
 error that refused it.  Every failing witness is replayed; a witness that
 does not replay stops the run with an error, and so does a record whose
 ``record_to_json`` bytes differ from ``json.dumps`` with sorted keys and
-compact separators.  A failing request is followed
+compact separators, or whose file ``formats.read_json`` reads back other
+than ``json.loads`` does (its tables as arrays of the same entries, the
+rest equal).  A failing request is followed
 by a second line with the request and the witness lines ``skewarm check``
 prints (``cli._witness_text``), so the classes' ``render`` is compared too.
 """
@@ -31,7 +33,10 @@ import itertools
 import json
 import random
 import sys
+import tempfile
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -57,7 +62,7 @@ from skewarm import (  # noqa: E402
 from skewarm.cli import _witness_text  # noqa: E402
 from skewarm.corpus import all_entries  # noqa: E402
 from skewarm.deciders import FAMILY_PROPERTIES  # noqa: E402
-from skewarm.formats import record_to_json, verdict_to_record  # noqa: E402
+from skewarm.formats import read_json, record_to_json, verdict_to_record  # noqa: E402
 
 WINDOWS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1), (0, 2, 0, 2), (2, 0, 0, 0), (0, 0, 2, 0))
 RELABEL_SEEDS = (1, 2)
@@ -131,7 +136,27 @@ def compact(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def check_read_back(text: str, path: Path) -> None:
+    """Write a record's text to ``path`` and raise unless ``read_json`` reads
+    its tables as int64 arrays of the entries ``json.loads`` reads, and the
+    rest of the document as ``json.loads`` does."""
+    path.write_text(text, encoding="utf-8")
+    doc, _ = read_json(path, "verdict record")
+    expected = json.loads(text)
+    for key in ("add_table", "mul_table"):
+        table = doc["ring"].pop(key)
+        if not isinstance(table, np.ndarray) or table.tolist() != expected["ring"].pop(key):
+            raise AssertionError(f"read_json reads {key} other than json.loads: {text[:200]}")
+    if doc != expected:
+        raise AssertionError(f"read_json reads a record other than json.loads: {text[:200]}")
+
+
 def main() -> int:
+    with tempfile.TemporaryDirectory() as scratch:
+        return digest(Path(scratch) / "record.json")
+
+
+def digest(record_path: Path) -> int:
     for name, form, ring, endo_name, endo in carriers():
         for prop, envelope in envelopes():
             line = {
@@ -149,8 +174,10 @@ def main() -> int:
                 line["error"] = f"{type(err).__name__}: {err}"
             else:
                 line["record"] = record = verdict_to_record(verdict, ring, endo)
-                if record_to_json(record) != compact(record) + "\n":
+                text = record_to_json(record)
+                if text != compact(record) + "\n":
                     raise AssertionError(f"record_to_json differs from json.dumps: {line}")
+                check_read_back(text, record_path)
             print(compact(line))
             if "record" in line and not verdict.holds:
                 replay_witness(ring, endo, prop, verdict.witness)

@@ -252,45 +252,45 @@ _EXH = Envelope(exhaustive=True)
 
 def _reduced(ring, alpha, els):
     (a,) = els
-    v = ring.mul_table[a][a]
+    v = int(ring.mul_array[a, a])
     return (v,) if a != ring.zero and v == ring.zero else None
 
 
 def _domain(ring, alpha, els):
     a, b = els
-    v = ring.mul_table[a][b]
+    v = int(ring.mul_array[a, b])
     return (v,) if ring.zero not in (a, b) and v == ring.zero else None
 
 
 def _commutative(ring, alpha, els):
     a, b = els
-    mul = ring.mul_table
-    return (mul[a][b], mul[b][a]) if mul[a][b] != mul[b][a] else None
+    ab, ba = int(ring.mul_array[a, b]), int(ring.mul_array[b, a])
+    return (ab, ba) if ab != ba else None
 
 
 def _semicommutative(ring, alpha, els):
     a, b, r = els
-    mul = ring.mul_table
-    v = mul[mul[a][r]][b]
-    return (v,) if mul[a][b] == ring.zero and v != ring.zero else None
+    mul = ring.mul_array
+    v = int(mul[mul[a, r], b])
+    return (v,) if mul[a, b] == ring.zero and v != ring.zero else None
 
 
 def _reversible(ring, alpha, els):
     a, b = els
-    mul = ring.mul_table
-    return (mul[b][a],) if mul[a][b] == ring.zero and mul[b][a] != ring.zero else None
+    ab, ba = int(ring.mul_array[a, b]), int(ring.mul_array[b, a])
+    return (ba,) if ab == ring.zero and ba != ring.zero else None
 
 
 def _symmetric(ring, alpha, els):
     a, b, c = els
-    mul = ring.mul_table
-    v = mul[mul[b][a]][c]
-    return (v,) if mul[mul[a][b]][c] == ring.zero and v != ring.zero else None
+    mul = ring.mul_array
+    v = int(mul[mul[b, a], c])
+    return (v,) if mul[mul[a, b], c] == ring.zero and v != ring.zero else None
 
 
 def _rigid(ring, alpha, els):
     (r,) = els
-    v = ring.mul_table[r][alpha.images[r]]
+    v = int(ring.mul_array[r, alpha.images[r]])
     return (v,) if r != ring.zero and v == ring.zero else None
 
 
@@ -1179,8 +1179,6 @@ def replay_witness(
 ) -> None:
     """Re-derive a witness's hypothesis and violation through the public
     arithmetic; raises ReplayMismatch unless both reproduce exactly."""
-    mul, zero = ring.mul_table, ring.zero
-
     if prop in ELEMENT_PROPERTIES:
         els = witness.elements or ()
         for e in els:
@@ -1223,6 +1221,7 @@ def replay_witness(
     a = p.coefficient(i)
     b = q.coefficient(j)
     expected = stmt.twist_at(i)  # None: the property claims every twist exponent
+    mul, zero = ring.mul_table, ring.zero
     if not stmt.sandwich:
         v = mul[a][alpha.power_apply(expected, b)]
     else:

@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import re
 
 import numpy as np
 
@@ -92,25 +93,30 @@ def _ints(value, where: str, length: int | None = None) -> list[int]:
 
 
 def _table(value, where: str, list_booleans: bool) -> np.ndarray:
-    """A square table of element indices, given as a list of rows, as an
-    array.
+    """A square table of element indices, given as a list of rows or as the
+    array ``read_json`` decoded, as an array.
 
     numpy's type inference reads a JSON true among integers as 1, so when
     ``list_booleans`` says the document may hold a true or false in a list,
-    each entry's type is tested as well.
+    each entry of a list of rows has its type tested as well.
     """
-    try:
-        table = np.array(value)
-    except ValueError:  # rows of unequal shapes
-        table = np.array(None)
-    if not isinstance(value, list) or table.shape != (len(value), len(value)):
+    if isinstance(value, np.ndarray):
+        table = value
+    else:
+        try:
+            table = np.array(value if isinstance(value, list) else None)
+        except ValueError:  # rows of unequal shapes
+            table = np.array(None)
+    if table.ndim != 2 or not table.shape[0] == table.shape[1] > 0:
         raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
     if table.dtype.kind not in "iu" or (  # 1.5, "1", null and integers past 64 bits
-        list_booleans and bool in set(map(type, itertools.chain.from_iterable(value)))
+        list_booleans
+        and isinstance(value, list)
+        and bool in set(map(type, itertools.chain.from_iterable(value)))
     ):
         raise FormatError(f"{where} entries must be integers")
-    if not 0 <= table.min() <= table.max() < len(value):
-        raise FormatError(f"{where} entries must lie in 0..{len(value) - 1}")
+    if not 0 <= table.min() <= table.max() < len(table):
+        raise FormatError(f"{where} entries must lie in 0..{len(table) - 1}")
     return table
 
 
@@ -172,7 +178,7 @@ def _builtin_endomorphism(
         if doc.get("kind") != "product":
             raise FormatError("'swap' needs a product ring")
         f1, f2 = doc["factors"]
-        if f1 != f2:
+        if _as_lists(f1) != _as_lists(f2):
             raise FormatError("'swap' needs two identical factors")
         m = round(n**0.5)
         if m * m != n:
@@ -239,13 +245,156 @@ def load_ring_definition(path, size_cap: int = 256):
 
 def read_json(path, what: str) -> tuple[object, bool]:
     """The JSON document in a file, and whether a JSON true or false may be
-    an entry of one of its lists (``_booleans_in_lists``)."""
+    an entry of one of its lists (``_booleans_in_lists``).
+
+    The document is ``json.loads`` of the text, except that each table the
+    readers below pass to ``_table`` (``_table_holders``) is an int64 array
+    when ``_table_array`` accepts its text (``_loads``).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        return json.loads(text), _booleans_in_lists(text)
+        return _loads(text), _booleans_in_lists(text)
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read {what}: {err}") from err
+
+
+_TABLE_KEYS = ("add_table", "mul_table")
+_TABLE_MEMBER = re.compile(r'"(?:add|mul)_table"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_TABLE_TEXT = re.compile(r"[0-9,\[\] \t\n\r]*")  # all a table's text can hold
+
+
+def _loads(text: str):
+    """``json.loads(text)``, with the accepted tables as arrays.
+
+    The text of each ``"add_table"`` or ``"mul_table"`` member value that
+    starts with "[" is swapped for a placeholder string, and the rest is
+    parsed by ``json``.  Each placeholder must come back once, as the
+    add_table or mul_table member of an object without a repeated key;
+    otherwise (a key spelled ``"\\"add_table"``, a repeated key) the whole
+    text is read by ``json.loads`` alone.  A table of ``_table_holders``
+    then becomes ``_table_array`` of its text, and any other, or one that
+    ``_table_array`` refuses, ``json.loads`` of its text, so ``_table``
+    reports a refused table as it reports any list.  A table's text that
+    is not JSON has the whole text read again, for json's own error.
+    """
+    spans = []
+    for member in _TABLE_MEMBER.finditer(text):
+        start = member.end()
+        value = text[start : _TABLE_TEXT.match(text, start).end()].rstrip(" \t\n\r")
+        if value.endswith(","):  # the separator before the next member
+            value = value[:-1].rstrip(" \t\n\r")
+        spans.append((start, start + len(value)))
+    if not spans:
+        return json.loads(text)
+    marks, pieces, end = {}, [], 0
+    for start, stop in spans:
+        mark = f"\0table{len(marks)}"
+        marks[mark] = slice(start, stop)
+        pieces += (text[end:start], json.dumps(mark))
+        end = stop
+    pieces.append(text[end:])
+    placed = []
+
+    def restore(pairs):
+        obj = dict(pairs)
+        for key, value in pairs:
+            if type(value) is str and value in marks:
+                clean = key in _TABLE_KEYS and len(obj) == len(pairs)
+                placed.append((obj, key, value) if clean else None)
+        return obj
+
+    try:
+        doc = json.loads("".join(pieces), object_pairs_hook=restore)
+    except json.JSONDecodeError:
+        return json.loads(text)  # raises, at the position in the file's own text
+    if None in placed or len(placed) != len(marks):  # a repeat, or a forged mark
+        return json.loads(text)
+    holders = {id(obj) for obj in _table_holders(doc)}
+    for obj, key, mark in placed:
+        table = _table_array(text[marks[mark]]) if id(obj) in holders else None
+        if table is None:
+            try:
+                table = json.loads(text[marks[mark]])
+            except json.JSONDecodeError:
+                return json.loads(text)
+        obj[key] = table
+    return doc
+
+
+def _table_holders(doc) -> list:
+    """The objects whose add_table and mul_table members the readers below
+    pass to ``_table``: a verdict record's ring, or each table-kind ring of a
+    definition, down through product factors and the bases of extensions
+    and quotients."""
+    if isinstance(doc, dict) and doc.get("kind") == "verdict":
+        return [doc.get("ring")]
+    holders, stack = [], [doc]
+    while stack:
+        ring = stack.pop()
+        if not isinstance(ring, dict):
+            continue
+        kind = ring.get("kind")
+        if kind == "table":
+            holders.append(ring)
+        elif kind == "product" and isinstance(ring.get("factors"), list):
+            stack += ring["factors"]
+        elif kind in ("trivial_extension", "quotient"):
+            stack.append(ring.get("base"))
+    return holders
+
+
+# digits as "d" and JSON whitespace as " ", to find whitespace inside a number
+_CLASSES = bytes.maketrans(b"0123456789\t\n\r", b"dddddddddd   ")
+_DIGITS_APART = re.compile(rb"d +d")
+
+
+def _table_array(text: str) -> np.ndarray | None:
+    """The n × n int64 array that ``text`` spells when it is exactly a JSON
+    list of n lists of n unsigned integers below 10^18 without leading
+    zeros, with JSON whitespace between tokens; None for any other text of
+    ``_TABLE_TEXT``'s characters.
+
+    At byte level: the brackets and commas left once the digits go must be
+    an n × n table's; a uint8 view finds empty entries and leading zeros;
+    ``np.fromstring`` reads the entries, and one of 19 digits or more reads
+    as 10^18 or above.
+    """
+    dense = text.encode("ascii")
+    if any(space in dense for space in (b" ", b"\t", b"\n", b"\r")):
+        classes = dense.translate(_CLASSES)
+        if b"d " in classes and _DIGITS_APART.search(classes):
+            return None
+        dense = dense.translate(None, b" \t\n\r")
+    skeleton = dense.translate(None, b"0123456789")
+    n = skeleton.count(b"[") - 1
+    if n < 1 or skeleton != b"[" + b",".join([b"[" + b"," * (n - 1) + b"]"] * n) + b"]":
+        return None
+    chars = np.frombuffer(dense, dtype=np.uint8)
+    digit = chars - ord("0") < 10
+    first = digit[1:] > digit[:-1]  # first[i]: an entry starts at i + 1
+    if np.count_nonzero(first) != n * n:  # an empty entry
+        return None
+    first[:-1] &= digit[2:]  # ... and has a second digit
+    if (first[:-1] & (chars[1:-1] == ord("0"))).any():  # a leading zero
+        return None
+    del digit, first  # before the entries are allocated
+    entries = np.fromstring(dense.translate(None, b"[]"), dtype=np.int64, sep=",")
+    if entries.max() >= 10**18:
+        return None
+    return entries.reshape(n, n)
+
+
+def _as_lists(doc):
+    """A document with the tables ``read_json`` decoded as arrays back as
+    lists of rows."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_as_lists(value) for value in doc]
+    return doc
 
 
 def _booleans_in_lists(text: str) -> bool:
@@ -483,6 +632,8 @@ def _check_witness_ranges(w: Witness, size: int) -> None:
     if w.offending is not None:
         indices.append(w.offending)
     for idx in indices:
+        if isinstance(idx, bool):  # a JSON true or false is not an index
+            raise FormatError(f"witness references {json.dumps(idx)}, not an element index")
         if not isinstance(idx, int) or not 0 <= idx < size:
             raise FormatError(f"witness references element index {idx} outside 0..{size - 1}")
 

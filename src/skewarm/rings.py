@@ -10,9 +10,9 @@ generator at a time, with temporaries of O(n^2) size; the deciders rely
 on the resulting hard guarantees.  A bimodule is checked by arrays the
 same way, with an ordered scan of every instance only when a law fails,
 so the error still names the least one.  Each ring keeps the validated
-tables as read-only numpy arrays beside the tuples, and the constructors,
-the endomorphism checks and the deciders read those arrays instead of
-converting the tuples again.
+tables as read-only numpy arrays, and the constructors, the endomorphism
+checks and the deciders read those arrays; the public tuple tables are
+built from them only when read.
 """
 
 from __future__ import annotations
@@ -117,18 +117,18 @@ class FiniteRing:
     """A finite ring given by full addition/multiplication tables.
 
     ``one`` is optional: rings without a two-sided identity are first-class.
-    The public tables are tuples and therefore immutable; ``add_array`` and
-    ``mul_array`` hold the same tables as read-only numpy arrays in the
-    least unsigned dtype that holds every index (``np.min_scalar_type(n - 1)``),
-    and ``generators`` the additive generators validation found
-    (``_additive_generators``).  Instances compare by identity (``ring_id``),
-    never structurally.
+    ``add_array`` and ``mul_array`` hold the tables as read-only numpy arrays
+    in the least unsigned dtype that holds every index
+    (``np.min_scalar_type(n - 1)``), and ``generators`` the additive
+    generators validation found (``_additive_generators``).  The public
+    tables ``add_table`` and ``mul_table`` are the same tables as tuples of
+    row tuples, and therefore immutable; each is built from its array on
+    first read and kept.  Instances compare by identity (``ring_id``), never
+    structurally.
     """
 
     ring_id: int
     size: int
-    add_table: tuple[tuple[int, ...], ...]
-    mul_table: tuple[tuple[int, ...], ...]
     neg_table: tuple[int, ...]
     zero: int
     one: int | None
@@ -138,6 +138,14 @@ class FiniteRing:
     add_array: np.ndarray = field(repr=False)
     mul_array: np.ndarray = field(repr=False)
     generators: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def add_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.add_array.tolist()))
+
+    @functools.cached_property
+    def mul_table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.mul_array.tolist()))
 
     @property
     def is_unital(self) -> bool:
@@ -174,7 +182,7 @@ class FiniteRing:
         for k in range(1, self.size + 1):
             if acc == self.zero:
                 return k
-            acc = self.add_table[acc][self.one]
+            acc = int(self.add_array[acc, self.one])
         raise AxiomError("identity has no additive order")  # pragma: no cover
 
     def __repr__(self) -> str:
@@ -342,17 +350,6 @@ def _axioms_hold_on(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
     return np.array_equal(mul[gg[:, :, None], g], mul[g[:, None, None], gg])
 
 
-def _validate_tables(
-    n: int,
-    add: np.ndarray,
-    mul: np.ndarray,
-    labels: tuple[str, ...],
-) -> tuple[int, tuple[int, ...], int | None]:
-    """Exhaustively check all ring axioms; return (zero, neg_table, one)."""
-    zero, neg, one, _, _, _ = _validate(n, add, mul, labels)
-    return zero, neg, one
-
-
 def _validate(
     n: int,
     add: np.ndarray,
@@ -444,8 +441,6 @@ def _build_ring(
     return FiniteRing(
         ring_id=_next_ring_id(),
         size=n,
-        add_table=tuple(map(tuple, add.tolist())),
-        mul_table=tuple(map(tuple, mul.tolist())),
         neg_table=neg,
         zero=zero,
         one=one,
@@ -896,10 +891,9 @@ def table_endomorphism(
     for x in imgs:
         if not 0 <= x < ring.size:
             raise AxiomError(f"image {x} out of range")
-    labels = ring.element_labels
-    add, mul = ring.add_table, ring.mul_table
     failure = _first_non_homomorphic(ring, ring, imgs)
     if failure is not None:
+        labels, add, mul = ring.element_labels, ring.add_table, ring.mul_table
         additive, a, b = failure
         if additive:
             raise AxiomError(
@@ -1235,10 +1229,8 @@ def frobenius(field_ring: FiniteRing) -> Endomorphism:
         k += 1
     if nn != 1 or k < 1:
         raise RingError(f"carrier size {n} is not a power of the characteristic {p}")
-    images = []
-    for x in range(n):
-        acc = x
-        for _ in range(p - 1):
-            acc = field_ring.mul_table[acc][x]
-        images.append(acc)
-    return table_endomorphism(field_ring, images, "frobenius")
+    every = np.arange(n)
+    images = every
+    for _ in range(p - 1):
+        images = field_ring.mul_array[images, every]
+    return table_endomorphism(field_ring, images.tolist(), "frobenius")

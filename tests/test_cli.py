@@ -1,8 +1,10 @@
 import json
+from importlib import resources
 
 import pytest
 
 from skewarm.cli import main
+from skewarm.corpus import all_entries
 
 EX1 = {
     "schema_version": "1",
@@ -209,6 +211,25 @@ def test_corpus_dump_definition(capsys):
     assert doc["kind"] == "product"
 
 
+@pytest.mark.parametrize("from_file", [False, True])
+def test_corpus_dump_definition_of_a_table_ring_is_json(tmp_path, capsys, from_file):
+    """A table-kind definition read from the built-in manifest, or from the
+    same manifest passed by --manifest, prints as JSON: the entry's
+    definition as the corpus module builds it."""
+    argv = ["corpus", "--dump-definition", "example4"]
+    if from_file:
+        path = tmp_path / "corpus.json"
+        path.write_text(resources.files("skewarm").joinpath("data/corpus.json").read_text())
+        argv += ["--manifest", str(path)]
+    assert main(argv) == 0
+    out = capsys.readouterr()
+    entry = next(e for e in all_entries() if e.name == "example4")
+    expected = dict(entry.definition, schema_version="1")
+    assert expected["kind"] == "table"
+    assert out.out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert out.err == ""
+
+
 def test_budget_env_var(ex2_file, monkeypatch, capsys):
     monkeypatch.setenv("SKEWARM_TUPLE_BUDGET", "10")
     assert main(["check", ex2_file, "--property", "q-alpha-skew-armendariz", "--deg", "1"]) == 3
@@ -338,15 +359,24 @@ MALFORMED_DEFINITIONS = [
     {"kind": "galois_field", "p": 2, "k": "x"},
     dict(EX1, endomorphism={"images": "0123"}),  # a string is not four images
 ]
+FAMILY_CHECK = ("--property", "q-alpha-skew-armendariz", "--deg", "1")
+ELEMENT_CHECK = ("--property", "reduced")
+# (the check whose structured record is edited, the edit)
 MALFORMED_RECORD_EDITS = [
-    _edit("witness", value=[1, 2]),
-    _edit("ring", "add_table"),
-    _edit("endomorphism", "images"),
-    _edit("witness", "pair", value=["a", 0]),
-    _edit("witness", "pair", value=[0]),
-    _edit("witness", "p", "min_exp", value="x"),
-    _edit("envelope", value=[1]),
-    _edit("ring", "add_table", 0, 0, value=False),  # false must not read as 0
+    (FAMILY_CHECK, _edit("witness", value=[1, 2])),
+    (FAMILY_CHECK, _edit("ring", "add_table")),
+    (FAMILY_CHECK, _edit("endomorphism", "images")),
+    (FAMILY_CHECK, _edit("witness", "pair", value=["a", 0])),
+    (FAMILY_CHECK, _edit("witness", "pair", value=[0])),
+    (FAMILY_CHECK, _edit("witness", "p", "min_exp", value="x")),
+    (FAMILY_CHECK, _edit("envelope", value=[1])),
+    (FAMILY_CHECK, _edit("ring", "add_table", 0, 0, value=False)),  # false must not read as 0
+    # a JSON true or false is not an element index
+    (FAMILY_CHECK, _edit("witness", "pair", value=[True, 0])),
+    (FAMILY_CHECK, _edit("witness", "p", "coeffs", value=[True])),
+    (FAMILY_CHECK, _edit("witness", "q", "coeffs", value=[False, 1])),
+    (ELEMENT_CHECK, _edit("witness", "elements", value=[True])),
+    (ELEMENT_CHECK, _edit("witness", "values", value=[False])),
 ]
 
 _ENTRY = {"name": "e", "definition": dict(EX1, schema_version="1"), "expectations": []}
@@ -373,10 +403,10 @@ def test_malformed_document_is_invalid_input(ex2_file, tmp_path, capsys, command
     elif command == "corpus":
         doc, argv = bad, [command, "--all", "--manifest", str(path)]
     else:
-        args = ["check", ex2_file, "--property", "q-alpha-skew-armendariz", "--deg", "1"]
-        assert main(args + ["--format", "structured"]) == 1
+        check, edit = bad
+        assert main(["check", ex2_file, *check, "--format", "structured"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        bad(doc)
+        edit(doc)
     path.write_text(json.dumps(doc))
     assert main(argv) == 2
     out = capsys.readouterr()

@@ -1,18 +1,28 @@
+import contextlib
 import copy
+import io
+import itertools
 import json
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewarm import (
     PropertyId,
+    RingError,
     check_armendariz_family,
     check_property,
+    cli,
+    formats,
     identity_endomorphism,
     is_reduced,
     make_table_ring,
     make_zmod,
+    random_relabeling,
     replay_witness,
 )
 from skewarm.formats import (
@@ -285,3 +295,267 @@ def test_json_booleans_in_a_table_are_refused():
     rec["ring"]["add_table"][0][0] = False
     with pytest.raises(FormatError, match=r"^ring\.add_table entries must be integers$"):
         parse_verdict_record(rec)
+
+
+# --------------------------------------------------------------------------
+# read_json's byte-level table reader against the reference path: json.loads
+# of the whole text, then np.array of each list of rows in _table
+
+
+def _reference_read_json(path, what):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return json.loads(text), _booleans_in_lists(text)
+    except (OSError, json.JSONDecodeError) as err:
+        raise FormatError(f"cannot read {what}: {err}") from err
+
+
+def _reference_table(value, where, list_booleans):
+    try:
+        table = np.array(value)
+    except ValueError:  # rows of unequal shapes
+        table = np.array(None)
+    if not isinstance(value, list) or table.shape != (len(value), len(value)):
+        raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
+    if table.dtype.kind not in "iu" or (
+        list_booleans and bool in set(map(type, itertools.chain.from_iterable(value)))
+    ):
+        raise FormatError(f"{where} entries must be integers")
+    if not 0 <= table.min() <= table.max() < len(value):
+        raise FormatError(f"{where} entries must lie in 0..{len(value) - 1}")
+    return table
+
+
+@contextlib.contextmanager
+def _reference_reader():
+    with mock.patch.object(formats, "read_json", _reference_read_json), mock.patch.object(
+        formats, "_table", _reference_table
+    ):
+        yield
+
+
+# How an entry's token may be spoiled: "{}" stands for the entry.
+ENTRY_EDITS = (
+    "0{}", "00", "", "-1", "-0", "1.0", "{}.5", "1e0", "true", "false", "null", '"1"',
+    "{} 1", "[{}]", "{}0000000000000000000", "9223372036854775808",
+    "18446744073709551616", "99999999999999999999", "999999999999999999", "n", "n+5",
+)
+TABLE_EDITS = ("none", "entry", "short row", "long row", "short", "long", "nested", "empty")
+
+
+def _edit_table(grid, edit, rnd):
+    """The rows of entry tokens of an n × n table, spoiled by ``edit``."""
+    n = len(grid)
+    grid = [list(row) for row in grid]
+    i, j = rnd.randrange(n), rnd.randrange(n)
+    if edit == "entry":
+        token = rnd.choice(ENTRY_EDITS)
+        token = str(n + 5) if token == "n+5" else str(n) if token == "n" else token
+        grid[i][j] = token.format(grid[i][j])
+    elif edit == "short row":
+        grid[i].pop()
+    elif edit == "long row":
+        grid[i].append("0")
+    elif edit == "short":
+        grid.pop()
+    elif edit == "long":
+        grid.append(list(grid[i]))
+    elif edit == "nested":
+        return [grid]
+    elif edit == "empty":
+        return []
+    return grid
+
+
+def _spell(grid, rnd):
+    """Rows of tokens as a JSON list of lists, with random JSON whitespace
+    around every token."""
+
+    def space():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.choice((0, 0, 0, 1, 2))))
+
+    def value(item):
+        if isinstance(item, list):
+            return space() + "[" + ",".join(value(x) for x in item) + space() + "]" + space()
+        return space() + item + space()
+
+    return value(grid)
+
+
+def _grid(table):
+    return [[str(x) for x in row] for row in table]
+
+
+@st.composite
+def spelled_tables(draw, ring):
+    """The text of both tables of ``ring``, each perhaps spoiled."""
+    rnd = draw(st.randoms(use_true_random=False))
+    texts = []
+    edits = st.one_of(st.just("none"), st.sampled_from(TABLE_EDITS))
+    for table in (ring.add_table, ring.mul_table):
+        texts.append(_spell(_edit_table(_grid(table), draw(edits), rnd), rnd))
+    return texts
+
+
+# How the member around a table may be spoiled.
+MEMBER_EDITS = ("none", "quoted key", "repeated key", "label", "table in another object")
+
+
+def _members(add, mul, edit, labels, rnd):
+    """The members of a ring object holding the tables' texts ``add`` and
+    ``mul``, with ``labels`` as its labels member."""
+    members = [f'"add_table": {add}', f'"mul_table" :{mul}']
+    if edit == "quoted key":
+        members.append(f'"\\"add_table": {add}')
+    elif edit == "repeated key":
+        members.insert(rnd.randrange(3), f'"mul_table": {add}')
+    elif edit == "label":
+        labels = ['"add_table":[[0]]'] + list(labels[1:])
+    elif edit == "table in another object":
+        members.append('"labelled": {"add_table": [[0]]}')
+    rnd.shuffle(members)
+    return members, labels
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RingError as err:
+        return type(err).__name__, str(err)
+
+
+def _ring_outcome(path):
+    def call():
+        ring, endo = formats.load_ring_definition(path)
+        return ring.label, ring.add_table, ring.mul_table, ring.element_labels, endo.images
+
+    return _outcome(call)
+
+
+def _replay_outcome(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["replay", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _same_document(path, text):
+    """``read_json`` reads ``text`` as json.loads does, or fails alike."""
+    got = _outcome(lambda: formats.read_json(path, "doc"))
+    with _reference_reader():
+        want = _outcome(lambda: formats.read_json(path, "doc"))
+    if isinstance(want, tuple) and isinstance(want[0], str):  # an error
+        assert got == want
+    else:
+        assert formats._as_lists(got[0]) == want[0] and got[1] == want[1]
+
+
+SMALL_RINGS = [(n, seed) for n in (1, 2, 3, 4, 6, 8, 9, 12) for seed in (0, 1)]
+
+
+def _small_ring(n, seed):
+    """Z_n, moved by a seeded relabelling (its zero off index 0 for n > 1)."""
+    return random_relabeling(make_zmod(n), seed)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=st.sampled_from(SMALL_RINGS), edit=st.sampled_from(MEMBER_EDITS),
+       product=st.booleans())
+def test_definition_tables_read_as_the_reference_reads_them(
+    tmp_path_factory, data, case, edit, product
+):
+    ring = _small_ring(*case)
+    add, mul = data.draw(spelled_tables(ring))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    members, labels = _members(add, mul, edit, ring.element_labels, rnd)
+    table_ring = ", ".join(['"kind": "table"', f'"labels": {json.dumps(labels)}', *members])
+    if product:  # swap compares the two factor documents
+        factors = f"{{{table_ring}}}, {{{table_ring}}}"
+        body = f'"kind": "product", "factors": [{factors}], "endomorphism": {{"builtin": "swap"}}'
+    else:
+        body = table_ring + ', "endomorphism": {"builtin": "identity"}'
+    text = '{"schema_version": "1", ' + body + "}"
+    path = tmp_path_factory.mktemp("definition") / "ring.json"
+    path.write_text(text, encoding="utf-8")
+    _same_document(path, text)
+    got = _ring_outcome(path)
+    with _reference_reader():
+        assert got == _ring_outcome(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), case=st.sampled_from(SMALL_RINGS), edit=st.sampled_from(MEMBER_EDITS))
+def test_record_tables_read_as_the_reference_reads_them(tmp_path_factory, data, case, edit):
+    ring = _small_ring(*case)
+    rec = json.loads(record_to_json(verdict_to_record(is_reduced(ring), ring, None)))
+    add, mul = data.draw(spelled_tables(ring))
+    rnd = data.draw(st.randoms(use_true_random=False))
+    members, labels = _members(add, mul, edit, rec["ring"]["element_labels"], rnd)
+    rec["ring"] = {"label": rec["ring"]["label"], "size": ring.size, "element_labels": labels}
+    text = json.dumps(rec)
+    ring_text = json.dumps(rec["ring"])
+    text = text.replace(ring_text, ring_text[:-1] + ", " + ", ".join(members) + "}")
+    path = tmp_path_factory.mktemp("record") / "verdict.json"
+    path.write_text(text, encoding="utf-8")
+    _same_document(path, text)
+    got = _replay_outcome(path)
+    with _reference_reader():
+        assert got == _replay_outcome(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[[0]]", "[[0,1],[1,0]]", " [ [ 0 ,\t1 ] ,\r\n[1 , 0] ] ", "[[10,2],[999999999999999999,0]]"],
+)
+def test_table_array_reads_plain_tables(text):
+    table = formats._table_array(text)
+    assert table.dtype == np.int64 and table.tolist() == json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "[[]]", "[[0],[]]", "[[0,1],[1]]", "[[0]", "[[[0]]]", "[[01]]", "[[0,00],[1,0]]",
+     "[[0 1],[1,0]]", "[[1 1,0],[1,0]]", "[[,0],[1,0]]", "[[0,,1],[1,0,0]]", "[[0,],[1,0]]",
+     "[[0],]", "[[1000000000000000000]]", "[[0]]]", "[[0],[1]]"],
+)
+def test_table_array_refuses_everything_else(text):
+    assert formats._table_array(text) is None
+
+
+def test_tables_of_a_repeated_or_quoted_key_are_read_by_json(tmp_path):
+    path = tmp_path / "doc.json"
+    for text in (
+        '{"kind": "table", "add_table": [[0]], "add_table": [[1]]}',
+        '{"kind": "table", "\\"add_table": [[0]], "mul_table": [[0]]}',
+        '{"kind": "table", "add_table": [[0]], "mul_table": "\\u0000table0"}',  # a mark's text
+    ):
+        path.write_text(text)
+        doc, _ = formats.read_json(path, "doc")
+        assert doc == json.loads(text)
+        assert not any(isinstance(v, np.ndarray) for v in doc.values())
+
+
+def test_only_the_tables_the_readers_take_become_arrays(tmp_path):
+    table = {"kind": "table", "add_table": [[0]], "mul_table": [[0]]}
+    doc = {
+        "kind": "product",
+        "factors": [table, {"kind": "quotient", "base": table, "ideal": [0]}],
+        "label": table,
+        "labels": [table],
+    }
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    got, _ = formats.read_json(path, "doc")
+    arrays = [got["factors"][0], got["factors"][1]["base"]]
+    for held in arrays:
+        assert all(isinstance(held[key], np.ndarray) for key in ("add_table", "mul_table"))
+    for held in (got["label"], got["labels"][0]):
+        assert held == table
+    record = {"kind": "verdict", "ring": dict(table, label=table)}
+    path.write_text(json.dumps(record))
+    got, _ = formats.read_json(path, "doc")
+    assert isinstance(got["ring"]["mul_table"], np.ndarray) and got["ring"]["label"] == table
+    manifest = {"kind": "corpus", "entries": [{"definition": table}]}
+    path.write_text(json.dumps(manifest))
+    assert formats.read_json(path, "doc")[0] == manifest

@@ -36,9 +36,15 @@ from skewarm.rings import (
     _additive_generators,
     _irreducible,
     _poly_divmod,
-    _validate_tables,
+    _validate,
     make_bimodule,
 )
+
+
+def _validate_tables(n, add, mul, labels):
+    """The validator under test: (zero, neg_table, one) of ``rings._validate``."""
+    zero, neg, one, _, _, _ = _validate(n, add, mul, labels)
+    return zero, neg, one
 
 
 # --------------------------------------------------------------------------
