@@ -28,8 +28,10 @@ The output file holds, per workload:
   metric in ``count`` units) and whether the two sides agree on them.
 
 Each side is named by the SHA-256 of its ``src/`` files, so the summary
-says which code was measured.  The script stops at the first run that
-prints no result.
+says which code was measured, and ``machine`` records where: the Python and
+numpy versions of the interpreter that runs both sides, ``os.cpu_count()``
+and ``platform.platform()``.  The script stops at the first run that prints
+no result.
 """
 
 from __future__ import annotations
@@ -37,9 +39,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -53,6 +58,16 @@ def source_digest(root: Path) -> str:
             digest.update(str(path.relative_to(root)).encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def machine() -> dict:
+    """The interpreter and host that run both sides."""
+    return {
+        "python": platform.python_version(),
+        "numpy": metadata.version("numpy"),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
 
 
 def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -139,6 +154,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": seeds,
+        "machine": machine(),
         "source_sha256": {side: source_digest(roots[side]) for side in SIDES},
         "workloads": {},
     }

@@ -18,17 +18,17 @@ hypothesis uses the twist exponents of one orbit window
 (``_Scanner.orbit``).  Each element property's violation is one formula in
 ``_ELEMENT_LAWS``, which both its predicate and replay evaluate.
 
-The search takes p a run at a time: a run is the p that share their first
-nonzero coefficient (position and value), so the prefix rule gives them one
-set of allowed q heads.  A run the rule refuses is skipped unbuilt; every
-other run is decided in sub-batches of p against every q of one shape at
-once (``_least_violation``), and the least witness is still returned.  The
-q are built in bounded chunks in the enumeration order (``_tuple_chunks``).
-The prefix rule and the hypothesis only drop pairs that fail the
-hypothesis, and the (p × q) conclusion mask only pairs that satisfy the
-conclusion, so none can drop a witness.  The surviving pairs are tested in
-row-major order, so within a chunk the first is the least; across chunks a
-p that hits later beats a larger p that hit earlier.
+The search takes p a level at a time, a level being the p whose first
+nonzero coefficient sits at one position, in batches across heads against
+one list of q: those whose head the prefix rule lets some head of the
+level meet (``_least_violation``); a head it refuses outright is never
+built.  The q are built in bounded chunks in the enumeration order
+(``_tuple_chunks``).  A step's (p × q) mask keeps the pairs that violate
+the conclusion and whose q head p's head allows; the prefix rule and the
+hypothesis only drop pairs that fail the hypothesis, and the conclusion
+only pairs that satisfy it, so none can drop a witness.  The surviving
+pairs are tested in row-major order, so within a chunk the first is the
+least; across chunks a p that hits later beats a larger p that hit earlier.
 ``_conclusion_violation`` then names the violated instance.  The plain
 hypothesis pq = 0 is the sandwich with the single left factor a and k = 0,
 so the kernel, the rank screen and the naming read their tables from one
@@ -49,19 +49,13 @@ nominal tuple, screened or not.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rings import (
-    Endomorphism,
-    FiniteRing,
-    RingElement,
-    RingError,
-    _prime_basis,
-    identity_endomorphism,
-)
+from .rings import Endomorphism, FiniteRing, RingElement, RingError, identity_endomorphism
 from .skewpoly import (
     LaurentSkewPoly,
     SkewPoly,
@@ -453,10 +447,6 @@ def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -
 _CHUNK_CELLS = 1 << 22
 _MEMO_CELLS = 1 << 24
 _PAIR_CELLS = 1 << 16
-# p are decided in sub-batches of a run; the batch size doubles from this
-# one over a search, so a witness at an early p does not pay for a large
-# batch.
-_FIRST_P_ROWS = 1
 # Bound on the cells of one batch of the rank screen: p times the entries of
 # H(p) and of K(p) applied to the null vectors of H(p).  Its batches double
 # in size from the first, up to that bound.
@@ -530,6 +520,11 @@ class _Scanner:
     (``FiniteRing.add_array``/``mul_array``, in the least unsigned dtype
     that holds every element index), and the twist's powers are converted
     to that dtype.
+
+    ``counts`` keeps what the kernel did, deterministically and outside any
+    verdict: "p_batches", "steps" (p batch × q chunk), "q_chunks_built",
+    "q_chunks_reused" (read from the memo), "mask_cells", and the pairs
+    ``_passing`` tested and passed ("pairs_tested", "pairs_passed").
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
@@ -558,6 +553,7 @@ class _Scanner:
         self._products: dict = {}
         self._memo: dict = {}
         self._memo_room = _MEMO_CELLS
+        self.counts = Counter()
 
     def left(self, e: int) -> np.ndarray:
         """left[a, g]: the left factors of the hypothesis terms from a
@@ -572,10 +568,10 @@ class _Scanner:
 
     def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray):
         """The rows of the largest chunk of every q of one shape whose head
-        value ``allowed`` keeps, and a function giving those chunks in
-        enumeration order.  The chunks of one head table are kept for later
-        runs with the same table while the memo has room; otherwise each
-        call of the function builds them afresh, one at a time."""
+        value ``allowed`` keeps, and a function giving those chunks, each with
+        the head of each of its q, in enumeration order.  The chunks of one
+        head set are kept for later calls while the memo has room; otherwise
+        each call of the function builds them afresh, one at a time."""
         key = (length, last_nonzero, allowed.tobytes())
         heads = np.flatnonzero(allowed).astype(self.dtype)
         tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
@@ -583,24 +579,28 @@ class _Scanner:
         step = max(1, _CHUNK_CELLS // max(self.n, length))
 
         def chunks():
-            return _tuple_chunks(
+            for qs in _tuple_chunks(
                 self.n, length, last_nonzero, self.zero, lambda f: heads, step, self.dtype
-            )
+            ):
+                self.counts["q_chunks_built"] += 1
+                yield qs, qs[np.arange(len(qs)), (qs != self.zero).argmax(axis=1)]
 
-        if key not in self._memo and rows * length <= self._memo_room:
-            self._memo_room -= rows * length
+        def reread():
+            for chunk in self._memo[key]:
+                self.counts["q_chunks_reused"] += 1
+                yield chunk
+
+        if key not in self._memo and rows * (length + 1) <= self._memo_room:
+            self._memo_room -= rows * (length + 1)
             self._memo[key] = list(chunks())
-        if key in self._memo:
-            kept = self._memo[key]
-            return min(rows, step), lambda: kept
-        return min(rows, step), chunks
+        return min(rows, step), reread if key in self._memo else chunks
 
     def head_tables(self, e: int):
-        """The prefix rule at exponent e: ``tables[a][v]`` says whether a q
+        """The prefix rule at exponent e: ``allowed[a, v]`` says whether a q
         with first nonzero coefficient v may pass the hypothesis against a p
-        whose first nonzero coefficient a sits at exponent e (``None`` when
-        no v may), and ``heads`` lists the a with some v.  Built at once for
-        each class of exponents that share them.
+        whose first nonzero coefficient a sits at exponent e, and ``heads``
+        lists the a with some v.  Row and column zero are all False.  Built
+        at once for each class of exponents that share them.
 
         The lowest coefficient of p (r x^k) q is the single term
         a·α^e(r)·α^(e+k)(v) (a·α^e(v) for pq = 0), so a nonzero value there
@@ -620,11 +620,8 @@ class _Scanner:
                 terms = self.mul_np[self.left(e)]  # [a, g, v]: left[a, g]·v
                 for k in self.ks:
                     tab &= (terms[:, :, self.power_row(e + k)] == self.zero).all(axis=1)
-            tab[:, self.zero] = False
-            some = tab.any(axis=1)
-            some[self.zero] = False
-            tables = [tab[b] if some[b] else None for b in range(self.n)]
-            self._allowed[key] = tables, np.flatnonzero(some).astype(self.dtype)
+            tab[:, self.zero] = tab[self.zero] = False
+            self._allowed[key] = tab, np.flatnonzero(tab.any(axis=1)).astype(self.dtype)
         return self._allowed[key]
 
     def bad_table(self, e: int) -> np.ndarray:
@@ -639,15 +636,15 @@ class _Scanner:
         return self._bad[key]
 
     def products(self, e: int, k: int) -> np.ndarray:
-        """prod[a, b, g]: left[a, g]·α^(e+k)(b), the term of p (g x^k) q
-        from a coefficient a of p at exponent e and b of q, one entry per
-        left factor (``left``): a·α^e(g)·α^(e+k)(b) per generator g, or the
+        """prod[g, a·n + b]: left[a, g]·α^(e+k)(b), the term of p (g x^k) q
+        from a coefficient a of p at exponent e and b of q, one row per left
+        factor (``left``): a·α^e(g)·α^(e+k)(b) per generator g, or the
         single a·α^e(b) for pq = 0.  Kept while the memo has room."""
         key = (self.red(e), self.red(e + k))
         if key in self._products:
             return self._products[key]
-        left = self.left(e)
-        prod = self.mul_np[left[:, None, :], self.power_row(e + k)[None, :, None]]
+        left = self.left(e).T
+        prod = self.mul_np[left[:, :, None], self.power_row(e + k)].reshape(len(left), -1)
         if prod.size <= self._memo_room:
             self._memo_room -= prod.size
             self._products[key] = prod
@@ -660,7 +657,7 @@ class _RankScreen:
     Fix p.  Its hypothesis and its conclusion are additive in q, so the q
     that pass the hypothesis form a subgroup Q(p), those that satisfy the
     conclusion a subgroup C(p), and p has a witness iff Q(p) ⊄ C(p).  When
-    (R,+) is F_p^m (``rings._prime_basis``), a q of L coefficients is a
+    (R,+) is F_p^m (``FiniteRing.prime_basis``), a q of L coefficients is a
     vector of F_p^(mL): Q(p) is the null space of the hypothesis matrix
     H(p), and C(p) holds the q whose every coefficient is in the null space
     of the conclusion matrix K(p).  Both are gathered from m × m tables:
@@ -689,11 +686,12 @@ class _RankScreen:
 
     def hypothesis_table(self, e: int, k: int) -> np.ndarray:
         """tab[a, g]: the matrix of b ↦ a·α^e(g)·α^(e+k)(b) (of b ↦ a·α^e(b)
-        for pq = 0), rows the output coordinates, columns b's."""
+        for pq = 0), rows the output coordinates, columns b's; gathered as
+        [g, a, basis element, output coordinate] and transposed."""
         key = (self.sc.red(e), self.sc.red(e + k))
         if key not in self._hyp:
-            prod = self.sc.products(e, k)[:, self.basis]  # [a, basis c, g]
-            self._hyp[key] = self.coords[prod].transpose(0, 2, 3, 1)
+            prod = self.sc.products(e, k).reshape(-1, self.sc.n, self.sc.n)
+            self._hyp[key] = self.coords[prod[:, :, self.basis]].transpose(1, 0, 3, 2)
         return self._hyp[key]
 
     def conclusion_table(self, e: int) -> np.ndarray:
@@ -811,13 +809,13 @@ def _doubling_batches(pieces, first: int, cap: int):
         yield [np.concatenate(parts) for parts in zip(*held)]
 
 
-def _cleared_shapes(sc: _Scanner, amin: int, blocks) -> set:
+def _cleared_shapes(sc: _Scanner, basis, amin: int, blocks) -> set:
     """The p shapes, from the first on, that the rank screen clears; empty
-    unless (R,+) is F_p^m.  Every p shape of the deciders meets the same q
-    shapes, which hold every nonzero q up to the longest one, and a shorter
-    q is a longer one with zero coefficients on top; so the screen tests
-    every p against every q of that longest length."""
-    basis = _prime_basis(sc.add_np, sc.zero)
+    unless (R,+) is F_p^m, when ``basis`` (``FiniteRing.prime_basis``) is
+    set.  Every p shape of the deciders meets the same q shapes, which hold
+    every nonzero q up to the longest one, and a shorter q is a longer one
+    with zero coefficients on top; so the screen tests every p against every
+    q of that longest length."""
     if basis is None:
         return set()
     shapes = list(dict.fromkeys(p for p, _ in blocks))
@@ -830,43 +828,40 @@ def _least_violation(sc: _Scanner, amin: int, p_shape, q_shape):
     """The least (p, q) of one block, as coefficient tuples, that passes the
     hypothesis and violates the conclusion, or None.
 
-    The p are taken a run at a time.  A run is the p that share their first
-    nonzero coefficient (position f, value a), so they share the prefix
-    rule's allowed q heads and with them one list of q candidates; a run
-    whose head the rule refuses is never built.  A run is decided in
-    sub-batches of p against every q chunk (``_least_in_batch``); the batch
-    size doubles from ``_FIRST_P_ROWS``, and a batch times the rows of a q
-    chunk stays within ``_PAIR_CELLS`` unless a single p exceeds it.
+    The p are taken a level at a time (first nonzero coefficient at position
+    f), in batches across heads, against one list of q: those whose head
+    some head of the level allows by the prefix rule (a head that allows
+    none is never built).  A batch times the rows of a q chunk stays within
+    ``_PAIR_CELLS`` unless a single p exceeds it (``_least_in_batch``).
     """
     lp, p_exact = p_shape
-    batch = _FIRST_P_ROWS
     for f in range(lp - 1, -1, -1):
-        run = _tails_per_head(sc.n, lp - 1 - f, p_exact)
-        tables, heads = sc.head_tables(amin + f)
-        for h, a in enumerate(heads):
-            chunk_rows, chunks = sc.candidates(*q_shape, tables[a])
-            cap = max(1, _PAIR_CELLS // chunk_rows)
-            lo = 0
-            while lo < run:
-                hi = min(run, lo + min(batch, cap))
-                ps = _level_rows(sc.n, lp, p_exact, sc.zero, f, heads[h : h + 1], lo, hi, sc.dtype)
-                hit = _least_in_batch(sc, ps, f, amin, chunks())
-                if hit is not None:
-                    return hit
-                lo, batch = hi, min(2 * batch, _PAIR_CELLS)
+        allowed, heads = sc.head_tables(amin + f)
+        if not len(heads):
+            continue
+        chunk_rows, chunks = sc.candidates(*q_shape, allowed[heads].any(axis=0))
+        total = len(heads) * _tails_per_head(sc.n, lp - 1 - f, p_exact)
+        batch = max(1, _PAIR_CELLS // chunk_rows)
+        for lo in range(0, total, batch):
+            hi = min(total, lo + batch)
+            ps = _level_rows(sc.n, lp, p_exact, sc.zero, f, heads, lo, hi, sc.dtype)
+            sc.counts["p_batches"] += 1
+            hit = _least_in_batch(sc, ps, f, amin, allowed, chunks())
+            if hit is not None:
+                return hit
     return None
 
 
-def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, chunks):
-    """The least (p, q) with p in ``ps`` (one run's rows, in order) and q in
-    ``chunks``, or None.  The chunks come in enumeration order, so once a p
-    has hit, only the p before it need the later chunks."""
+def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, chunks):
+    """The least (p, q) with p in ``ps`` (rows of one level, in order) and
+    (q, q head) in ``chunks``, or None.  The chunks come in enumeration
+    order, so once a p has hit, only the p before it need the later chunks."""
     best = None
-    for qs in chunks:
+    for qs, qh in chunks:
         cut = ps if best is None else ps[: best[0]]
         if not len(cut):
             break
-        hit = _least_in_chunk(sc, cut, f, amin, qs)
+        hit = _least_in_chunk(sc, cut, f, amin, allowed, qs, qh)
         if hit is not None:
             best = hit[0], qs[hit[1]]
     if best is None:
@@ -874,29 +869,33 @@ def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, chunks):
     return tuple(ps[best[0]].tolist()), tuple(best[1].tolist())
 
 
-def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, qs: np.ndarray):
+def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, qs, qh):
     """Indices (into ``ps``, ``qs``) of the least pair that passes the
     hypothesis and violates the conclusion, or None.
 
     The conclusion mask ORs the ``bad_table`` rows of p's coefficients into
-    one row per p and reads it at q's coefficients.  Its surviving pairs, in
-    row-major order, go to ``_passing`` in slices that keep the
-    (pairs × generators) arrays within ``_PAIR_CELLS``; the first pair to
-    pass is the least.
+    one row per p and reads it at q's coefficients; the prefix rule then
+    keeps only the pairs whose q head ``qh`` p's head allows (``allowed``).
+    The surviving pairs, in row-major order, go to ``_passing`` in slices
+    that keep the (pairs × generators) arrays within ``_PAIR_CELLS``; the
+    first pair to pass is the least.
     """
-    lp = ps.shape[1]
     bad = sc.bad_table(amin + f)[ps[:, f]]
-    for i in range(f + 1, lp):
+    for i in range(f + 1, ps.shape[1]):
         bad = bad | sc.bad_table(amin + i)[ps[:, i]]
     mask = bad[:, qs[:, 0]]
     for j in range(1, qs.shape[1]):
         mask |= bad[:, qs[:, j]]
-    pi, qi = np.nonzero(mask)
+    mask &= allowed[ps[:, f]][:, qh]
+    sc.counts.update(steps=1, mask_cells=mask.size)
+    hits = np.flatnonzero(mask)  # several times faster than np.nonzero of a 2-d mask
     step = max(1, _PAIR_CELLS // max(1, sc.width))
-    for lo in range(0, len(pi), step):
-        ok = _passing(sc, ps, f, amin, qs, pi[lo : lo + step], qi[lo : lo + step])
+    for lo in range(0, len(hits), step):
+        pi, qi = np.divmod(hits[lo : lo + step], len(qs))
+        ok = _passing(sc, ps, f, amin, qs, pi, qi)
+        sc.counts.update(pairs_tested=len(pi), pairs_passed=len(ok))
         if len(ok):
-            return pi[lo + ok[0]], qi[lo + ok[0]]
+            return pi[ok[0]], qi[ok[0]]
     return None
 
 
@@ -907,12 +906,13 @@ def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
     The hypothesis is tested one product coefficient at a time, dropping the
     pairs that fail after each.  Coefficient e of p (g x^k) q is the sum
     over i + j = e of a_i·α^(amin+i)(g)·α^(amin+i+k)(b_j) (``products``), a
-    pairs × |G| array over the generators g; the plain hypothesis pq = 0 is
-    the same sum with the single left factor a_i and k = 0.
+    |G| × pairs array over the generators g; the plain hypothesis pq = 0 is
+    the same sum with the single left factor a_i and k = 0.  Tables are read
+    by flat index (``take``), several times faster than by index pairs.
     """
-    add, zero = sc.add_np, sc.zero
+    n, add, zero = sc.n, sc.add_np.ravel(), sc.zero
     lp, lq = ps.shape[1], qs.shape[1]
-    pa, qb = ps.T, qs.T  # pa[i]: coefficient i of every p
+    pa, qb = ps.T.astype(np.intp) * n, qs.T  # pa[i]: n times coefficient i of every p
     idx = np.arange(len(pi))
     for k in sc.ks:
         # coefficient f is p's head times q's first coefficient: zero if that
@@ -920,9 +920,9 @@ def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
         for e in range(f + 1, lp + lq - 1):
             s = None
             for i in range(max(f, e - lq + 1), min(lp, e + 1)):
-                t = sc.products(amin + i, k)[pa[i][pi], qb[e - i][qi]]
-                s = t if s is None else add[s, t]
-            keep = (s == zero).all(axis=1)
+                t = sc.products(amin + i, k).take(pa[i][pi] + qb[e - i][qi], axis=1)
+                s = t if s is None else add.take(s.astype(np.intp) * n + t)
+            keep = (s == zero).all(axis=0)
             if not keep.all():
                 idx, pi, qi = idx[keep], pi[keep], qi[keep]
                 if not len(idx):
@@ -979,7 +979,7 @@ def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, budget, order=Non
     if price > budget:
         raise BudgetExceededError(price, budget)
     sc = _Scanner(ring, alpha, prop)
-    cleared = _cleared_shapes(sc, p_min, blocks)
+    cleared = _cleared_shapes(sc, ring.prime_basis, p_min, blocks)
     for p_shape, q_shape in blocks:
         if p_shape in cleared:
             continue

@@ -255,7 +255,7 @@ def read_json(path, what: str) -> tuple[object, bool]:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         return _loads(text), _booleans_in_lists(text)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read {what}: {err}") from err
 
 

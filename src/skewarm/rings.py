@@ -123,8 +123,8 @@ class FiniteRing:
     generators validation found (``_additive_generators``).  The public
     tables ``add_table`` and ``mul_table`` are the same tables as tuples of
     row tuples, and therefore immutable; each is built from its array on
-    first read and kept.  Instances compare by identity (``ring_id``), never
-    structurally.
+    first read and kept, and so is ``prime_basis``.  Instances compare by
+    identity (``ring_id``), never structurally.
     """
 
     ring_id: int
@@ -146,6 +146,12 @@ class FiniteRing:
     @functools.cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.mul_array.tolist()))
+
+    @functools.cached_property
+    def prime_basis(self):
+        """``_prime_basis`` of the additive table, found on first read and
+        shared by every search on the ring, which only read it."""
+        return _prime_basis(self.add_array, self.zero)
 
     @property
     def is_unital(self) -> bool:

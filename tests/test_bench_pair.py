@@ -3,8 +3,12 @@ gain and regression tests, run against stub checkouts."""
 
 import importlib.util
 import json
+import os
+import platform
 import textwrap
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -98,6 +102,12 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert not entry["failed_share_rose"]
     assert doc["source_sha256"]["parent"] != doc["source_sha256"]["change"]
+    assert doc["machine"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
     out = capsys.readouterr().out
     assert "w" in out and "FAILED SHARE ROSE" not in out
 

@@ -414,6 +414,25 @@ def test_malformed_document_is_invalid_input(ex2_file, tmp_path, capsys, command
     assert "Traceback" not in out.out + out.err
 
 
+NOT_UTF8 = {
+    "validate": ["validate", "{}"],
+    "check": ["check", "{}", "--property", "reduced"],
+    "replay": ["replay", "{}"],
+    "corpus": ["corpus", "--all", "--manifest", "{}"],
+}
+
+
+@pytest.mark.parametrize("command", list(NOT_UTF8))
+def test_a_file_that_is_not_utf8_is_invalid_input(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert main([a.format(path) for a in NOT_UTF8[command]]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: cannot read ") and out.err.count("\n") == 1
+    assert "0xff" in out.err
+
+
 @pytest.mark.parametrize("command", ["validate", "replay"])
 def test_json_boolean_table_entry_is_refused(ex2_file, tmp_path, capsys, command):
     path = tmp_path / "bad.json"

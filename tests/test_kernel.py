@@ -1,7 +1,8 @@
 """The block kernel of the search deciders: its chunked enumeration keeps
 the order of ``iter_tuples``, its memory and time stay bounded on lopsided
-Laurent windows, its batching boundaries do not change the least witness,
-and its sandwich tables built on additive generators equal their every-r
+Laurent windows, its batching boundaries (batches of p across heads, q
+chunks) do not change the least witness, its work counts repeat, and its
+sandwich tables built on additive generators equal their every-r
 versions."""
 
 import itertools
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_oracle import RINGS, carriers, reference
+from test_oracle import FAMILY, RINGS, carriers, reference
 from test_validator import relabelled_carriers
 
 from skewarm import (
     PropertyId,
+    all_endomorphisms,
     check_property,
     deciders,
     identity_endomorphism,
@@ -158,7 +160,7 @@ def test_lopsided_p_window_without_allowed_heads_builds_no_p():
 
 def test_lopsided_p_window_with_allowed_heads_decides_runs_of_p():
     # in Z4 the p with head 2 meet q, about 87 k of them at (8, 0, 0, 0);
-    # they share one head, so they are decided in batches, not one by one
+    # they are decided in batches, not one by one
     ring = make_zmod(4)
     start = time.perf_counter()
     verdict = check_property(
@@ -169,14 +171,14 @@ def test_lopsided_p_window_with_allowed_heads_decides_runs_of_p():
 
 
 # --------------------------------------------------------------------------
-# batching boundaries: with tiny cell bounds the p sub-batches, the q chunks
+# batching boundaries: with tiny cell bounds the p batches, the q chunks
 # and the hypothesis slices split at nearly every row, and the witness must
 # still be the reference decider's least one
 
 SPLITS = {
-    # (q chunk cells, pair cells, first p batch)
-    "single-rows": (1, 1, 1),
-    "few-rows": (8, 8, 3),
+    # (q chunk cells, pair cells)
+    "single-rows": (1, 1),
+    "few-rows": (8, 8),
 }
 BOUNDARY_PROPS = [
     (PropertyId.ALPHA_SKEW_ARMENDARIZ, {"degree": 1}),
@@ -196,10 +198,9 @@ BOUNDARY_CASES = [
 
 
 def split_kernel(monkeypatch, split):
-    chunk_cells, pair_cells, first_rows = SPLITS[split]
+    chunk_cells, pair_cells = SPLITS[split]
     monkeypatch.setattr(deciders, "_CHUNK_CELLS", chunk_cells)
     monkeypatch.setattr(deciders, "_PAIR_CELLS", pair_cells)
-    monkeypatch.setattr(deciders, "_FIRST_P_ROWS", first_rows)
 
 
 @pytest.fixture(scope="module")
@@ -217,8 +218,9 @@ def test_split_kernel_matches_reference(monkeypatch, oracle_carriers, name, form
             assert check_property(ring, endo, prop, **envelope).witness == expected
 
 
-def ut2_plus_z2():
-    """UT2(Z2) ⊕ Z2: (a,b,c) at index 4a+2b+c, times Z2."""
+def ut2_z2():
+    """UT2(Z2), the matrices [[a, b], [0, c]] over Z2: (a,b,c) at index
+    4a+2b+c."""
     tri = list(itertools.product(range(2), repeat=3))
 
     def index(a, b, c):
@@ -226,20 +228,111 @@ def ut2_plus_z2():
 
     add = [[index(x[0] + y[0], x[1] + y[1], x[2] + y[2]) for y in tri] for x in tri]
     mul = [[index(x[0] * y[0], x[0] * y[1] + x[1] * y[2], x[2] * y[2]) for y in tri] for x in tri]
-    return make_direct_product(make_table_ring(add, mul, label="UT2(Z2)"), make_zmod(2))
+    return make_table_ring(add, mul, label="UT2(Z2)")
+
+
+def ut2_plus_z2():
+    """UT2(Z2) ⊕ Z2."""
+    return make_direct_product(ut2_z2(), make_zmod(2))
+
+
+def kernel_only(m):
+    """Skip the rank screen, so that the kernel decides every block."""
+    m.setattr(deciders, "_cleared_shapes", lambda sc, basis, amin, blocks: set())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tables=relabelled_carriers(),
+    prop=st.sampled_from(FAMILY),
+    chunk_cells=st.integers(1, 64),
+    pair_cells=st.integers(1, 64),
+    data=st.data(),
+)
+def test_level_batches_across_heads_match_reference(tables, prop, chunk_cells, pair_cells, data):
+    # small cell bounds cut each level into batches of p that straddle heads
+    # and into several q chunks; the kernel alone must still name the
+    # reference decider's least witness
+    ring = make_table_ring(*tables)
+    endo = data.draw(st.sampled_from(all_endomorphisms(ring)))
+    expected = reference(ring, endo, prop, degree=1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(deciders, "_CHUNK_CELLS", chunk_cells)
+        m.setattr(deciders, "_PAIR_CELLS", pair_cells)
+        kernel_only(m)
+        assert check_property(ring, endo, prop, degree=1).witness == expected
+
+
+def test_an_earlier_head_in_the_batch_may_refuse_the_witness_q_head(monkeypatch):
+    # UT2(Z2) with α(a, b, c) = (0, 0, a): α(e11) = e22 and α(e22) = 0.  The
+    # least q-α-skew witness at degree 1 is p = e11·x, q = e11 (indices
+    # (0, 4) and (4,)).  The earlier p = e22·x of the same batch violates
+    # the conclusion against q = e11 too, and the only coefficient of
+    # p (r x^k) q that can be nonzero is the lowest, e22·α(r)·α^(1+k)(e11),
+    # which the hypothesis test skips: it is e22 at r = e11, k = 0, so head
+    # e22 refuses q head e11, and only the prefix term of the mask drops it.
+    ring = ut2_z2()
+    endo = table_endomorphism(ring, (0, 0, 0, 0, 1, 1, 1, 1), "a-to-c")
+    prop = PropertyId.Q_ALPHA_SKEW_ARMENDARIZ
+    allowed, heads = deciders._Scanner(ring, endo, prop).head_tables(1)
+    assert {1, 4} <= set(heads.tolist())
+    assert allowed[4, 4] and not allowed[1, 4]
+    batches = []
+    least_in_batch = deciders._least_in_batch
+
+    def batch(sc, ps, *args):
+        batches.append(ps.tolist())
+        return least_in_batch(sc, ps, *args)
+
+    monkeypatch.setattr(deciders, "_least_in_batch", batch)
+    verdict = check_property(ring, endo, prop, degree=1)
+    w = verdict.witness
+    assert (w.p_coeffs, w.q_coeffs) == ((0, 4), (4,))
+    assert batches[-1].index([0, 1]) < batches[-1].index([0, 4])
+    assert w == reference(ring, endo, prop, degree=1)
+    replay_witness(ring, endo, prop, w)
+
+
+def test_kernel_counts_of_a_witness_are_pinned_and_repeat(monkeypatch):
+    # example2 = T(Z4, Z4) is no F_p carrier, so the kernel decides all four
+    # blocks at degree 1: six levels of p, each one batch against one q
+    # chunk.  The two q lists (one per q shape) are built once and read from
+    # the memo six times.
+    scanners = []
+
+    class Recording(deciders._Scanner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scanners.append(self)
+
+    monkeypatch.setattr(deciders, "_Scanner", Recording)
+    entry = entry_by_name("example2")
+    for _ in range(2):
+        w = check_property(entry.ring, None, PropertyId.ARMENDARIZ, degree=1).witness
+        assert (w.p_coeffs, w.q_coeffs) == ((1, 8), (1, 8))
+    first, second = (sc.counts for sc in scanners)
+    assert first == second == {
+        "p_batches": 6,
+        "steps": 6,
+        "q_chunks_built": 2,
+        "q_chunks_reused": 6,
+        "mask_cells": 14161,
+        "pairs_tested": 6424,
+        "pairs_passed": 96,
+    }
 
 
 def test_least_p_may_hit_in_a_later_q_chunk(monkeypatch):
     # In this relabelling the least Armendariz witness at degree 1 has
-    # p = (3, 6) and q = (1, 6), the 7th q of its run; the later p = (3, 13)
-    # of the same run already meets the 5th q, (1, 4).  With one q per chunk
-    # and the whole run in one batch, (3, 13) hits first and the batch must
-    # still return (3, 6).
+    # p = (3, 6) and q = (1, 6); the later p = (3, 13) of the same level
+    # already meets the earlier q (1, 4).  With one q per chunk and the whole
+    # level (195 p) in one batch of up to 256, (3, 13) hits first and the
+    # batch must still return (3, 6).
     perm = [2, 15, 4, 9, 6, 10, 1, 5, 13, 14, 11, 7, 12, 3, 8, 0]
     ring, _ = relabel_ring(ut2_plus_z2(), perm)
     prop = PropertyId.ARMENDARIZ
     monkeypatch.setattr(deciders, "_CHUNK_CELLS", 1)
-    monkeypatch.setattr(deciders, "_FIRST_P_ROWS", 16)
+    monkeypatch.setattr(deciders, "_PAIR_CELLS", 256)
     hits_per_batch = []
     least_in_batch, least_in_chunk = deciders._least_in_batch, deciders._least_in_chunk
 
@@ -326,13 +419,12 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
     # Laurent exponents are negative: e in [-period, 0) for an automorphism
     low = -endo.period if endo.is_automorphism else 0
     for e in range(low, len(orbit) + 1):
-        tables, heads = sc.head_tables(e)
+        allowed, heads = sc.head_tables(e)
         tab = every_r_head_tables(ring, endo, e, ks, sandwich)
-        assert [t is None for t in tables] == (~tab.any(axis=1)).tolist()
-        assert all(t is None or np.array_equal(t, tab[a]) for a, t in enumerate(tables))
-        assert heads.tolist() == [a for a in range(ring.size) if a != ring.zero and tab[a].any()]
-    # the hypothesis rows of the kernel on every run of p at degree 1, against
-    # the q its prefix rule allows
+        assert np.array_equal(allowed, tab)
+        assert heads.tolist() == [a for a in range(ring.size) if tab[a].any()]
+    # the hypothesis rows of the kernel on the p of every head at degree 1,
+    # against the q its prefix rule allows, which come with their heads
     for amin in sorted({low, 0}):
         for f in (1, 0):
             for a in sc.head_tables(amin + f)[1].tolist():
@@ -341,7 +433,8 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
                     0, ring.size ** (1 - f), sc.dtype,
                 )
                 _, chunks = sc.candidates(2, False, sc.head_tables(amin + f)[0][a])
-                qs = np.concatenate(list(chunks()))
+                qs, qh = (np.concatenate(parts) for parts in zip(*chunks()))
+                assert qh.tolist() == [first_nonzero(q, ring.zero)[1] for q in qs.tolist()]
                 pi, qi = np.nonzero(np.ones((len(ps), len(qs)), dtype=bool))
                 got = deciders._passing(sc, ps, f, amin, qs, pi, qi)
                 expected = every_r_passes(

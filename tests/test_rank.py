@@ -15,6 +15,7 @@ from skewarm import (
     all_endomorphisms,
     check_property,
     deciders,
+    rings,
     identity_endomorphism,
     make_direct_product,
     make_galois_field,
@@ -248,7 +249,7 @@ def sweep_ring(name, moved):
 
 def kernel_only(monkeypatch, ring, endo, prop, envelope):
     with monkeypatch.context() as m:
-        m.setattr(deciders, "_prime_basis", lambda add, zero: None)
+        m.setattr(deciders, "_cleared_shapes", lambda sc, basis, amin, blocks: set())
         return check_property(ring, endo, prop, **envelope)
 
 
@@ -322,6 +323,23 @@ def test_screen_batches_of_one_p_match_the_kernel(monkeypatch, name, prop, envel
             m.setattr(deciders, "_RANK_CELLS", 1)
             m.setattr(deciders, "_FIRST_RANK_ROWS", 1)
             assert check_property(ring, endo, prop, **envelope) == expected
+
+
+def test_prime_basis_is_found_once_per_ring(monkeypatch):
+    calls = []
+    prime_basis = rings._prime_basis
+
+    def counted(add, zero):
+        calls.append(zero)
+        return prime_basis(add, zero)
+
+    monkeypatch.setattr(rings, "_prime_basis", counted)
+    ring = z2_power(2)
+    for prop in FAMILY:
+        check_property(ring, identity_endomorphism(ring), prop, degree=1)
+    assert len(calls) == 1
+    assert ring.prime_basis is ring.prime_basis
+    assert ring.prime_basis[:2] == basis_of(ring)[:2]
 
 
 def test_screen_hands_its_first_uncleared_shape_to_the_kernel(monkeypatch):
