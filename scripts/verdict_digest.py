@@ -18,13 +18,16 @@ Laurent property on six windows, the power-series property at truncation
 Each line is a JSON object with the request and either the
 ``verdict_to_record`` record, ``"blocked"`` (the budget refused it) or the
 error that refused it.  Every failing witness is replayed; a witness that
-does not replay stops the run with an error, and so does a record whose
-``record_to_json`` bytes differ from ``json.dumps`` with sorted keys and
-compact separators, or whose file ``formats.read_json`` reads back other
-than ``json.loads`` does (its tables as arrays of the same entries, the
-rest equal).  A failing request is followed
-by a second line with the request and the witness lines ``skewarm check``
-prints (``cli._witness_text``), so the classes' ``render`` is compared too.
+does not replay stops the run with an error.  So does a request that a
+fresh copy of its twist decides otherwise: every request on one twist
+object shares the tables the searches derive from it, and the copy shares
+none.  So does a record whose ``record_to_json`` bytes differ from
+``json.dumps`` with sorted keys and compact separators, or whose file
+``formats.read_json`` reads back other than ``json.loads`` does (its tables
+as arrays of the same entries, the rest equal).  A failing request is
+followed by a second line with the request and the witness lines
+``skewarm check`` prints (``cli._witness_text``), so the classes' ``render``
+is compared too.
 """
 
 from __future__ import annotations
@@ -151,6 +154,16 @@ def check_read_back(text: str, path: Path) -> None:
         raise AssertionError(f"read_json reads a record other than json.loads: {text[:200]}")
 
 
+def decide(ring, endo, prop, envelope):
+    """The verdict, or the refusal: "blocked" (the budget) or the error."""
+    try:
+        return check_property(ring, endo, prop, **envelope)
+    except BudgetExceededError:
+        return "blocked"
+    except RingError as err:
+        return f"{type(err).__name__}: {err}"
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
         return digest(Path(scratch) / "record.json")
@@ -166,12 +179,14 @@ def digest(record_path: Path) -> int:
                 "property": prop.value,
                 "envelope": envelope,
             }
-            try:
-                verdict = check_property(ring, endo, prop, **envelope)
-            except BudgetExceededError:
+            verdict = decide(ring, endo, prop, envelope)
+            fresh = table_endomorphism(ring, endo.images, endo.label)
+            if decide(ring, fresh, prop, envelope) != verdict:
+                raise AssertionError(f"a fresh copy of the twist decides otherwise: {line}")
+            if verdict == "blocked":
                 line["blocked"] = True
-            except RingError as err:
-                line["error"] = f"{type(err).__name__}: {err}"
+            elif isinstance(verdict, str):
+                line["error"] = verdict
             else:
                 line["record"] = record = verdict_to_record(verdict, ring, endo)
                 text = record_to_json(record)

@@ -451,8 +451,11 @@ def _established(
     {"holds", "fails", "blocked"}."""
     n = entry.ring.size
     feasible = degree
-    while feasible >= 0 and dec.search_price(n, dec.family_blocks(feasible)) > budget:
-        feasible -= 1
+    if dec.over_budget(n, 2 * (degree + 1), budget):
+        # the price grows with the degree, so count up to the last that fits
+        feasible = -1
+        while not dec.over_budget(n, 2 * (feasible + 2), budget):
+            feasible += 1
     if feasible < 0:
         return "blocked", None
     verdict = dec.check_armendariz_family(entry.ring, entry.endo, feasible, prop, budget)

@@ -11,11 +11,11 @@ always the least one and verdicts are schedule-independent.
 
 Each polynomial variant is stated once, in ``_STATEMENTS``; the search and
 ``replay_witness`` both read it.  The plain, Laurent and series deciders
-check their arguments, then hand the one ``_search`` their blocks of
-(p, q) shapes and base exponents; it prices the blocks against the tuple
-budget (``search_price``) before it builds any table.  Every sandwich
+check their arguments and price the search against the tuple budget from
+its longest shapes alone (``over_budget``), then hand the one ``_search``
+their blocks of (p, q) shapes and base exponents.  Every sandwich
 hypothesis uses the twist exponents of one orbit window
-(``_Scanner.orbit``).  Each element property's violation is one formula in
+(``_TwistTables.orbit``).  Each element property's violation is one formula in
 ``_ELEMENT_LAWS``, which both its predicate and replay evaluate.
 
 The search takes p a level at a time, a level being the p whose first
@@ -32,8 +32,20 @@ least; across chunks a p that hits later beats a larger p that hit earlier.
 ``_conclusion_violation`` then names the violated instance.  The plain
 hypothesis pq = 0 is the sandwich with the single left factor a and k = 0,
 so the kernel, the rank screen and the naming read their tables from one
-left-factor table (``_Scanner.left``); a sandwich table takes r over the
+left-factor table (``_TwistTables.left``); a sandwich table takes r over the
 additive generators of R only, at most log2 |R| of them.
+
+The statements of one kind of hypothesis differ only in the twist of their
+conclusion, so everything a search derives from the ring, the twist and the
+kind of hypothesis is one ``_TwistTables`` per twist object and kind, shared
+by every search on that object: the annihilators, the left factors, the
+prefix rule's tables, the products, the q chunks, and the rank screen's
+coordinates, tables and null spaces of H(p).  The conclusion's tables are
+kept there too, keyed by its reduced twist exponents.  Each store is keyed
+by all else its entries depend on, the batching bounds included, and all
+of them together hold at most ``_MEMO_CELLS`` cells.  The tables live in a
+``weakref.WeakKeyDictionary`` keyed by the twist, so they go with it.  A
+search (``_Scanner``) keeps only its statement and its counts.
 
 When (R,+) is the vector space F_p^m, a rank screen (``_RankScreen``) runs
 first.  It takes the p shapes in block order and decides by linear algebra
@@ -49,6 +61,8 @@ nominal tuple, screened or not.
 from __future__ import annotations
 
 import enum
+import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -69,14 +83,23 @@ from .skewpoly import (
 DEFAULT_TUPLE_BUDGET = 10**8
 
 
-class BudgetExceededError(RingError):
-    """The search space is larger than the configured tuple budget."""
+# Digits of the longest price a message prints in full: Python's default
+# limit on converting an int to a string.
+_PRICE_DIGITS = 4300
 
-    def __init__(self, space: int, budget: int):
-        self.space = space
+
+class BudgetExceededError(RingError):
+    """The search space, n^length nominal coefficient tuples, is larger than
+    the configured tuple budget.  ``space`` is that number, or None when it
+    has more than ``_PRICE_DIGITS`` digits; the message then words it as
+    n^length."""
+
+    def __init__(self, n: int, length: int, budget: int):
+        self.space = n**length if length * math.log10(n) < _PRICE_DIGITS else None
         self.budget = budget
+        price = f"{n}^{length}" if self.space is None else self.space
         super().__init__(
-            f"search space of {space} coefficient tuples exceeds the budget of {budget}"
+            f"search space of {price} coefficient tuples exceeds the budget of {budget}"
         )
 
 
@@ -441,12 +464,14 @@ def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -
 # except that the last digit of an exact-length tail runs over the nonzero
 # values only.  When the zero is index 0 this is raw lexicographic order.
 
-# Bounds on the kernel's memory: cells (entries) of one q chunk, of the q
-# chunks one decider call keeps for reuse, and of the (p × q) conclusion
-# mask and the (pairs × generators) hypothesis arrays of one kernel step.
+# Bounds on the kernel's memory: cells (entries) of one q chunk, and of the
+# (p × q) conclusion mask and the (pairs × generators) hypothesis arrays of
+# one kernel step.
 _CHUNK_CELLS = 1 << 22
-_MEMO_CELLS = 1 << 24
 _PAIR_CELLS = 1 << 16
+# The room of one twist's shared stores (``_TwistTables``): the cells they
+# may hold together.
+_MEMO_CELLS = 1 << 24
 # Bound on the cells of one batch of the rank screen: p times the entries of
 # H(p) and of K(p) applied to the null vectors of H(p).  Its batches double
 # in size from the first, up to that bound.
@@ -504,8 +529,10 @@ def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
         yield np.concatenate(pieces)
 
 
-class _Scanner:
-    """Tables and caches for one decider invocation.
+class _TwistTables:
+    """What every search derives from one ring, twist and hypothesis kind
+    (pq = 0 or p R[x;α] q = 0), shared by all the searches on one twist
+    object (``_twist_tables``).
 
     ``orbit`` holds the exponents of every distinct power of the twist.
     The plain hypothesis pq = 0 is the sandwich p (r x^k) q = 0 with the
@@ -521,24 +548,27 @@ class _Scanner:
     that holds every element index), and the twist's powers are converted
     to that dtype.
 
-    ``counts`` keeps what the kernel did, deterministically and outside any
-    verdict: "p_batches", "steps" (p batch × q chunk), "q_chunks_built",
-    "q_chunks_reused" (read from the memo), "mask_cells", and the pairs
-    ``_passing`` tested and passed ("pairs_tested", "pairs_passed").
+    The stores (the prefix rule's ``head_tables``, ``products``, the
+    conclusion's ``bad_table``s, the q chunks of ``candidates``, and the
+    rank screen's ``hypothesis_table``s, ``conclusion_table``s and null
+    spaces of H(p)) are keyed by everything else their entries depend on,
+    the batching bounds they were built under included.  They
+    keep an entry while ``room`` allows: ``_MEMO_CELLS`` cells over all of
+    them, each entry in the least dtype that holds it.  The tables hold the
+    twist only by a weak reference, so they go when the twist goes.
     """
 
-    def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
-        self.statement = _STATEMENTS[variant]
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, sandwich: bool):
+        self._endo = weakref.ref(endo)
         self.orbit = range(endo.preperiod + endo.period)
         self.n = ring.size
         self.zero = ring.zero
         self.surjective = endo.is_surjective
-        self.red = endo.reduce_exponent
         self.dtype = ring.mul_array.dtype
         self.add_np = ring.add_array
         self.mul_np = ring.mul_array
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
-        if self.statement.sandwich:
+        if sandwich:
             self.gens = np.array([g for g in ring.generators if g != ring.zero], dtype=np.intp)
             self.ks = self.orbit
         else:
@@ -548,12 +578,23 @@ class _Scanner:
         self.ann = (self.mul_np[factors] == self.zero).all(axis=1)
         # columns of the hypothesis arrays: one per left factor
         self.width = factors.shape[1]
+        self.room = _MEMO_CELLS
         self._allowed: dict = {}
-        self._bad: dict = {}
         self._products: dict = {}
-        self._memo: dict = {}
-        self._memo_room = _MEMO_CELLS
-        self.counts = Counter()
+        self._bad: dict = {}
+        self._chunks: dict = {}
+        self._screen = None
+
+    def keep(self, store: dict, key, value, cells: int):
+        """``value``, kept in ``store`` under ``key`` if its ``cells`` fit
+        the room left."""
+        if cells <= self.room:
+            self.room -= cells
+            store[key] = value
+        return value
+
+    def red(self, e: int) -> int:
+        return self._endo().reduce_exponent(e)
 
     def left(self, e: int) -> np.ndarray:
         """left[a, g]: the left factors of the hypothesis terms from a
@@ -566,41 +607,42 @@ class _Scanner:
     def power_row(self, e: int) -> np.ndarray:
         return self.pow_np[self.red(e)]
 
-    def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray):
+    def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray, counts):
         """The rows of the largest chunk of every q of one shape whose head
         value ``allowed`` keeps, and a function giving those chunks, each with
         the head of each of its q, in enumeration order.  The chunks of one
-        head set are kept for later calls while the memo has room; otherwise
-        each call of the function builds them afresh, one at a time."""
-        key = (length, last_nonzero, allowed.tobytes())
+        head set and chunk size are kept for later calls while the room
+        allows; otherwise each call of the function builds them afresh, one
+        at a time.  ``counts`` counts the chunks built and reused."""
+        step = max(1, _CHUNK_CELLS // max(self.n, length))
+        key = (length, last_nonzero, step, allowed.tobytes())
         heads = np.flatnonzero(allowed).astype(self.dtype)
         tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
         rows = len(heads) * tails
-        step = max(1, _CHUNK_CELLS // max(self.n, length))
 
         def chunks():
             for qs in _tuple_chunks(
                 self.n, length, last_nonzero, self.zero, lambda f: heads, step, self.dtype
             ):
-                self.counts["q_chunks_built"] += 1
+                counts["q_chunks_built"] += 1
                 yield qs, qs[np.arange(len(qs)), (qs != self.zero).argmax(axis=1)]
 
         def reread():
-            for chunk in self._memo[key]:
-                self.counts["q_chunks_reused"] += 1
+            for chunk in self._chunks[key]:
+                counts["q_chunks_reused"] += 1
                 yield chunk
 
-        if key not in self._memo and rows * (length + 1) <= self._memo_room:
-            self._memo_room -= rows * (length + 1)
-            self._memo[key] = list(chunks())
-        return min(rows, step), reread if key in self._memo else chunks
+        cells = rows * (length + 1)
+        if key not in self._chunks and cells <= self.room:  # list them only if kept
+            self.keep(self._chunks, key, list(chunks()), cells)
+        return min(rows, step), reread if key in self._chunks else chunks
 
     def head_tables(self, e: int):
         """The prefix rule at exponent e: ``allowed[a, v]`` says whether a q
         with first nonzero coefficient v may pass the hypothesis against a p
         whose first nonzero coefficient a sits at exponent e, and ``heads``
         lists the a with some v.  Row and column zero are all False.  Built
-        at once for each class of exponents that share them.
+        once for each class of exponents that share them.
 
         The lowest coefficient of p (r x^k) q is the single term
         a·α^e(r)·α^(e+k)(v) (a·α^e(v) for pq = 0), so a nonzero value there
@@ -611,44 +653,99 @@ class _Scanner:
         """
         surj = self.gens is not None and self.surjective
         key = None if surj else self.red(e)
-        if key not in self._allowed:
-            tab = np.ones((self.n, self.n), dtype=bool)
-            if surj:
-                for row in self.pow_np:
-                    tab &= self.ann[:, row]
-            else:
-                terms = self.mul_np[self.left(e)]  # [a, g, v]: left[a, g]·v
-                for k in self.ks:
-                    tab &= (terms[:, :, self.power_row(e + k)] == self.zero).all(axis=1)
-            tab[:, self.zero] = tab[self.zero] = False
-            self._allowed[key] = tab, np.flatnonzero(tab.any(axis=1)).astype(self.dtype)
-        return self._allowed[key]
-
-    def bad_table(self, e: int) -> np.ndarray:
-        """bad[a, b]: a coefficient b of q violates the conclusion against
-        the coefficient a of p at exponent e, whatever b's own exponent.
-        Row and column zero are all False."""
-        key = self.red(e)
-        if key not in self._bad:
-            twists = self.statement.twists(e, self.orbit)
-            maps = self.pow_np[[self.red(t) for t in twists]]
-            self._bad[key] = ~self.ann[:, maps].all(axis=1)
-        return self._bad[key]
+        if key in self._allowed:
+            return self._allowed[key]
+        tab = np.ones((self.n, self.n), dtype=bool)
+        if surj:
+            for row in self.pow_np:
+                tab &= self.ann[:, row]
+        else:
+            terms = self.mul_np[self.left(e)]  # [a, g, v]: left[a, g]·v
+            for k in self.ks:
+                tab &= (terms[:, :, self.power_row(e + k)] == self.zero).all(axis=1)
+        tab[:, self.zero] = tab[self.zero] = False
+        heads = np.flatnonzero(tab.any(axis=1)).astype(self.dtype)
+        return self.keep(self._allowed, key, (tab, heads), tab.size + heads.size)
 
     def products(self, e: int, k: int) -> np.ndarray:
         """prod[g, a·n + b]: left[a, g]·α^(e+k)(b), the term of p (g x^k) q
         from a coefficient a of p at exponent e and b of q, one row per left
         factor (``left``): a·α^e(g)·α^(e+k)(b) per generator g, or the
-        single a·α^e(b) for pq = 0.  Kept while the memo has room."""
+        single a·α^e(b) for pq = 0."""
         key = (self.red(e), self.red(e + k))
         if key in self._products:
             return self._products[key]
         left = self.left(e).T
         prod = self.mul_np[left[:, :, None], self.power_row(e + k)].reshape(len(left), -1)
-        if prod.size <= self._memo_room:
-            self._memo_room -= prod.size
-            self._products[key] = prod
-        return prod
+        return self.keep(self._products, key, prod, prod.size)
+
+    def bad_table(self, twists: tuple[int, ...]) -> np.ndarray:
+        """bad[a, b]: a coefficient b of q violates a conclusion with the
+        reduced twist exponents ``twists`` (``_Scanner.twists``) against a
+        coefficient a of p, whatever their exponents.  Row and column zero
+        are all False."""
+        if twists in self._bad:
+            return self._bad[twists]
+        bad = ~self.ann[:, self.pow_np[list(twists)]].all(axis=1)
+        return self.keep(self._bad, twists, bad, bad.size)
+
+    def screen(self, basis) -> _RankScreen:
+        """The rank screen over ``basis`` (``FiniteRing.prime_basis``),
+        made on first use."""
+        if self._screen is None:
+            self._screen = _RankScreen(self, *basis)
+        return self._screen
+
+
+# The shared tables of each live twist object, by hypothesis kind (whether
+# it is a sandwich); an entry goes with its twist.
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _twist_tables(ring: FiniteRing, endo: Endomorphism, sandwich: bool) -> _TwistTables:
+    """The shared tables of ``endo`` and the kind of hypothesis, made on
+    first use."""
+    kinds = _SHARED.setdefault(endo, {})
+    if sandwich not in kinds:
+        kinds[sandwich] = _TwistTables(ring, endo, sandwich)
+    return kinds[sandwich]
+
+
+class _Scanner:
+    """One decider call: its statement and its counts.
+
+    Everything the search derives from the ring, the twist and the kind of
+    hypothesis is ``tables`` (``_TwistTables``), shared with every other
+    search on the same twist object while that object lives, so a second
+    statement on one twist, such as α-skew after α-Armendariz, reuses the
+    first one's tables, q chunks and null spaces.  The conclusion's tables
+    are shared there too, keyed by its twists at each exponent
+    (``twists``), which is all they depend on beyond the hypothesis kind.
+
+    ``counts`` keeps what the search did, deterministically and outside any
+    verdict.  The kernel's: "p_batches", "steps" (p batch × q chunk),
+    "q_chunks_built", "q_chunks_reused" (read from the shared memo),
+    "mask_cells", and the pairs ``_passing`` tested and passed
+    ("pairs_tested", "pairs_passed").  The rank screen's: "rank_batches",
+    the p it tested ("screen_p"), and of those the p whose null space of
+    H(p) it eliminated ("null_spaces_built") or read from the shared store
+    ("null_spaces_reused").
+    """
+
+    def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
+        self.statement = _STATEMENTS[variant]
+        self.tables = _twist_tables(ring, endo, self.statement.sandwich)
+        self.counts = Counter()
+
+    def twists(self, e: int) -> tuple[int, ...]:
+        """The twist exponents of the conclusion for a coefficient of p at
+        exponent e, reduced into the orbit window."""
+        tables = self.tables
+        return tuple(tables.red(t) for t in self.statement.twists(e, tables.orbit))
+
+    def bad_table(self, e: int) -> np.ndarray:
+        """The shared ``bad_table`` of the conclusion at exponent e."""
+        return self.tables.bad_table(self.twists(e))
 
 
 class _RankScreen:
@@ -669,93 +766,120 @@ class _RankScreen:
 
     H and K are linear in p as well, so one p per F_p^× multiple is tested;
     the p whose head the prefix rule refuses have Q(p) = 0 and are skipped.
+
+    One screen serves every search on its twist tables: H(p), its tables and
+    its null spaces belong to the hypothesis, K(p)'s tables to the
+    conclusion's twists, and all are kept in the tables' stores.
     """
 
-    def __init__(self, sc: _Scanner, p: int, basis: list[int], coords: np.ndarray):
-        self.sc, self.p = sc, p
+    def __init__(self, tables: _TwistTables, p: int, basis: list[int], coords: np.ndarray):
+        # a weak reference, as the tables hold the screen: without a cycle
+        # both go as soon as their twist does, not at the next collection
+        self.tables, self.p = weakref.proxy(tables), p
         # entries stay in [0, p); a step of the elimination reaches ±(p - 1)²
         self.dtype = bool if p == 2 else np.int16 if (p - 1) ** 2 < 1 << 15 else np.int32
+        # the stores keep the least dtype that holds [0, p)
+        self.least = bool if p == 2 else np.min_scalar_type(p - 1)
         self.basis = np.asarray(basis, dtype=np.intp)
         self.m = len(basis)
-        self.coords = coords.astype(self.dtype)
-        lead = coords[np.arange(sc.n), (coords != 0).argmax(axis=1)]
+        self.coords = coords.astype(self.least)
+        lead = coords[np.arange(tables.n), (coords != 0).argmax(axis=1)]
         self.canonical = lead == 1  # heads whose first nonzero coordinate is 1
         self.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], self.dtype)
         self._hyp: dict = {}
         self._con: dict = {}
+        self._null: dict = {}
 
     def hypothesis_table(self, e: int, k: int) -> np.ndarray:
         """tab[a, g]: the matrix of b ↦ a·α^e(g)·α^(e+k)(b) (of b ↦ a·α^e(b)
         for pq = 0), rows the output coordinates, columns b's; gathered as
         [g, a, basis element, output coordinate] and transposed."""
-        key = (self.sc.red(e), self.sc.red(e + k))
-        if key not in self._hyp:
-            prod = self.sc.products(e, k).reshape(-1, self.sc.n, self.sc.n)
-            self._hyp[key] = self.coords[prod[:, :, self.basis]].transpose(1, 0, 3, 2)
-        return self._hyp[key]
+        tables = self.tables
+        key = (tables.red(e), tables.red(e + k))
+        if key in self._hyp:
+            return self._hyp[key]
+        prod = tables.products(e, k).reshape(-1, tables.n, tables.n)
+        tab = self.coords[prod[:, :, self.basis]].transpose(1, 0, 3, 2)
+        return tables.keep(self._hyp, key, tab, tab.size)
 
-    def conclusion_table(self, e: int) -> np.ndarray:
+    def conclusion_table(self, twists: tuple[int, ...]) -> np.ndarray:
         """tab[a]: the matrices of b ↦ a·g·α^t(b) (of b ↦ a·α^t(b)) for a
-        coefficient a at exponent e, stacked over the twists t and the g,
-        reduced to their echelon form of m rows.  They are the hypothesis
-        tables at exponent 0 and twist t."""
-        sc = self.sc
-        key = sc.red(e)
-        if key not in self._con:
-            twists = sc.statement.twists(e, sc.orbit)
-            tab = np.stack([self.hypothesis_table(0, t) for t in twists], axis=1)
-            self._con[key] = self._echelon(tab.reshape(sc.n, -1, self.m))
-        return self._con[key]
+        coefficient a of p, stacked over the reduced twist exponents t in
+        ``twists`` (``_Scanner.twists``) and the g, reduced to their echelon
+        form of m rows.  They are the hypothesis tables at exponent 0 and
+        twist t."""
+        if twists in self._con:
+            return self._con[twists]
+        tab = np.stack([self.hypothesis_table(0, t) for t in twists], axis=1, dtype=self.dtype)
+        tab = self._echelon(tab.reshape(self.tables.n, -1, self.m)).astype(self.least)
+        return self.tables.keep(self._con, twists, tab, tab.size)
 
-    def first_uncleared(self, amin: int, shapes, lq: int) -> int:
+    def first_uncleared(self, sc: _Scanner, amin: int, shapes, lq: int) -> int:
         """The index in ``shapes`` of the first p shape (lowest exponent
         ``amin``) with a p that meets a nonzero q of at most ``lq``
-        coefficients in a witness, or ``len(shapes)``.
+        coefficients in a witness of ``sc``'s statement, or ``len(shapes)``.
 
         The p of every shape are taken in order as one stream, each padded
         with zero coefficients on top to the longest shape, which changes
         neither H(p) nor K(p).  The stream is decided in batches whose size
         doubles from ``_FIRST_RANK_ROWS``, so a witness early on ends the
         screen cheaply; the first batch with one ends it."""
-        sc = self.sc
+        tables = self.tables
         width = max(lp for lp, _ in shapes)
         # per p: H(p), and K(p) times the null vectors' coefficients
-        cells = (len(sc.ks) * (width + lq - 1) * sc.width + width * lq) * self.m * lq * self.m
+        cells = (len(tables.ks) * (width + lq - 1) * tables.width + width * lq) * self.m * lq * self.m
         cap = max(1, _RANK_CELLS // cells)
 
         def heads(f):
-            allowed = sc.head_tables(amin + f)[1]
+            allowed = tables.head_tables(amin + f)[1]
             return allowed[self.canonical[allowed]]
 
         def stream():
             for index, (lp, exact) in enumerate(shapes):
-                for chunk in _tuple_chunks(sc.n, lp, exact, sc.zero, heads, cap, sc.dtype):
-                    ps = np.full((len(chunk), width), sc.zero, dtype=sc.dtype)
+                for chunk in _tuple_chunks(tables.n, lp, exact, tables.zero, heads, cap, tables.dtype):
+                    ps = np.full((len(chunk), width), tables.zero, dtype=tables.dtype)
                     ps[:, :lp] = chunk
                     yield ps, np.full(len(chunk), index)
 
         for ps, index in _doubling_batches(stream(), _FIRST_RANK_ROWS, cap):
-            hit = self._witnessed(ps, amin, lq)
+            sc.counts.update(rank_batches=1, screen_p=len(ps))
+            hit = self._witnessed(sc, ps, amin, lq)
             if hit.any():
                 return int(index[hit.argmax()])
         return len(shapes)
 
-    def _witnessed(self, ps: np.ndarray, amin: int, lq: int) -> np.ndarray:
-        """Which p of ``ps`` have Q(p) ⊄ C(p)."""
-        sc, m, p = self.sc, self.m, self.p
+    def _witnessed(self, sc: _Scanner, ps: np.ndarray, amin: int, lq: int) -> np.ndarray:
+        """Which p of ``ps`` have Q(p) ⊄ C(p) for ``sc``'s statement."""
+        m = self.m
         count, lp = ps.shape
-        hyp = np.zeros((count, len(sc.ks), lp + lq - 1, sc.width, m, lq, m), dtype=self.dtype)
-        for x, k in enumerate(sc.ks):
+        null = self.null_spaces(ps, amin, lq, sc.counts)
+        con = [self.conclusion_table(sc.twists(amin + i))[ps[:, i]] for i in range(lp)]
+        # Q(p) ⊆ C(p) iff K(p) kills every coefficient of every null vector
+        coeffs = null.reshape(count, lq, m, -1).swapaxes(1, 2).reshape(count, m, -1)
+        kills = np.matmul(np.concatenate(con, axis=1), coeffs, dtype=np.int32)
+        return (kills % self.p).any(axis=(1, 2))
+
+    def null_spaces(self, ps: np.ndarray, amin: int, lq: int, counts) -> np.ndarray:
+        """null[x]: a matrix whose columns span Q(ps[x]) = ker H(ps[x]), for
+        p of lowest exponent ``amin`` and q of ``lq`` coefficients.  Read
+        from the store under a key of all it depends on, or eliminated and
+        kept while the room allows; ``counts`` counts the p of each."""
+        key = (amin, lq, ps.shape[1], ps.tobytes())
+        if key in self._null:
+            counts["null_spaces_reused"] += len(ps)
+            return self._null[key]
+        tables, m = self.tables, self.m
+        count, lp = ps.shape
+        hyp = np.zeros((count, len(tables.ks), lp + lq - 1, tables.width, m, lq, m), dtype=self.dtype)
+        for x, k in enumerate(tables.ks):
             for i in range(lp):
                 block = self.hypothesis_table(amin + i, k)[ps[:, i]]
                 for j in range(lq):
                     hyp[:, x, i + j, :, :, j, :] = block
         hyp = self._echelon(hyp.reshape(count, -1, lq * m))
-        null = (np.eye(lq * m, dtype=np.int32) - hyp) % p  # its columns span Q(p)
-        con = np.concatenate([self.conclusion_table(amin + i)[ps[:, i]] for i in range(lp)], axis=1)
-        # Q(p) ⊆ C(p) iff K(p) kills every coefficient of every null vector
-        coeffs = null.reshape(count, lq, m, -1).swapaxes(1, 2).reshape(count, m, -1)
-        return (np.matmul(con, coeffs, dtype=np.int32) % p).any(axis=(1, 2))
+        null = ((np.eye(lq * m, dtype=np.int32) - hyp) % self.p).astype(self.least)
+        counts["null_spaces_built"] += count
+        return tables.keep(self._null, key, null, null.size + ps.size)
 
     def _echelon(self, h: np.ndarray) -> np.ndarray:
         """The reduced row echelon form of each matrix of ``h`` (mod p), one
@@ -820,7 +944,7 @@ def _cleared_shapes(sc: _Scanner, basis, amin: int, blocks) -> set:
         return set()
     shapes = list(dict.fromkeys(p for p, _ in blocks))
     lq = max(q_len for _, (q_len, _) in blocks)
-    first = _RankScreen(sc, *basis).first_uncleared(amin, shapes, lq)
+    first = sc.tables.screen(basis).first_uncleared(sc, amin, shapes, lq)
     return set(shapes[:first])
 
 
@@ -834,17 +958,18 @@ def _least_violation(sc: _Scanner, amin: int, p_shape, q_shape):
     none is never built).  A batch times the rows of a q chunk stays within
     ``_PAIR_CELLS`` unless a single p exceeds it (``_least_in_batch``).
     """
+    tables = sc.tables
     lp, p_exact = p_shape
     for f in range(lp - 1, -1, -1):
-        allowed, heads = sc.head_tables(amin + f)
+        allowed, heads = tables.head_tables(amin + f)
         if not len(heads):
             continue
-        chunk_rows, chunks = sc.candidates(*q_shape, allowed[heads].any(axis=0))
-        total = len(heads) * _tails_per_head(sc.n, lp - 1 - f, p_exact)
+        chunk_rows, chunks = tables.candidates(*q_shape, allowed[heads].any(axis=0), sc.counts)
+        total = len(heads) * _tails_per_head(tables.n, lp - 1 - f, p_exact)
         batch = max(1, _PAIR_CELLS // chunk_rows)
         for lo in range(0, total, batch):
             hi = min(total, lo + batch)
-            ps = _level_rows(sc.n, lp, p_exact, sc.zero, f, heads, lo, hi, sc.dtype)
+            ps = _level_rows(tables.n, lp, p_exact, tables.zero, f, heads, lo, hi, tables.dtype)
             sc.counts["p_batches"] += 1
             hit = _least_in_batch(sc, ps, f, amin, allowed, chunks())
             if hit is not None:
@@ -889,17 +1014,17 @@ def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, qs
     mask &= allowed[ps[:, f]][:, qh]
     sc.counts.update(steps=1, mask_cells=mask.size)
     hits = np.flatnonzero(mask)  # several times faster than np.nonzero of a 2-d mask
-    step = max(1, _PAIR_CELLS // max(1, sc.width))
+    step = max(1, _PAIR_CELLS // max(1, sc.tables.width))
     for lo in range(0, len(hits), step):
         pi, qi = np.divmod(hits[lo : lo + step], len(qs))
-        ok = _passing(sc, ps, f, amin, qs, pi, qi)
+        ok = _passing(sc.tables, ps, f, amin, qs, pi, qi)
         sc.counts.update(pairs_tested=len(pi), pairs_passed=len(ok))
         if len(ok):
             return pi[ok[0]], qi[ok[0]]
     return None
 
 
-def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
+def _passing(tables: _TwistTables, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
     """The indices of the pairs (ps[pi], qs[qi]) that pass the hypothesis,
     in order, for pairs that pass the prefix rule.
 
@@ -908,20 +1033,32 @@ def _passing(sc: _Scanner, ps, f: int, amin: int, qs, pi, qi) -> np.ndarray:
     over i + j = e of a_i·α^(amin+i)(g)·α^(amin+i+k)(b_j) (``products``), a
     |G| × pairs array over the generators g; the plain hypothesis pq = 0 is
     the same sum with the single left factor a_i and k = 0.  Tables are read
-    by flat index (``take``), several times faster than by index pairs.
+    by flat index a·n + b (``take``), several times faster than by index
+    pairs; the indices are formed in place, in the least dtype that holds
+    n² - 1.
     """
-    n, add, zero = sc.n, sc.add_np.ravel(), sc.zero
+    n, add, zero = tables.n, tables.add_np.ravel(), tables.zero
     lp, lq = ps.shape[1], qs.shape[1]
-    pa, qb = ps.T.astype(np.intp) * n, qs.T  # pa[i]: n times coefficient i of every p
+    index = np.min_scalar_type(n * n - 1)
+    pa, qb = ps.T.astype(index), qs.T
+    pa *= n  # pa[i]: n times coefficient i of every p
     idx = np.arange(len(pi))
-    for k in sc.ks:
+    for k in tables.ks:
         # coefficient f is p's head times q's first coefficient: zero if that
         # is zero, and zero by the prefix rule if it is q's head
         for e in range(f + 1, lp + lq - 1):
             s = None
             for i in range(max(f, e - lq + 1), min(lp, e + 1)):
-                t = sc.products(amin + i, k).take(pa[i][pi] + qb[e - i][qi], axis=1)
-                s = t if s is None else add.take(s.astype(np.intp) * n + t)
+                flat = pa[i][pi]
+                flat += qb[e - i][qi]
+                t = tables.products(amin + i, k).take(flat, axis=1)
+                if s is None:
+                    s = t
+                else:
+                    flat = s.astype(index)
+                    flat *= n
+                    flat += t
+                    s = add.take(flat)
             keep = (s == zero).all(axis=0)
             if not keep.all():
                 idx, pi, qi = idx[keep], pi[keep], qi[keep]
@@ -937,15 +1074,16 @@ def _conclusion_violation(sc: _Scanner, ap, amin, bq, bmin):
     monomial records the conclusion's sandwich element (the least r) and
     twist exponent, or is None for a conclusion without one.
     """
-    mul, zero = sc.mul_np, sc.zero
+    tables = sc.tables
+    mul, zero = tables.mul_np, tables.zero
     for i, a in enumerate(ap):
         ei = amin + i
         bad = sc.bad_table(ei)[a]  # row and column zero are all False
         for j, b in enumerate(bq):
             if not bad[b]:
                 continue
-            for t in sc.statement.twists(ei, sc.orbit):
-                tb = sc.power_row(t)[b]
+            for t in sc.statement.twists(ei, tables.orbit):
+                tb = tables.power_row(t)[b]
                 if not sc.statement.sandwich:
                     if mul[a, tb] != zero:
                         return (ei, bmin + j), None, int(mul[a, tb])
@@ -963,21 +1101,29 @@ def family_blocks(degree: int) -> list:
     return [(p, q) for p in shapes for q in shapes]
 
 
-def search_price(n: int, blocks) -> int:
-    """What the tuple budget is compared with: the n^(lp + lq) nominal
-    (p, q) tuples, lp and lq the longest p and q shapes of ``blocks``."""
-    return n ** (max(p for (p, _), _ in blocks) + max(q for _, (q, _) in blocks))
+def over_budget(n: int, length: int, budget: int) -> bool:
+    """Whether a search's n^length nominal (p, q) tuples, ``length`` the
+    coefficients of its longest p and q shapes together, exceed the tuple
+    budget.  This is the one price of a search; n^length is formed only
+    when its size in bits leaves the answer open."""
+    if n > 1 and length * (n.bit_length() - 1) >= budget.bit_length():
+        return True  # n^length >= 2^(length·floor(log2 n)) > |budget|
+    return n**length > budget
 
 
-def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, budget, order=None) -> Verdict:
+def _require_budget(n: int, length: int, budget: int) -> None:
+    """Refuse a search over the budget (``over_budget``), before any block
+    or table is built."""
+    if over_budget(n, length, budget):
+        raise BudgetExceededError(n, length, budget)
+
+
+def _search(ring, alpha, prop, envelope, blocks, p_min, q_min, order=None) -> Verdict:
     """The one search behind every polynomial decider: the least witness in
     (block, p, q) order.  ``blocks`` lists (p shape, q shape) pairs, a shape
     being (number of coefficients, whether the last is nonzero); ``p_min``
     and ``q_min`` are the lowest exponents, ``order`` a series' truncation.
-    The budget is checked before any table is built."""
-    price = search_price(ring.size, blocks)
-    if price > budget:
-        raise BudgetExceededError(price, budget)
+    The deciders check the budget first (``_require_budget``)."""
     sc = _Scanner(ring, alpha, prop)
     cleared = _cleared_shapes(sc, ring.prime_basis, p_min, blocks)
     for p_shape, q_shape in blocks:
@@ -1023,8 +1169,9 @@ def check_armendariz_family(
         raise RingError(f"{variant.value} needs an endomorphism")
     alpha = _twist_for(ring, alpha, variant)
     _require_over(ring, alpha)
+    _require_budget(ring.size, 2 * (degree + 1), budget)
     blocks = family_blocks(degree)
-    return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0, budget)
+    return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0)
 
 
 def check_laurent_q_alpha_skew(
@@ -1044,8 +1191,9 @@ def check_laurent_q_alpha_skew(
     if min(m, nn, t, s) < 0:
         raise RingError("window entries must be nonnegative")
     prop = PropertyId.LAURENT_Q_ALPHA_SKEW
+    _require_budget(ring.size, m + nn + t + s + 2, budget)
     blocks = [((m + nn + 1, False), (t + s + 1, False))]
-    return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t, budget)
+    return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t)
 
 
 def check_powerseries_q_alpha_skew(
@@ -1078,9 +1226,10 @@ def check_powerseries_q_alpha_skew(
     width = truncation - lo
     if width < 1:
         raise RingError("empty coefficient window")
+    _require_budget(ring.size, 2 * width, budget)
     envelope = Envelope(truncation=truncation, min_exp=lo if laurent else None)
     blocks = [((width, False), (width, False))]
-    return _search(ring, alpha, prop, envelope, blocks, lo, lo, budget, order=truncation)
+    return _search(ring, alpha, prop, envelope, blocks, lo, lo, order=truncation)
 
 
 def check_property(

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import skewarm
 from skewarm.cli import main
 from skewarm.corpus import all_entries
 
@@ -450,3 +455,68 @@ def test_json_boolean_table_entry_is_refused(ex2_file, tmp_path, capsys, command
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {where} entries must be integers\n"
+
+
+# Envelopes whose price has more digits than an int prints by default, or
+# whose block list alone would never end; (arguments after the definition,
+# the price as the message words it).
+HUGE = {
+    "deg-5000": (["--property", "alpha-armendariz", "--deg", "5000"], "9^10002"),
+    "trunc-3000": (["--property", "powerseries-q-alpha-skew", "--trunc", "3000"], "9^6000"),
+    "window-3000": (
+        ["--property", "laurent-q-alpha-skew", "--window", "0,3000,0,3000"],
+        "9^6002",
+    ),
+    "deg-1e20": (
+        ["--property", "alpha-armendariz", "--deg", "99999999999999999999"],
+        "9^200000000000000000000",
+    ),
+}
+
+
+def run_cli(args, cwd):
+    """The command line in a child process, so that a hang fails the test
+    at its time limit."""
+    src = str(Path(skewarm.__file__).resolve().parent.parent)
+    return subprocess.run(
+        [sys.executable, "-m", "skewarm.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+@pytest.fixture
+def ex4_file(tmp_path, capsys):
+    assert main(["corpus", "--dump-definition", "example4"]) == 0
+    path = tmp_path / "ex4.json"
+    path.write_text(capsys.readouterr().out)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", list(HUGE))
+def test_huge_envelopes_exit_3_with_one_line(ex4_file, tmp_path, case):
+    args, price = HUGE[case]
+    proc = run_cli(["check", ex4_file, *args], tmp_path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"budget exceeded: search space of {price} coefficient tuples exceeds the budget of "
+        "100000000\n"
+    )
+
+
+def test_a_price_that_prints_is_printed_in_full(ex4_file, capsys):
+    args = ["check", ex4_file, "--property", "alpha-armendariz", "--deg", "400"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == (
+        f"budget exceeded: search space of {9**802} coefficient tuples exceeds the budget of "
+        "100000000\n"
+    )
+
+
+def test_corpus_at_a_huge_degree_finds_its_feasible_degrees(tmp_path):
+    proc = run_cli(["corpus", "--all", "--deg", "2500"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "hypothesis not established (budget)" in proc.stdout

@@ -7,6 +7,7 @@ versions."""
 
 import itertools
 import time
+from collections import Counter
 import tracemalloc
 
 import numpy as np
@@ -274,7 +275,7 @@ def test_an_earlier_head_in_the_batch_may_refuse_the_witness_q_head(monkeypatch)
     ring = ut2_z2()
     endo = table_endomorphism(ring, (0, 0, 0, 0, 1, 1, 1, 1), "a-to-c")
     prop = PropertyId.Q_ALPHA_SKEW_ARMENDARIZ
-    allowed, heads = deciders._Scanner(ring, endo, prop).head_tables(1)
+    allowed, heads = deciders._Scanner(ring, endo, prop).tables.head_tables(1)
     assert {1, 4} <= set(heads.tolist())
     assert allowed[4, 4] and not allowed[1, 4]
     batches = []
@@ -409,7 +410,7 @@ def every_r_passes(ring, endo, ks, amin, ps, qs, sandwich):
 
 
 def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMENDARIZ):
-    sc = deciders._Scanner(ring, endo, prop)
+    sc = deciders._Scanner(ring, endo, prop).tables
     sandwich = deciders._STATEMENTS[prop].sandwich
     if sandwich:
         assert ring.zero not in sc.gens.tolist()
@@ -432,7 +433,7 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
                     ring.size, 2, False, ring.zero, f, np.array([a], dtype=sc.dtype),
                     0, ring.size ** (1 - f), sc.dtype,
                 )
-                _, chunks = sc.candidates(2, False, sc.head_tables(amin + f)[0][a])
+                _, chunks = sc.candidates(2, False, sc.head_tables(amin + f)[0][a], Counter())
                 qs, qh = (np.concatenate(parts) for parts in zip(*chunks()))
                 assert qh.tolist() == [first_nonzero(q, ring.zero)[1] for q in qs.tolist()]
                 pi, qi = np.nonzero(np.ones((len(ps), len(qs)), dtype=bool))

@@ -24,6 +24,7 @@ from skewarm import (
     make_zmod,
     regular_bimodule,
     replay_witness,
+    table_endomorphism,
     zero_endomorphism,
 )
 from skewarm.corpus import entry_by_name
@@ -375,6 +376,29 @@ def test_screen_hands_its_first_uncleared_shape_to_the_kernel(monkeypatch):
     assert verdict == kernel_only(
         monkeypatch, entry.ring, entry.endo, P.ALPHA_SKEW_ARMENDARIZ, {"degree": 2}
     )
+
+
+def test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat(monkeypatch):
+    # alpha-armendariz and alpha-skew-armendariz share the hypothesis pq = 0,
+    # so on one twist object the second search reads the null spaces of H(p)
+    # that the first eliminated; both hold at degree 1, the screen clearing
+    # both p shapes in one batch of 10 p
+    scanners = []
+
+    class Recording(deciders._Scanner):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scanners.append(self)
+
+    monkeypatch.setattr(deciders, "_Scanner", Recording)
+    entry = entry_by_name("example4")
+    for _ in range(2):
+        endo = table_endomorphism(entry.ring, entry.endo.images, entry.endo.label)
+        for prop in (P.ALPHA_ARMENDARIZ, P.ALPHA_SKEW_ARMENDARIZ):
+            assert check_property(entry.ring, endo, prop, degree=1).holds
+    counts = [sc.counts for sc in scanners]
+    assert counts[0] == counts[2] == {"rank_batches": 1, "screen_p": 10, "null_spaces_built": 10}
+    assert counts[1] == counts[3] == {"rank_batches": 1, "screen_p": 10, "null_spaces_reused": 10}
 
 
 # --------------------------------------------------------------------------
