@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from skewarm import (
@@ -36,9 +36,12 @@ from skewarm.rings import (
     _additive_generators,
     _irreducible,
     _poly_divmod,
+    _scan_axioms,
     _validate,
+    all_endomorphisms,
     make_bimodule,
 )
+from skewarm.corpus import all_entries
 
 
 def _validate_tables(n, add, mul, labels):
@@ -278,6 +281,49 @@ def test_validator_catches_one_sided_distributivity(side):
     assert got.startswith(("right" if side == "left" else "left") + " distributivity fails")
 
 
+@st.composite
+def small_tables(draw):
+    """Tables with (R,+) an abelian group of order n <= 9 and the zero moved
+    off index 0: a valid ring (some bilinear products are not associative),
+    the same with one product entry changed, or Z_n with x·y = x (only left
+    distributivity fails) or x·y = y (only right distributivity fails)."""
+    kind = draw(st.sampled_from(["ring", "changed", "x·y = x", "x·y = y"]))
+    if kind.startswith("x·y"):
+        idx = np.arange(draw(st.integers(2, 9)))
+        add = (idx[:, None] + idx) % len(idx)
+        mul = np.broadcast_to(idx[:, None] if kind == "x·y = x" else idx, add.shape).copy()
+    else:
+        add, mul = draw(st.one_of(
+            st.sampled_from(CARRIERS),
+            st.builds(_scaled_zmod, st.integers(1, 9), st.integers(0, 8)),
+            st.integers(1, 3).flatmap(lambda k: st.builds(
+                _bilinear, st.just(k), st.lists(st.integers(0, 2**k - 1), min_size=k * k,
+                                                max_size=k * k))),
+        ))
+        mul = mul.copy()
+        if kind == "changed":
+            n = len(add)
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            mul[i, j] = (mul[i, j] + draw(st.integers(1, max(n - 1, 1)))) % n
+    return _relabel(add, mul, draw(st.permutations(range(len(add)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables=small_tables())
+def test_validator_raises_exactly_when_the_ordered_scan_does(tables):
+    # the generator checks must fail exactly when the ordered scan of every
+    # triple, which then names the error, finds a violation
+    add, mul = tables
+    labels = tuple(f"e{i}" for i in range(len(add)))
+    try:
+        _scan_axioms(add, mul, labels)
+        expected = None
+    except AxiomError as err:
+        expected = str(err)
+    got = _outcome(_validate_tables, add, mul)
+    assert (got if isinstance(got, str) else None) == expected
+
+
 AXIOM_MESSAGES = (
     "addition not commutative",
     "addition has no (or no unique) identity",
@@ -491,6 +537,26 @@ def test_bimodule_matches_ordered_scan_on_every_corruption():
     assert seen == set(BIMODULE_LAWS)
 
 
+@pytest.mark.parametrize("add", [[[0, 1], [1, 5]], [[0, 1], [1, -1]], [[0, 1, 0], [1, 0, 1]]],
+                         ids=["entry-too-large", "entry-negative", "two-by-three"])
+def test_bimodule_checks_the_addition_table_shape_and_range_first(add):
+    z2 = make_zmod(2)
+    _, lact, ract = _regular_tables(z2)
+    assert _bimodule_outcome(z2, add, lact, ract) == (
+        "bimodule addition must be a 2x2 table with entries in 0..1"
+    )
+
+
+def test_bimodule_over_the_zero_ring_checks_that_zero_acts_as_zero():
+    # the zero ring has no nonzero additive generator; with 0·x = x on Z2
+    # every law holds but (0+0)·x = 0·x + 0·x
+    z1 = make_zmod(1)
+    add, lact, ract = [[0, 1], [1, 0]], [[0, 1]], [[0], [0]]
+    got = _bimodule_outcome(z1, np.array(add), np.array(lact), np.array(ract))
+    assert got == _reference_bimodule(z1, add, lact, ract)
+    assert got == "left action not additive in the ring at (r,s,m)=(0,0,1)"
+
+
 @settings(max_examples=80, deadline=None)
 @given(which=st.integers(0, 2), data=st.data())
 def test_bimodule_matches_ordered_scan_on_z16(which, data):
@@ -611,6 +677,117 @@ def test_non_homomorphism_messages_on_64_elements():
     assert _map_error(lambda: make_isomorphism(z64, z64, [3 * x % 64 for x in range(64)])) == (
         "map not multiplicative at (1,1)"
     )
+
+
+def _reference_map_error(domain, codomain, images, iso=False):
+    """The error ``table_endomorphism`` (or, with ``iso``, ``make_isomorphism``)
+    raises for a map of the right length and range, from a scan of all n^2
+    pairs in order; None when it accepts the map."""
+    n, f = domain.size, images
+    add, mul = domain.add_table, domain.mul_table
+    cadd, cmul = codomain.add_table, codomain.mul_table
+    labels = domain.element_labels
+    if iso and len(set(f)) != n:
+        return "map is not a bijection"
+    for a, b in itertools.product(range(n), repeat=2):
+        for law, op, cop, sign in (("additive", add, cadd, "+"), ("multiplicative", mul, cmul, "·")):
+            if f[op[a][b]] != cop[f[a]][f[b]]:
+                if iso:
+                    return f"map not {law} at ({a},{b})"
+                return (
+                    f"map not {law} at (a,b)=({labels[a]},{labels[b]}): "
+                    f"f(a{sign}b) = {labels[f[op[a][b]]]} but "
+                    f"f(a){sign}f(b) = {labels[cop[f[a]][f[b]]]}"
+                )
+    if iso and f[domain.zero] != codomain.zero:
+        return "map does not send zero to zero"
+    if iso and None not in (domain.one, codomain.one) and f[domain.one] != codomain.one:
+        return "map does not send one to one"
+    return None
+
+
+def _map_outcome(build):
+    try:
+        build()
+    except AxiomError as err:
+        return str(err)
+    return None
+
+
+def _additive_map(ring, values):
+    """The additive self-map sending the i-th nonzero additive generator to
+    ``values[i]``, grown by f(x+g) = f(x) + f(g) from f(0) = 0; None when
+    that is not well defined."""
+    add = ring.add_table
+    gens = [g for g in ring.generators if g != ring.zero]
+    f = {ring.zero: ring.zero}
+    todo = [ring.zero]
+    while todo:
+        x = todo.pop()
+        for g, v in zip(gens, values):
+            y, fy = add[x][g], add[f[x]][v]
+            if y not in f:
+                f[y] = fy
+                todo.append(y)
+            elif f[y] != fy:
+                return None
+    return [f[x] for x in range(ring.size)]
+
+
+def _assert_map_checks_match_full_scan(ring, images, seed):
+    assert _map_outcome(lambda: table_endomorphism(ring, images)) == _reference_map_error(
+        ring, ring, images
+    )
+    # into a relabelled copy, whose generators differ
+    other, sigma = random_relabeling(ring, seed)
+    moved = [sigma.images[y] for y in images]
+    assert _map_outcome(lambda: make_isomorphism(ring, other, moved)) == _reference_map_error(
+        ring, other, moved, iso=True
+    )
+
+
+@pytest.mark.parametrize("entry", all_entries(), ids=lambda e: e.name)
+def test_every_endomorphism_of_a_corpus_ring_passes_the_full_scan(entry):
+    for seed, endo in enumerate(all_endomorphisms(entry.ring)):
+        assert _reference_map_error(entry.ring, entry.ring, endo.images) is None
+        _assert_map_checks_match_full_scan(entry.ring, endo.images, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=relabelled_carriers(),
+    kind=st.sampled_from(["endomorphism", "random", "permutation", "additive", "changed",
+                          "swapped"]),
+    data=st.data(),
+)
+def test_map_checks_match_full_scan(tables, kind, data):
+    ring = make_table_ring(*tables)
+    n = ring.size
+    endos = all_endomorphisms(ring)
+    nonzero_gens = [g for g in ring.generators if g != ring.zero]
+    outside = [x for x in range(n) if x not in nonzero_gens]
+    if kind == "endomorphism":
+        images = list(data.draw(st.sampled_from(endos)).images)
+        assert _reference_map_error(ring, ring, images) is None
+    elif kind == "random":
+        images = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    elif kind == "permutation":
+        images = data.draw(st.permutations(range(n)))
+    elif kind == "additive":
+        values = data.draw(st.lists(st.integers(0, n - 1), min_size=len(nonzero_gens),
+                                    max_size=len(nonzero_gens)))
+        images = _additive_map(ring, values)
+        assume(images is not None)
+    else:  # an endomorphism changed at one element outside G′
+        assume(n > 1)
+        images = list(data.draw(st.sampled_from(endos)).images)
+        x = data.draw(st.sampled_from(outside))
+        if kind == "changed":
+            images[x] = (images[x] + data.draw(st.integers(1, n - 1))) % n
+        else:
+            y = data.draw(st.sampled_from([y for y in range(n) if y != x]))
+            images[x], images[y] = images[y], images[x]
+    _assert_map_checks_match_full_scan(ring, list(images), data.draw(st.integers(0, 99)))
 
 
 def _reference_symmetric_witness(ring):
