@@ -22,7 +22,9 @@ does not replay stops the run with an error.  So does a request that a
 fresh copy of its twist decides otherwise: every request on one twist
 object shares the tables the searches derive from it, and the copy shares
 none.  So does a record whose ``record_to_json`` bytes differ from
-``json.dumps`` with sorted keys and compact separators, or whose file
+``json.dumps`` with sorted keys and compact separators or from the
+``verdict_to_json`` text of its verdict (the writer ``skewarm check
+--format structured`` uses), or whose file
 ``formats.read_json`` reads back other than ``json.loads`` does (its tables
 as arrays of the same entries, the rest equal).  A failing request is
 followed by a second line with the request and the witness lines
@@ -65,7 +67,12 @@ from skewarm import (  # noqa: E402
 from skewarm.cli import _witness_text  # noqa: E402
 from skewarm.corpus import all_entries  # noqa: E402
 from skewarm.deciders import FAMILY_PROPERTIES  # noqa: E402
-from skewarm.formats import read_json, record_to_json, verdict_to_record  # noqa: E402
+from skewarm.formats import (  # noqa: E402
+    read_json,
+    record_to_json,
+    verdict_to_json,
+    verdict_to_record,
+)
 
 WINDOWS = ((0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1), (0, 2, 0, 2), (2, 0, 0, 0), (0, 0, 2, 0))
 RELABEL_SEEDS = (1, 2)
@@ -192,6 +199,8 @@ def digest(record_path: Path) -> int:
                 text = record_to_json(record)
                 if text != compact(record) + "\n":
                     raise AssertionError(f"record_to_json differs from json.dumps: {line}")
+                if verdict_to_json(verdict, ring, endo) != text:
+                    raise AssertionError(f"verdict_to_json differs from record_to_json: {line}")
                 check_read_back(text, record_path)
             print(compact(line))
             if "record" in line and not verdict.holds:

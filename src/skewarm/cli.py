@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
         envelope["window"] = _parse_window(args.window)
     verdict = dec.check_property(ring, endo, prop, budget=_budget(args), **envelope)
     if args.format == "structured":
-        sys.stdout.write(formats.record_to_json(formats.verdict_to_record(verdict, ring, endo)))
+        sys.stdout.write(formats.verdict_to_json(verdict, ring, endo))
     else:
         print(verdict.describe())
         if not verdict.holds:

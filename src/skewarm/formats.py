@@ -253,8 +253,7 @@ def read_json(path, what: str) -> tuple[object, bool]:
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return _loads(text), _booleans_in_lists(text)
+            return _loads(fh.read())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read {what}: {err}") from err
 
@@ -264,8 +263,9 @@ _TABLE_MEMBER = re.compile(r'"(?:add|mul)_table"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
 _TABLE_TEXT = re.compile(r"[0-9,\[\] \t\n\r]*")  # all a table's text can hold
 
 
-def _loads(text: str):
-    """``json.loads(text)``, with the accepted tables as arrays.
+def _loads(text: str) -> tuple[object, bool]:
+    """``json.loads(text)``, with the accepted tables as arrays, and
+    ``_booleans_in_lists`` of the text.
 
     The text of each ``"add_table"`` or ``"mul_table"`` member value that
     starts with "[" is swapped for a placeholder string, and the rest is
@@ -277,6 +277,12 @@ def _loads(text: str):
     ``_table_array`` refuses, ``json.loads`` of its text, so ``_table``
     reports a refused table as it reports any list.  A table's text that
     is not JSON has the whole text read again, for json's own error.
+
+    When every placeholder is placed and every table's text is JSON, only
+    the text around the tables is scanned for booleans: each table's text
+    is then a whole member value of ``_TABLE_TEXT``'s characters, and it
+    ends in "]" as its placeholder ends in '"', so no true or false changes
+    whether it follows "[" or ",".  Any other path scans the whole text.
     """
     spans = []
     for member in _TABLE_MEMBER.finditer(text):
@@ -286,7 +292,7 @@ def _loads(text: str):
             value = value[:-1].rstrip(" \t\n\r")
         spans.append((start, start + len(value)))
     if not spans:
-        return json.loads(text)
+        return _loads_whole(text)
     marks, pieces, end = {}, [], 0
     for start, stop in spans:
         mark = f"\0table{len(marks)}"
@@ -304,12 +310,13 @@ def _loads(text: str):
                 placed.append((obj, key, value) if clean else None)
         return obj
 
+    outside = "".join(pieces)
     try:
-        doc = json.loads("".join(pieces), object_pairs_hook=restore)
+        doc = json.loads(outside, object_pairs_hook=restore)
     except json.JSONDecodeError:
-        return json.loads(text)  # raises, at the position in the file's own text
+        return _loads_whole(text)  # or raises, at the position in the file's own text
     if None in placed or len(placed) != len(marks):  # a repeat, or a forged mark
-        return json.loads(text)
+        return _loads_whole(text)
     holders = {id(obj) for obj in _table_holders(doc)}
     for obj, key, mark in placed:
         table = _table_array(text[marks[mark]]) if id(obj) in holders else None
@@ -317,9 +324,13 @@ def _loads(text: str):
             try:
                 table = json.loads(text[marks[mark]])
             except json.JSONDecodeError:
-                return json.loads(text)
+                return _loads_whole(text)
         obj[key] = table
-    return doc
+    return doc, _booleans_in_lists(outside)
+
+
+def _loads_whole(text: str) -> tuple[object, bool]:
+    return json.loads(text), _booleans_in_lists(text)
 
 
 def _table_holders(doc) -> list:
@@ -507,7 +518,21 @@ def verdict_to_record(
     verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None
 ) -> dict:
     """Self-contained record: embeds the full tables for independent replay."""
-    rec = {
+    rows = _Table(ring.add_table, ring.add_array), _Table(ring.mul_table, ring.mul_array)
+    return _record(verdict, ring, endo, *rows)
+
+
+def verdict_to_json(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None) -> str:
+    """``record_to_json(verdict_to_record(verdict, ring, endo))``, written
+    with the ring tables taken from the ring's arrays alone, so that the
+    ring's tuple tables are never built."""
+    add, mul = _Array(ring.add_array), _Array(ring.mul_array)
+    return record_to_json(_record(verdict, ring, endo, add, mul))
+
+
+def _record(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None, add, mul) -> dict:
+    """The verdict record, with ``add`` and ``mul`` as its ring tables."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verdict",
         "property": verdict.prop.value,
@@ -516,8 +541,8 @@ def verdict_to_record(
         "ring": {
             "label": ring.label,
             "size": ring.size,
-            "add_table": _Table(ring.add_table, ring.add_array),
-            "mul_table": _Table(ring.mul_table, ring.mul_array),
+            "add_table": add,
+            "mul_table": mul,
             "element_labels": list(ring.element_labels),
         },
         "endomorphism": None
@@ -527,7 +552,6 @@ def verdict_to_record(
         if verdict.witness is None
         else _witness_to_json(verdict.witness, ring),
     }
-    return rec
 
 
 class _Table(tuple):
@@ -544,13 +568,23 @@ class _Table(tuple):
         return _Table, (tuple(self), self.array)
 
 
+class _Array:
+    """A ring table in the record ``verdict_to_json`` writes: the ring's
+    read-only array alone, written as ``record_to_json`` writes a ``_Table``."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def record_to_json(rec: dict) -> str:
     """The structured form of a record, byte for byte
     ``json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n"``.
 
     Objects with string keys are written member by member in key order, the
-    ring tables of ``verdict_to_record`` from their arrays (``_table_json``)
-    and every other value by ``json.dumps``.
+    ring tables of ``verdict_to_record`` and ``verdict_to_json`` from their
+    arrays (``_table_json``) and every other value by ``json.dumps``.
     """
     return _to_json(rec) + "\n"
 
@@ -559,7 +593,7 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _to_json(value) -> str:
-    if isinstance(value, _Table):
+    if isinstance(value, (_Table, _Array)):
         return _table_json(value.array)
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         members = (_encode(key) + ":" + _to_json(value[key]) for key in sorted(value))

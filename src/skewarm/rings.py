@@ -146,6 +146,10 @@ class FiniteRing:
 
     @functools.cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
+        """``add_array`` as row tuples of n² Python ints, built on first
+        read and kept.  The structured output writes both tables from the
+        arrays and never reads this; ``formats.verdict_to_record`` does,
+        for the rows of its record."""
         return tuple(map(tuple, self.add_array.tolist()))
 
     @functools.cached_property
@@ -463,8 +467,8 @@ def _build_ring(
             raise AxiomError(f"expected {n} labels, got {len(labels)}")
     _check_labels(labels)
 
-    add = np.asarray(add_table, dtype=np.int64)
-    mul = np.asarray(mul_table, dtype=np.int64)
+    add = _int64(add_table, f"add table must be {n} rows of {n} integers")
+    mul = _int64(mul_table, f"mul table must be {n} rows of {n} integers")
     zero, neg, one, gens, add, mul = _validate(n, add, mul, labels)
     add.setflags(write=False)
     mul.setflags(write=False)
@@ -482,6 +486,15 @@ def _build_ring(
         mul_array=mul,
         generators=tuple(gens),
     )
+
+
+def _int64(table, error: str) -> np.ndarray:
+    """``table`` as an int64 array; ``AxiomError(error)`` when numpy cannot
+    make one (rows of unequal length, an entry that is no integer)."""
+    try:
+        return np.asarray(table, dtype=np.int64)
+    except (TypeError, ValueError) as err:
+        raise AxiomError(error) from err
 
 
 def make_table_ring(
@@ -570,9 +583,11 @@ def make_bimodule(
     if labels is None:
         labels = tuple(f"m{i}" for i in range(m))
     labels = tuple(str(x) for x in labels)
+    if len(labels) != m:
+        raise AxiomError(f"expected {m} labels, got {len(labels)}")
     _check_labels(labels)
 
-    add = _check_action_table("addition", np.asarray(add_table, dtype=np.int64), (m, m), m)
+    add = _check_action_table("addition", add_table, (m, m), m)
     if not np.array_equal(add, add.T):
         raise AxiomError("bimodule addition not commutative")
     idx = np.arange(m)
@@ -589,8 +604,8 @@ def make_bimodule(
     gens = _nonzero_generators(_additive_generators(add), zero)
     if not _light_test(add, gens):
         raise AxiomError("bimodule addition not associative")
-    lact = _check_action_table("left action", np.asarray(left_action, dtype=np.int64), (n, m), m)
-    ract = _check_action_table("right action", np.asarray(right_action, dtype=np.int64), (m, n), m)
+    lact = _check_action_table("left action", left_action, (n, m), m)
+    ract = _check_action_table("right action", right_action, (m, n), m)
     if not _bimodule_laws_hold(ring, add, gens, lact, ract):
         _scan_bimodule_laws(ring, add.tolist(), lact.tolist(), ract.tolist())
 
@@ -607,12 +622,13 @@ def make_bimodule(
     )
 
 
-def _check_action_table(name: str, table: np.ndarray, shape: tuple[int, int], m: int):
-    """``table``, once it has the shape and entries in 0..m-1 (M's elements)."""
+def _check_action_table(name: str, table, shape: tuple[int, int], m: int) -> np.ndarray:
+    """``table`` as an int64 array, once it has the shape and entries in
+    0..m-1 (M's elements)."""
+    error = f"bimodule {name} must be a {shape[0]}x{shape[1]} table with entries in 0..{m - 1}"
+    table = _int64(table, error)
     if table.shape != shape or table.min() < 0 or table.max() >= m:
-        raise AxiomError(
-            f"bimodule {name} must be a {shape[0]}x{shape[1]} table with entries in 0..{m - 1}"
-        )
+        raise AxiomError(error)
     return table
 
 
@@ -865,17 +881,6 @@ class Endomorphism:
 
     def power_apply(self, e: int, x: int) -> int:
         return self.pow_maps[self.reduce_exponent(e)][x]
-
-    def inverse_images(self) -> tuple[int, ...]:
-        if not self.is_injective:
-            raise RingError(f"endomorphism {self.label!r} is not invertible")
-        inv = [0] * self.ring.size
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return tuple(inv)
-
-    def same_map(self, other: "Endomorphism") -> bool:
-        return self.ring.ring_id == other.ring.ring_id and self.images == other.images
 
     def __repr__(self) -> str:
         return f"Endomorphism({self.label!r} on {self.ring.label!r})"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import skewarm
+from skewarm import PropertyId, check_property, formats
 from skewarm.cli import main
 from skewarm.corpus import all_entries
 
@@ -131,6 +132,19 @@ def test_structured_output_is_deterministic(ex2_file, capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_structured_check_prints_the_record_of_verdict_to_record(tmp_path, capsys):
+    definition = {"schema_version": "1", "kind": "galois_field", "p": 2, "k": 8,
+                  "endomorphism": {"builtin": "frobenius"}}
+    path = tmp_path / "gf256.json"
+    path.write_text(json.dumps(definition))
+    assert main(["check", str(path), "--property", "rigid", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    ring, endo = formats.load_ring_definition(path)
+    verdict = check_property(ring, endo, PropertyId.RIGID)
+    assert out == formats.record_to_json(formats.verdict_to_record(verdict, ring, endo))
+    assert json.loads(out)["ring"]["size"] == 256
 
 
 def test_replay_rejects_tampered_record(ex2_file, tmp_path, capsys):

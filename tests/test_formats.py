@@ -32,6 +32,7 @@ from skewarm.formats import (
     parse_ring_definition,
     parse_verdict_record,
     record_to_json,
+    verdict_to_json,
     verdict_to_record,
 )
 
@@ -252,6 +253,7 @@ def test_record_bytes_match_the_reference_encoding(size):
             rec = verdict_to_record(verdict, ring, endo)
             text = record_to_json(rec)
             assert text == _reference_json(rec)
+            assert verdict_to_json(verdict, ring, endo) == text
             parsed = json.loads(text)
             assert parsed["ring"]["mul_table"] == [list(row) for row in ring.mul_table]
             assert record_to_json(parsed) == text  # a record read back writes the same bytes
@@ -267,6 +269,14 @@ def test_record_tables_are_the_rings_and_stay_read_only():
         rec["ring"]["add_table"][0] = (0,) * 10
     for copied in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert record_to_json(copied) == record_to_json(rec)
+
+
+def test_verdict_to_json_builds_no_tuple_table():
+    ring = _tricky_ring(256)
+    alpha = identity_endomorphism(ring)
+    text = verdict_to_json(is_reduced(ring), ring, alpha)
+    assert "add_table" not in ring.__dict__ and "mul_table" not in ring.__dict__
+    assert json.loads(text)["ring"]["add_table"] == ring.add_array.tolist()
 
 
 @pytest.mark.parametrize(
@@ -286,10 +296,33 @@ def test_booleans_in_lists_are_found_from_the_text(text, found):
     assert _booleans_in_lists(text) == found
 
 
-def test_json_booleans_in_a_table_are_refused():
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "labels": [true, "b"]}', True),
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]],\n "labels": [\nfalse]}', True),
+        ('{"kind": "table", "mul_table": [[0, 0], [0, true]]}', True),
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "exhaustive": true}', False),
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "labels": ["true"]}', False),
+    ],
+)
+def test_read_json_finds_booleans_beside_and_in_tables(tmp_path, text, found):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    doc, booleans = formats.read_json(path, "doc")
+    assert booleans == found == _booleans_in_lists(text)
+    assert isinstance(doc.get("add_table"), np.ndarray) == ("add_table" in text)
+    assert formats._as_lists(doc) == json.loads(text)
+
+
+def test_json_booleans_in_a_table_are_refused(tmp_path):
     definition = doc(kind="table", add_table=[[0, 1], [1, 0]], mul_table=[[0, 0], [0, True]])
     with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
         parse_ring_definition(definition)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(definition), encoding="utf-8")
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        formats.load_ring_definition(path)
     z4 = make_zmod(4)
     rec = json.loads(record_to_json(verdict_to_record(is_reduced(z4), z4, None)))
     rec["ring"]["add_table"][0][0] = False

@@ -547,6 +547,33 @@ def test_bimodule_checks_the_addition_table_shape_and_range_first(add):
     )
 
 
+def test_bimodule_checks_one_label_per_element():
+    z2 = make_zmod(2)
+    with pytest.raises(AxiomError, match=r"^expected 2 labels, got 1$"):
+        make_bimodule(z2, [[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 1]], labels=["a"])
+
+
+@pytest.mark.parametrize(
+    "which, name",
+    [(0, "addition"), (1, "left action"), (2, "right action")],
+)
+def test_bimodule_refuses_a_ragged_table_by_name(which, name):
+    z2 = make_zmod(2)
+    tables = [[[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 1]]]
+    tables[which] = [[0, 1], [1]]
+    assert _bimodule_outcome(z2, *tables) == (
+        f"bimodule {name} must be a 2x2 table with entries in 0..1"
+    )
+
+
+@pytest.mark.parametrize("which", ["add", "mul"])
+def test_table_ring_refuses_a_ragged_table_by_name(which):
+    tables = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    tables[which] = [[0, 1], [1]]
+    with pytest.raises(AxiomError, match=rf"^{which} table must be 2 rows of 2 integers$"):
+        make_table_ring(tables["add"], tables["mul"])
+
+
 def test_bimodule_over_the_zero_ring_checks_that_zero_acts_as_zero():
     # the zero ring has no nonzero additive generator; with 0·x = x on Z2
     # every law holds but (0+0)·x = 0·x + 0·x
