@@ -21,15 +21,13 @@ error that refused it.  Every failing witness is replayed; a witness that
 does not replay stops the run with an error.  So does a request that a
 fresh copy of its twist decides otherwise: every request on one twist
 object shares the tables the searches derive from it, and the copy shares
-none.  So does a record whose ``record_to_json`` bytes differ from
-``json.dumps`` with sorted keys and compact separators or from the
-``verdict_to_json`` text of its verdict (the writer ``skewarm check
---format structured`` uses), or whose file
-``formats.read_json`` reads back other than ``json.loads`` does (its tables
-as arrays of the same entries, the rest equal).  A failing request is
-followed by a second line with the request and the witness lines
-``skewarm check`` prints (``cli._witness_text``), so the classes' ``render``
-is compared too.
+none.  So does a record whose ``record_to_json`` bytes (what ``skewarm
+check --format structured`` prints) differ from ``json.dumps`` with sorted
+keys and compact separators, or whose file ``formats.read_json`` reads
+back other than ``json.loads`` does (its tables as arrays of the same
+entries, the rest equal).  A failing request is followed by a second line
+with the request and the witness lines ``skewarm check`` prints
+(``cli._witness_text``), so the classes' ``render`` is compared too.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from skewarm.deciders import FAMILY_PROPERTIES  # noqa: E402
 from skewarm.formats import (  # noqa: E402
     read_json,
     record_to_json,
-    verdict_to_json,
     verdict_to_record,
 )
 
@@ -143,7 +140,9 @@ def envelopes():
 
 
 def compact(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    """``value`` as compact JSON with sorted keys, the tables of a record
+    (read-only arrays) as lists of rows."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def check_read_back(text: str, path: Path) -> None:
@@ -151,7 +150,7 @@ def check_read_back(text: str, path: Path) -> None:
     its tables as int64 arrays of the entries ``json.loads`` reads, and the
     rest of the document as ``json.loads`` does."""
     path.write_text(text, encoding="utf-8")
-    doc, _ = read_json(path, "verdict record")
+    doc = read_json(path, "verdict record")
     expected = json.loads(text)
     for key in ("add_table", "mul_table"):
         table = doc["ring"].pop(key)
@@ -199,8 +198,6 @@ def digest(record_path: Path) -> int:
                 text = record_to_json(record)
                 if text != compact(record) + "\n":
                     raise AssertionError(f"record_to_json differs from json.dumps: {line}")
-                if verdict_to_json(verdict, ring, endo) != text:
-                    raise AssertionError(f"verdict_to_json differs from record_to_json: {line}")
                 check_read_back(text, record_path)
             print(compact(line))
             if "record" in line and not verdict.holds:

@@ -131,7 +131,7 @@ def cmd_check(args) -> int:
         envelope["window"] = _parse_window(args.window)
     verdict = dec.check_property(ring, endo, prop, budget=_budget(args), **envelope)
     if args.format == "structured":
-        sys.stdout.write(formats.verdict_to_json(verdict, ring, endo))
+        sys.stdout.write(formats.record_to_json(formats.verdict_to_record(verdict, ring, endo)))
     else:
         print(verdict.describe())
         if not verdict.holds:
@@ -142,8 +142,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    doc, list_booleans = formats.read_json(args.file, "verdict record")
-    ring, endo, prop, _env, witness, holds = formats.parse_verdict_record(doc, list_booleans)
+    doc = formats.read_json(args.file, "verdict record")
+    ring, endo, prop, _env, witness, holds = formats.parse_verdict_record(doc)
     if holds:
         print("verdict records a holding outcome; nothing to replay")
         return EXIT_HOLDS

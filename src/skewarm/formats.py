@@ -92,13 +92,13 @@ def _ints(value, where: str, length: int | None = None) -> list[int]:
     return value
 
 
-def _table(value, where: str, list_booleans: bool) -> np.ndarray:
+def _table(value, where: str) -> np.ndarray:
     """A square table of element indices, given as a list of rows or as the
     array ``read_json`` decoded, as an array.
 
-    numpy's type inference reads a JSON true among integers as 1, so when
-    ``list_booleans`` says the document may hold a true or false in a list,
-    each entry of a list of rows has its type tested as well.
+    numpy's type inference reads a JSON true among integers as 1, so each
+    entry of a list of rows has its type tested as well.  An array from
+    ``read_json`` was read from digits alone and holds no true or false.
     """
     if isinstance(value, np.ndarray):
         table = value
@@ -110,9 +110,7 @@ def _table(value, where: str, list_booleans: bool) -> np.ndarray:
     if table.ndim != 2 or not table.shape[0] == table.shape[1] > 0:
         raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
     if table.dtype.kind not in "iu" or (  # 1.5, "1", null and integers past 64 bits
-        list_booleans
-        and isinstance(value, list)
-        and bool in set(map(type, itertools.chain.from_iterable(value)))
+        isinstance(value, list) and bool in set(map(type, itertools.chain.from_iterable(value)))
     ):
         raise FormatError(f"{where} entries must be integers")
     if not 0 <= table.min() <= table.max() < len(table):
@@ -126,7 +124,7 @@ def _labels(value, where: str) -> list | None:
     return value
 
 
-def _build_kind(doc: dict, where: str, size_cap: int, list_booleans: bool):
+def _build_kind(doc: dict, where: str, size_cap: int):
     kind = _object(doc, where).get("kind")
     if kind == "zmod":
         _require_keys(doc, {"kind", "n"}, set(), where)
@@ -136,24 +134,24 @@ def _build_kind(doc: dict, where: str, size_cap: int, list_booleans: bool):
         factors = doc["factors"]
         if not isinstance(factors, list) or len(factors) != 2:
             raise FormatError(f"{where}: 'factors' must be a list of two ring documents")
-        r1 = _build_kind(factors[0], where + ".factors[0]", size_cap, list_booleans)
-        r2 = _build_kind(factors[1], where + ".factors[1]", size_cap, list_booleans)
+        r1 = _build_kind(factors[0], where + ".factors[0]", size_cap)
+        r2 = _build_kind(factors[1], where + ".factors[1]", size_cap)
         return make_direct_product(r1, r2, size_cap)
     if kind == "trivial_extension":
         _require_keys(doc, {"kind", "base"}, set(), where)
-        base = _build_kind(doc["base"], where + ".base", size_cap, list_booleans)
+        base = _build_kind(doc["base"], where + ".base", size_cap)
         return make_trivial_extension(base, regular_bimodule(base), size_cap)
     if kind == "quotient":
         _require_keys(doc, {"kind", "base", "ideal"}, set(), where)
-        base = _build_kind(doc["base"], where + ".base", size_cap, list_booleans)
+        base = _build_kind(doc["base"], where + ".base", size_cap)
         ideal = make_ideal(base, _ints(doc["ideal"], where + ".ideal"))
         quot, _ = make_quotient(base, ideal)
         return quot
     if kind == "table":
         _require_keys(doc, {"kind", "add_table", "mul_table"}, {"labels"}, where)
         return make_table_ring(
-            _table(doc["add_table"], where + ".add_table", list_booleans),
-            _table(doc["mul_table"], where + ".mul_table", list_booleans),
+            _table(doc["add_table"], where + ".add_table"),
+            _table(doc["mul_table"], where + ".mul_table"),
             _labels(doc.get("labels"), where + ".labels"),
             size_cap=size_cap,
         )
@@ -164,9 +162,7 @@ def _build_kind(doc: dict, where: str, size_cap: int, list_booleans: bool):
     raise FormatError(f"{where}: unknown kind {kind!r}")
 
 
-def _builtin_endomorphism(
-    ring: FiniteRing, name: str, doc: dict, size_cap: int, list_booleans: bool
-) -> Endomorphism:
+def _builtin_endomorphism(ring: FiniteRing, name: str, doc: dict, size_cap: int) -> Endomorphism:
     n = ring.size
     if name == "identity":
         return table_endomorphism(ring, range(n), "identity")
@@ -188,9 +184,9 @@ def _builtin_endomorphism(
         )
     if name == "negate_second_component":
         if doc.get("kind") == "product":
-            sub = _build_kind(doc["factors"][1], "factors[1]", size_cap, list_booleans)
+            sub = _build_kind(doc["factors"][1], "factors[1]", size_cap)
         elif doc.get("kind") == "trivial_extension":
-            sub = _build_kind(doc["base"], "base", size_cap, list_booleans)
+            sub = _build_kind(doc["base"], "base", size_cap)
         else:
             raise FormatError(
                 "'negate_second_component' needs a product or trivial extension"
@@ -201,15 +197,8 @@ def _builtin_endomorphism(
     raise FormatError(f"unknown builtin endomorphism {name!r}")
 
 
-def parse_ring_definition(
-    doc: dict, size_cap: int = 256, list_booleans: bool = True
-) -> tuple[FiniteRing, Endomorphism | None]:
-    """Build (ring, optional endomorphism) from a definition document.
-
-    ``list_booleans=False`` promises that no list in the document holds a
-    JSON true or false (``read_json`` tells from the text), which spares
-    the per-entry type test of the tables.
-    """
+def parse_ring_definition(doc: dict, size_cap: int = 256) -> tuple[FiniteRing, Endomorphism | None]:
+    """Build (ring, optional endomorphism) from a definition document."""
     if not isinstance(doc, dict):
         raise FormatError("ring definition must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -217,7 +206,7 @@ def parse_ring_definition(
             f"unsupported schema_version {doc.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
         )
     body = {k: v for k, v in doc.items() if k not in ("schema_version", "endomorphism", "label")}
-    ring = _build_kind(body, "ring", size_cap, list_booleans)
+    ring = _build_kind(body, "ring", size_cap)
     if "label" in doc:
         ring = dataclasses.replace(ring, label=str(doc["label"]))
     endo = None
@@ -232,24 +221,20 @@ def parse_ring_definition(
             images = _ints(spec["images"], "endomorphism.images")
             endo = table_endomorphism(ring, images, str(spec.get("label", "endo")))
         else:
-            endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap, list_booleans)
+            endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap)
             if "label" in spec:
                 endo = dataclasses.replace(endo, label=str(spec["label"]))
     return ring, endo
 
 
 def load_ring_definition(path, size_cap: int = 256):
-    doc, list_booleans = read_json(path, "ring definition")
-    return parse_ring_definition(doc, size_cap, list_booleans)
+    return parse_ring_definition(read_json(path, "ring definition"), size_cap)
 
 
-def read_json(path, what: str) -> tuple[object, bool]:
-    """The JSON document in a file, and whether a JSON true or false may be
-    an entry of one of its lists (``_booleans_in_lists``).
-
-    The document is ``json.loads`` of the text, except that each table the
-    readers below pass to ``_table`` (``_table_holders``) is an int64 array
-    when ``_table_array`` accepts its text (``_loads``).
+def read_json(path, what: str):
+    """The JSON document in a file: ``json.loads`` of the text, except that
+    each table the readers below pass to ``_table`` (``_table_holders``) is
+    an int64 array when ``_table_array`` accepts its text (``_loads``).
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -263,9 +248,8 @@ _TABLE_MEMBER = re.compile(r'"(?:add|mul)_table"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
 _TABLE_TEXT = re.compile(r"[0-9,\[\] \t\n\r]*")  # all a table's text can hold
 
 
-def _loads(text: str) -> tuple[object, bool]:
-    """``json.loads(text)``, with the accepted tables as arrays, and
-    ``_booleans_in_lists`` of the text.
+def _loads(text: str):
+    """``json.loads(text)``, with the accepted tables as arrays.
 
     The text of each ``"add_table"`` or ``"mul_table"`` member value that
     starts with "[" is swapped for a placeholder string, and the rest is
@@ -277,12 +261,6 @@ def _loads(text: str) -> tuple[object, bool]:
     ``_table_array`` refuses, ``json.loads`` of its text, so ``_table``
     reports a refused table as it reports any list.  A table's text that
     is not JSON has the whole text read again, for json's own error.
-
-    When every placeholder is placed and every table's text is JSON, only
-    the text around the tables is scanned for booleans: each table's text
-    is then a whole member value of ``_TABLE_TEXT``'s characters, and it
-    ends in "]" as its placeholder ends in '"', so no true or false changes
-    whether it follows "[" or ",".  Any other path scans the whole text.
     """
     spans = []
     for member in _TABLE_MEMBER.finditer(text):
@@ -292,7 +270,7 @@ def _loads(text: str) -> tuple[object, bool]:
             value = value[:-1].rstrip(" \t\n\r")
         spans.append((start, start + len(value)))
     if not spans:
-        return _loads_whole(text)
+        return json.loads(text)
     marks, pieces, end = {}, [], 0
     for start, stop in spans:
         mark = f"\0table{len(marks)}"
@@ -310,13 +288,12 @@ def _loads(text: str) -> tuple[object, bool]:
                 placed.append((obj, key, value) if clean else None)
         return obj
 
-    outside = "".join(pieces)
     try:
-        doc = json.loads(outside, object_pairs_hook=restore)
+        doc = json.loads("".join(pieces), object_pairs_hook=restore)
     except json.JSONDecodeError:
-        return _loads_whole(text)  # or raises, at the position in the file's own text
+        return json.loads(text)  # or raises, at the position in the file's own text
     if None in placed or len(placed) != len(marks):  # a repeat, or a forged mark
-        return _loads_whole(text)
+        return json.loads(text)
     holders = {id(obj) for obj in _table_holders(doc)}
     for obj, key, mark in placed:
         table = _table_array(text[marks[mark]]) if id(obj) in holders else None
@@ -324,13 +301,9 @@ def _loads(text: str) -> tuple[object, bool]:
             try:
                 table = json.loads(text[marks[mark]])
             except json.JSONDecodeError:
-                return _loads_whole(text)
+                return json.loads(text)
         obj[key] = table
-    return doc, _booleans_in_lists(outside)
-
-
-def _loads_whole(text: str) -> tuple[object, bool]:
-    return json.loads(text), _booleans_in_lists(text)
+    return doc
 
 
 def _table_holders(doc) -> list:
@@ -406,22 +379,6 @@ def _as_lists(doc):
     if isinstance(doc, list):
         return [_as_lists(value) for value in doc]
     return doc
-
-
-def _booleans_in_lists(text: str) -> bool:
-    """Whether some true or false in JSON text follows "[" or "," past
-    whitespace, as a list entry does.  One inside a string can raise a false
-    alarm, never hide an entry."""
-    for word in ("true", "false"):
-        at = text.find(word)
-        while at >= 0:
-            before = at - 1
-            while before >= 0 and text[before] in " \t\n\r":
-                before -= 1
-            if before >= 0 and text[before] in "[,":
-                return True
-            at = text.find(word, at + 1)
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -517,21 +474,9 @@ def _witness_from_json(doc) -> Witness:
 def verdict_to_record(
     verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None
 ) -> dict:
-    """Self-contained record: embeds the full tables for independent replay."""
-    rows = _Table(ring.add_table, ring.add_array), _Table(ring.mul_table, ring.mul_array)
-    return _record(verdict, ring, endo, *rows)
-
-
-def verdict_to_json(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None) -> str:
-    """``record_to_json(verdict_to_record(verdict, ring, endo))``, written
-    with the ring tables taken from the ring's arrays alone, so that the
-    ring's tuple tables are never built."""
-    add, mul = _Array(ring.add_array), _Array(ring.mul_array)
-    return record_to_json(_record(verdict, ring, endo, add, mul))
-
-
-def _record(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None, add, mul) -> dict:
-    """The verdict record, with ``add`` and ``mul`` as its ring tables."""
+    """Self-contained record: embeds the full tables, as the ring's
+    read-only arrays, for independent replay.  ``record_to_json`` writes it;
+    plain ``json.dumps`` needs ``default=np.ndarray.tolist``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "verdict",
@@ -541,8 +486,8 @@ def _record(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None, add, 
         "ring": {
             "label": ring.label,
             "size": ring.size,
-            "add_table": add,
-            "mul_table": mul,
+            "add_table": ring.add_array,
+            "mul_table": ring.mul_array,
             "element_labels": list(ring.element_labels),
         },
         "endomorphism": None
@@ -554,51 +499,40 @@ def _record(verdict: Verdict, ring: FiniteRing, endo: Endomorphism | None, add, 
     }
 
 
-class _Table(tuple):
-    """A ring table in a verdict record: the ring's row tuples, which
-    ``json.dumps`` writes as a list of lists, and the same table as the
-    ring's read-only array, from which ``record_to_json`` writes it."""
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...], array: np.ndarray):
-        table = super().__new__(cls, rows)
-        table.array = array
-        return table
-
-    def __reduce__(self):
-        return _Table, (tuple(self), self.array)
-
-
-class _Array:
-    """A ring table in the record ``verdict_to_json`` writes: the ring's
-    read-only array alone, written as ``record_to_json`` writes a ``_Table``."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray):
-        self.array = array
-
-
 def record_to_json(rec: dict) -> str:
     """The structured form of a record, byte for byte
-    ``json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\\n"``.
+    ``json.dumps(rec, sort_keys=True, separators=(",", ":"),
+    default=np.ndarray.tolist) + "\\n"``.
 
-    Objects with string keys are written member by member in key order, the
-    ring tables of ``verdict_to_record`` and ``verdict_to_json`` from their
-    arrays (``_table_json``) and every other value by ``json.dumps``.
+    Objects with string keys are written member by member in key order, an
+    array that is an n × n table of indices 0..n-1 (the ring tables of
+    ``verdict_to_record``) by ``_table_json`` and every other value by
+    ``json.dumps``.
     """
     return _to_json(rec) + "\n"
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
+).encode
 
 
 def _to_json(value) -> str:
-    if isinstance(value, (_Table, _Array)):
-        return _table_json(value.array)
+    if isinstance(value, np.ndarray) and _is_table(value):
+        return _table_json(value)
     if isinstance(value, dict) and all(isinstance(key, str) for key in value):
         members = (_encode(key) + ":" + _to_json(value[key]) for key in sorted(value))
         return "{" + ",".join(members) + "}"
     return _encode(value)
+
+
+def _is_table(array: np.ndarray) -> bool:
+    return (
+        array.ndim == 2
+        and array.shape[0] == array.shape[1] > 0
+        and array.dtype.kind in "iu"
+        and 0 <= array.min() <= array.max() < len(array)
+    )
 
 
 @functools.cache
@@ -621,10 +555,9 @@ def _table_json(table: np.ndarray) -> str:
 
 
 def parse_verdict_record(
-    doc: dict, list_booleans: bool = True
+    doc: dict
 ) -> tuple[FiniteRing, Endomorphism | None, PropertyId, Envelope, Witness | None, bool]:
-    """Rebuild (ring, endo, property, envelope, witness, holds) from a record;
-    ``list_booleans`` as for ``parse_ring_definition``."""
+    """Rebuild (ring, endo, property, envelope, witness, holds) from a record."""
     if not isinstance(doc, dict) or doc.get("kind") != "verdict":
         raise FormatError("not a verdict record")
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -637,8 +570,8 @@ def parse_verdict_record(
     if not isinstance(rdoc, dict):
         raise FormatError("verdict record lacks the ring tables")
     ring = make_table_ring(
-        _table(rdoc.get("add_table"), "ring.add_table", list_booleans),
-        _table(rdoc.get("mul_table"), "ring.mul_table", list_booleans),
+        _table(rdoc.get("add_table"), "ring.add_table"),
+        _table(rdoc.get("mul_table"), "ring.mul_table"),
         _labels(rdoc.get("element_labels"), "ring.element_labels"),
         label=str(rdoc.get("label", "ring")),
     )
@@ -728,14 +661,14 @@ def corpus_manifest() -> dict:
     return {"schema_version": SCHEMA_VERSION, "kind": "corpus", "entries": entries}
 
 
-def parse_manifest_entry(doc: dict, list_booleans: bool = True) -> corpus_mod.CorpusEntry:
+def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
     _require_keys(
         doc,
         {"name", "definition", "expectations"},
         {"description", "exploratory"},
         "corpus entry",
     )
-    ring, endo = parse_ring_definition(doc["definition"], list_booleans=list_booleans)
+    ring, endo = parse_ring_definition(doc["definition"])
     if endo is None:
         raise FormatError(f"corpus entry {doc['name']!r} lacks an endomorphism")
     if not isinstance(doc["expectations"], list):
@@ -775,7 +708,7 @@ def parse_manifest_entry(doc: dict, list_booleans: bool = True) -> corpus_mod.Co
 
 
 def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
-    doc, list_booleans = read_json(path, "corpus manifest")
+    doc = read_json(path, "corpus manifest")
     if (
         not isinstance(doc, dict)
         or doc.get("kind") != "corpus"
@@ -783,4 +716,4 @@ def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
         or not isinstance(doc.get("entries"), list)
     ):
         raise FormatError("not a corpus manifest")
-    return [parse_manifest_entry(e, list_booleans) for e in doc["entries"]]
+    return [parse_manifest_entry(e) for e in doc["entries"]]

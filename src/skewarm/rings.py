@@ -147,9 +147,8 @@ class FiniteRing:
     @functools.cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
         """``add_array`` as row tuples of n² Python ints, built on first
-        read and kept.  The structured output writes both tables from the
-        arrays and never reads this; ``formats.verdict_to_record`` does,
-        for the rows of its record."""
+        read and kept.  The structured formats read and write the arrays
+        and never read this."""
         return tuple(map(tuple, self.add_array.tolist()))
 
     @functools.cached_property
@@ -550,15 +549,17 @@ def _pair_table(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Bimodule:
-    """A two-sided module over a ring, with explicit action tables."""
+    """A two-sided module over a ring, with explicit action tables: the
+    addition (m × m), the left action (n × m) and the right action (m × n)
+    as read-only int64 arrays."""
 
     ring: FiniteRing
     size: int
-    add_table: tuple[tuple[int, ...], ...]
+    add_table: np.ndarray
     neg_table: tuple[int, ...]
     zero: int
-    left_action: tuple[tuple[int, ...], ...]
-    right_action: tuple[tuple[int, ...], ...]
+    left_action: np.ndarray
+    right_action: np.ndarray
     element_labels: tuple[str, ...]
     label: str
 
@@ -608,28 +609,30 @@ def make_bimodule(
     ract = _check_action_table("right action", right_action, (m, n), m)
     if not _bimodule_laws_hold(ring, add, gens, lact, ract):
         _scan_bimodule_laws(ring, add.tolist(), lact.tolist(), ract.tolist())
+    for table in (add, lact, ract):
+        table.setflags(write=False)
 
     return Bimodule(
         ring=ring,
         size=m,
-        add_table=tuple(map(tuple, add.tolist())),
+        add_table=add,
         neg_table=tuple(neg.tolist()),
         zero=zero,
-        left_action=tuple(map(tuple, lact.tolist())),
-        right_action=tuple(map(tuple, ract.tolist())),
+        left_action=lact,
+        right_action=ract,
         element_labels=labels,
         label=label,
     )
 
 
 def _check_action_table(name: str, table, shape: tuple[int, int], m: int) -> np.ndarray:
-    """``table`` as an int64 array, once it has the shape and entries in
-    0..m-1 (M's elements)."""
+    """``table`` as an int64 array of its own (the bimodule keeps it read-only),
+    once it has the shape and entries in 0..m-1 (M's elements)."""
     error = f"bimodule {name} must be a {shape[0]}x{shape[1]} table with entries in 0..{m - 1}"
     table = _int64(table, error)
     if table.shape != shape or table.min() < 0 or table.max() >= m:
         raise AxiomError(error)
-    return table
+    return table.copy()
 
 
 def _bimodule_laws_hold(
@@ -738,8 +741,7 @@ def make_trivial_extension(
     if size > size_cap:
         raise SizeCapError(f"carrier size {size} exceeds the cap of {size_cap}")
 
-    madd = np.asarray(module.add_table)
-    lact, ract = np.asarray(module.left_action), np.asarray(module.right_action)
+    madd, lact, ract = module.add_table, module.left_action, module.right_action
     add = _pair_table(ring.add_array, madd[None, :, None, :])
     # second component r1·m2 + m1·r2, over axes (r1, m1, r2, m2)
     mul = _pair_table(ring.mul_array, madd[lact[:, None, None, :], ract[None, :, :, None]])

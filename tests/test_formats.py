@@ -27,12 +27,10 @@ from skewarm import (
 )
 from skewarm.formats import (
     FormatError,
-    _booleans_in_lists,
     corpus_manifest,
     parse_ring_definition,
     parse_verdict_record,
     record_to_json,
-    verdict_to_json,
     verdict_to_record,
 )
 
@@ -223,7 +221,7 @@ def test_manifest_schema():
 
 
 def _reference_json(rec):
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(rec, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist) + "\n"
 
 
 # quotes, backslashes, non-ASCII text and the text of a table's key
@@ -253,7 +251,6 @@ def test_record_bytes_match_the_reference_encoding(size):
             rec = verdict_to_record(verdict, ring, endo)
             text = record_to_json(rec)
             assert text == _reference_json(rec)
-            assert verdict_to_json(verdict, ring, endo) == text
             parsed = json.loads(text)
             assert parsed["ring"]["mul_table"] == [list(row) for row in ring.mul_table]
             assert record_to_json(parsed) == text  # a record read back writes the same bytes
@@ -263,56 +260,76 @@ def test_record_bytes_match_the_reference_encoding(size):
 def test_record_tables_are_the_rings_and_stay_read_only():
     ring = _tricky_ring(10)
     rec = verdict_to_record(is_reduced(ring), ring, None)
-    assert rec["ring"]["add_table"] == ring.add_table
-    assert rec["ring"]["mul_table"] == ring.mul_table
-    with pytest.raises(TypeError):
-        rec["ring"]["add_table"][0] = (0,) * 10
+    assert rec["ring"]["add_table"] is ring.add_array
+    assert rec["ring"]["mul_table"] is ring.mul_array
+    for key in ("add_table", "mul_table"):
+        with pytest.raises(ValueError, match="read-only"):
+            rec["ring"][key][0, 0] = 1
     for copied in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert record_to_json(copied) == record_to_json(rec)
 
 
-def test_verdict_to_json_builds_no_tuple_table():
+def test_record_to_json_builds_no_tuple_table():
     ring = _tricky_ring(256)
     alpha = identity_endomorphism(ring)
-    text = verdict_to_json(is_reduced(ring), ring, alpha)
+    text = record_to_json(verdict_to_record(is_reduced(ring), ring, alpha))
     assert "add_table" not in ring.__dict__ and "mul_table" not in ring.__dict__
     assert json.loads(text)["ring"]["add_table"] == ring.add_array.tolist()
 
 
-@pytest.mark.parametrize(
-    "text, found",
-    [
-        ('{"t": [[0, 1], [1, true]]}', True),
-        ('{"t": [false, 1]}', True),
-        ('{"t": [\n  true]}', True),
-        ('{"exhaustive": true, "t": [[0, 1]]}', False),
-        ('{"exhaustive":false}', False),
-        ('{"labels": ["true", "false"]}', False),
-        ('{"labels": ["a,true"]}', True),  # a false alarm costs time, never a verdict
-        ("[1, 2]", False),
-    ],
-)
-def test_booleans_in_lists_are_found_from_the_text(text, found):
-    assert _booleans_in_lists(text) == found
+def test_record_to_json_writes_other_arrays_as_json_does(tmp_path):
+    """A table array ``read_json`` reads whose entries are no indices of it
+    (5 in a 2 × 2 table) is written as ``json.dumps`` writes its rows."""
+    path = tmp_path / "verdict.json"
+    path.write_text('{"kind": "verdict", "ring": {"add_table": [[0,5],[1,0]], "mul_table": [[0]]}}')
+    rec = formats.read_json(path, "doc")
+    assert isinstance(rec["ring"]["add_table"], np.ndarray)
+    assert record_to_json(rec) == _reference_json(rec)
+    assert json.loads(record_to_json(rec)) == json.loads(path.read_text())
+    for other in (np.array([[0, 1, 2]]), np.array([[-1, 0], [0, 0]]), np.array([[True]])):
+        assert record_to_json({"t": other}) == _reference_json({"t": other})
 
 
 @pytest.mark.parametrize(
-    "text, found",
+    "text, array",
     [
         ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "labels": [true, "b"]}', True),
         ('{"kind": "table", "add_table": [[0, 1], [1, 0]],\n "labels": [\nfalse]}', True),
-        ('{"kind": "table", "mul_table": [[0, 0], [0, true]]}', True),
-        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "exhaustive": true}', False),
-        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "labels": ["true"]}', False),
+        ('{"kind": "table", "mul_table": [[0, 0], [0, true]]}', False),
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "exhaustive": true}', True),
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "labels": ["true"]}', True),
+        # read by json.loads alone: a repeated key, an escaped key
+        ('{"kind": "table", "add_table": [[0, 1], [1, 0]], "add_table": [[0, 1], [1, true]]}', False),
+        ('{"kind": "table", "\\u0061dd_table": [[0, 1], [1, false]]}', False),
     ],
 )
-def test_read_json_finds_booleans_beside_and_in_tables(tmp_path, text, found):
+def test_read_json_reads_booleans_beside_and_in_tables_as_json_does(tmp_path, text, array):
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
-    doc, booleans = formats.read_json(path, "doc")
-    assert booleans == found == _booleans_in_lists(text)
-    assert isinstance(doc.get("add_table"), np.ndarray) == ("add_table" in text)
+    doc = formats.read_json(path, "doc")
+    assert isinstance(doc.get("add_table"), np.ndarray) == array
     assert formats._as_lists(doc) == json.loads(text)
+
+
+@pytest.mark.parametrize(
+    "mul",
+    [
+        '"mul_table": [[0, 0], [0, true]]',
+        '"mul_table": [[0, 0], [0, 0]], "mul_table": [[0, 0], [0, false]]',  # a repeated key
+        '"\\u006dul_table": [[0, 0], [0, true]]',  # an escaped key
+    ],
+)
+def test_json_booleans_in_a_table_read_from_a_file_are_refused(tmp_path, mul):
+    path = tmp_path / "doc.json"
+    path.write_text('{"schema_version": "1", "kind": "table", "add_table": [[0, 1], [1, 0]], '
+                    + mul + "}")
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        formats.load_ring_definition(path)
+    z2 = make_zmod(2)
+    text = record_to_json(verdict_to_record(is_reduced(z2), z2, None))
+    path.write_text(text.replace('"mul_table":[[0,0],[0,1]]', mul))
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        parse_verdict_record(formats.read_json(path, "doc"))
 
 
 def test_json_booleans_in_a_table_are_refused(tmp_path):
@@ -338,22 +355,19 @@ def test_json_booleans_in_a_table_are_refused(tmp_path):
 def _reference_read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return json.loads(text), _booleans_in_lists(text)
+            return json.loads(fh.read())
     except (OSError, json.JSONDecodeError) as err:
         raise FormatError(f"cannot read {what}: {err}") from err
 
 
-def _reference_table(value, where, list_booleans):
+def _reference_table(value, where):
     try:
         table = np.array(value)
     except ValueError:  # rows of unequal shapes
         table = np.array(None)
     if not isinstance(value, list) or table.shape != (len(value), len(value)):
         raise FormatError(f"{where} must be a square table: a list of n lists of n integers")
-    if table.dtype.kind not in "iu" or (
-        list_booleans and bool in set(map(type, itertools.chain.from_iterable(value)))
-    ):
+    if table.dtype.kind not in "iu" or bool in set(map(type, itertools.chain.from_iterable(value))):
         raise FormatError(f"{where} entries must be integers")
     if not 0 <= table.min() <= table.max() < len(value):
         raise FormatError(f"{where} entries must lie in 0..{len(value) - 1}")
@@ -481,7 +495,7 @@ def _same_document(path, text):
     if isinstance(want, tuple) and isinstance(want[0], str):  # an error
         assert got == want
     else:
-        assert formats._as_lists(got[0]) == want[0] and got[1] == want[1]
+        assert formats._as_lists(got) == want
 
 
 SMALL_RINGS = [(n, seed) for n in (1, 2, 3, 4, 6, 8, 9, 12) for seed in (0, 1)]
@@ -564,7 +578,7 @@ def test_tables_of_a_repeated_or_quoted_key_are_read_by_json(tmp_path):
         '{"kind": "table", "add_table": [[0]], "mul_table": "\\u0000table0"}',  # a mark's text
     ):
         path.write_text(text)
-        doc, _ = formats.read_json(path, "doc")
+        doc = formats.read_json(path, "doc")
         assert doc == json.loads(text)
         assert not any(isinstance(v, np.ndarray) for v in doc.values())
 
@@ -579,7 +593,7 @@ def test_only_the_tables_the_readers_take_become_arrays(tmp_path):
     }
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    got, _ = formats.read_json(path, "doc")
+    got = formats.read_json(path, "doc")
     arrays = [got["factors"][0], got["factors"][1]["base"]]
     for held in arrays:
         assert all(isinstance(held[key], np.ndarray) for key in ("add_table", "mul_table"))
@@ -587,8 +601,8 @@ def test_only_the_tables_the_readers_take_become_arrays(tmp_path):
         assert held == table
     record = {"kind": "verdict", "ring": dict(table, label=table)}
     path.write_text(json.dumps(record))
-    got, _ = formats.read_json(path, "doc")
+    got = formats.read_json(path, "doc")
     assert isinstance(got["ring"]["mul_table"], np.ndarray) and got["ring"]["label"] == table
     manifest = {"kind": "corpus", "entries": [{"definition": table}]}
     path.write_text(json.dumps(manifest))
-    assert formats.read_json(path, "doc")[0] == manifest
+    assert formats.read_json(path, "doc") == manifest

@@ -608,9 +608,15 @@ def test_regular_bimodule_passes_the_ordered_scan(build):
     module = regular_bimodule(ring)
     assert _reference_bimodule(ring, module.add_table, module.left_action,
                                module.right_action) is None
-    assert module.add_table == ring.add_table
-    assert module.left_action == module.right_action == ring.mul_table
+    assert np.array_equal(module.add_table, ring.add_array)
+    assert np.array_equal(module.left_action, ring.mul_array)
+    assert np.array_equal(module.right_action, ring.mul_array)
     assert module.neg_table == ring.neg_table and module.zero == ring.zero
+    for table in (module.add_table, module.left_action, module.right_action):
+        assert not table.flags.writeable
+    tables = _regular_tables(ring)  # the caller's int64 arrays stay writable
+    make_bimodule(ring, *tables)
+    assert all(table.flags.writeable for table in tables)
 
 
 # --------------------------------------------------------------------------
