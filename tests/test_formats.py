@@ -216,6 +216,24 @@ def test_manifest_schema():
             assert exp["provenance"] in ("literature", "trivial", "computed")
 
 
+@pytest.mark.parametrize("name", ["example4", "example5_r1", "example5_r2"])
+def test_manifest_table_entries_refuse_booleans(tmp_path, name):
+    """The manifest's table-kind definitions reach ``_table`` as lists of
+    rows, from the builders and from the file alike; a JSON true among the
+    entries is refused, not read by numpy as the index 1."""
+    manifest = corpus_manifest()
+    (entry,) = [e for e in manifest["entries"] if e["name"] == name]
+    table = entry["definition"]["mul_table"]
+    assert table[1][1] in (0, 1)
+    table[1][1] = bool(table[1][1])
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        formats.parse_manifest_entry(entry)
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(FormatError, match=r"^ring\.mul_table entries must be integers$"):
+        formats.load_manifest(path)
+
+
 # --------------------------------------------------------------------------
 # structured output: the bytes of json.dumps with sorted keys, compact
 
