@@ -27,6 +27,14 @@ The output file holds, per workload:
 - ``counts``: each side's deterministic traced counts (every per-layer
   metric in ``count`` units) and whether the two sides agree on them.
 
+Before the first pair, both sides' ``src/`` and ``bench/`` are put in one
+bytecode state, which ``bytecode`` records as ``compile``: every
+``__pycache__`` there is deleted and each module compiled afresh with this
+interpreter.  A side that held compiled modules while the other did not
+would otherwise differ in set-up time and memory, most of all when
+bytecode writing is off (``PYTHONDONTWRITEBYTECODE``) and every process
+compiles again.
+
 Each side is named by the SHA-256 of its ``src/`` files, so the summary
 says which code was measured, and ``machine`` records where: the Python and
 numpy versions of the interpreter that runs both sides, ``os.cpu_count()``
@@ -37,10 +45,12 @@ no result.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -58,6 +68,16 @@ def source_digest(root: Path) -> str:
             digest.update(str(path.relative_to(root)).encode() + b"\0")
             digest.update(path.read_bytes() + b"\0")
     return digest.hexdigest()
+
+
+def compile_fresh(root: Path) -> None:
+    """Delete every ``__pycache__`` under ``src/`` and ``bench/``, then
+    compile each module there with this interpreter."""
+    for sub in (root / "src", root / "bench"):
+        for cache in sorted(sub.rglob("__pycache__")):
+            shutil.rmtree(cache)
+        if not compileall.compile_dir(sub, quiet=1, force=True):
+            raise RuntimeError(f"{sub}: a module does not compile")
 
 
 def machine() -> dict:
@@ -150,10 +170,13 @@ def main(argv=None) -> int:
     if args.workloads:
         workloads = args.workloads.split(",")
     seeds = [args.first_seed + i for i in range(args.pairs)]
+    for side in SIDES:
+        compile_fresh(roots[side])
     out = {
         "pairs": args.pairs,
         "seconds": args.seconds,
         "seeds": seeds,
+        "bytecode": "compile",
         "machine": machine(),
         "source_sha256": {side: source_digest(roots[side]) for side in SIDES},
         "workloads": {},

@@ -69,7 +69,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .rings import Endomorphism, FiniteRing, RingElement, RingError, identity_endomorphism
+from .rings import (
+    Endomorphism,
+    FiniteRing,
+    RingElement,
+    RingError,
+    _nonzero_generators,
+    identity_endomorphism,
+)
 from .skewpoly import (
     LaurentSkewPoly,
     SkewPoly,
@@ -347,16 +354,18 @@ def _element_verdict(prop, ring, alpha, elements) -> Verdict:
     return _verdict(prop, ring, alpha, _EXH, w)
 
 
-def _first_scalar(prop, ring, alpha) -> tuple[int] | None:
-    """The least single element that violates ``prop``, or None."""
-    law = _ELEMENT_LAWS[prop].values
-    return next(((x,) for x in range(ring.size) if law(ring, alpha, (x,))), None)
+def _first_scalar(ring: FiniteRing, products: np.ndarray) -> tuple[int] | None:
+    """The least nonzero x with ``products[x]`` zero, or None: one pass
+    over x·x (reduced) or x·α(x) (rigid) for every element x."""
+    hits = np.flatnonzero(products == ring.zero)
+    hits = hits[hits != ring.zero]
+    return (int(hits[0]),) if hits.size else None
 
 
 def is_reduced(ring: FiniteRing) -> Verdict:
     """No nonzero a with a^2 = 0 (equivalent to having no nonzero nilpotents)."""
-    prop = PropertyId.REDUCED
-    return _element_verdict(prop, ring, None, _first_scalar(prop, ring, None))
+    squares = ring.mul_array.diagonal()
+    return _element_verdict(PropertyId.REDUCED, ring, None, _first_scalar(ring, squares))
 
 
 def _first_pair(mask: np.ndarray) -> tuple[int, int] | None:
@@ -380,9 +389,9 @@ def is_commutative(ring: FiniteRing) -> Verdict:
     return _element_verdict(PropertyId.COMMUTATIVE, ring, None, _first_pair(mul != mul.T))
 
 
-# Rows a per block of the semicommutative and symmetric scans: a block
-# gathers rows × n bit-packed kill sets of ceil(n/8) bytes, 128 KB at the
-# size cap.
+# The symmetric scan takes its pairs in blocks of ``_ELEMENT_ROWS`` × n,
+# as many as 16 full rows hold: a block gathers that many bit-packed kill
+# sets of ceil(n/8) bytes, 128 KB at the size cap.
 _ELEMENT_ROWS = 16
 
 
@@ -396,20 +405,23 @@ def _first_bit(row: np.ndarray) -> int:
 
 
 def is_semicommutative(ring: FiniteRing) -> Verdict:
-    """ab = 0 implies a r b = 0 for every r."""
+    """ab = 0 implies a r b = 0 for every r.  Given ab = 0, the r with
+    a·r·b = 0 form an additive subgroup, so r runs over G′, the nonzero
+    additive generators (``rings._nonzero_generators``), only: at most
+    log2 n of them, n × |G′| kill sets of ceil(n/8) bytes, 64 KB at the
+    size cap.  The witness's r is still the least over all of R."""
     mul, zero = ring.mul_array, ring.zero
     kills = _kill_sets(ring)
-    for lo in range(0, ring.size, _ELEMENT_ROWS):
-        rows = mul[lo : lo + _ELEMENT_ROWS]  # rows[a - lo, r] = a·r
-        # bit b of bad[a - lo]: a·b = 0 but (a·r)·b != 0 for some r
-        bad = kills[lo : lo + _ELEMENT_ROWS] & ~np.bitwise_and.reduce(kills[rows], axis=1)
-        hit = np.flatnonzero(bad.any(axis=1))
-        if hit.size:
-            a = lo + int(hit[0])
-            b = _first_bit(bad[hit[0]])
-            r = int(np.flatnonzero(mul[mul[a], b] != zero)[0])
-            return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, (a, b, r))
-    return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, None)
+    gens = _nonzero_generators(ring.generators, zero)
+    # bit b of bad[a]: a·b = 0 but (a·g)·b != 0 for some generator g
+    bad = kills & ~np.bitwise_and.reduce(kills[mul[:, gens]], axis=1)
+    hit = np.flatnonzero(bad.any(axis=1))
+    if not hit.size:
+        return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, None)
+    a = int(hit[0])
+    b = _first_bit(bad[a])
+    r = int(np.flatnonzero(mul[mul[a], b] != zero)[0])
+    return _element_verdict(PropertyId.SEMICOMMUTATIVE, ring, None, (a, b, r))
 
 
 def is_reversible(ring: FiniteRing) -> Verdict:
@@ -418,18 +430,31 @@ def is_reversible(ring: FiniteRing) -> Verdict:
     return _element_verdict(PropertyId.REVERSIBLE, ring, None, pair)
 
 
+def _nth_pair(mask: np.ndarray, k: int) -> tuple[int, int]:
+    """The k-th (a, b), counting from 0 in row-major order, with ``mask[a, b]`` set."""
+    ends = np.cumsum(np.count_nonzero(mask, axis=1))
+    a = int(np.searchsorted(ends, k, side="right"))
+    b = np.flatnonzero(mask[a])[k - (int(ends[a - 1]) if a else 0)]
+    return a, int(b)
+
+
 def is_symmetric(ring: FiniteRing) -> Verdict:
-    """abc = 0 implies bac = 0."""
+    """abc = 0 implies bac = 0.  A pair with ab = ba cannot fail, so only
+    the pairs with ab != ba are scanned, in row-major order and blocks of
+    ``_ELEMENT_ROWS`` × n pairs."""
     mul = ring.mul_array
     kills = _kill_sets(ring)
-    for lo in range(0, ring.size, _ELEMENT_ROWS):
-        # bit c of bad[a - lo, b]: (a·b)·c = 0 but (b·a)·c != 0
-        bad = kills[mul[:, lo : lo + _ELEMENT_ROWS].T]
+    apart = mul != mul.T
+    ab, ba = mul[apart], mul.T[apart]
+    step = _ELEMENT_ROWS * ring.size
+    for lo in range(0, ab.size, step):
+        # bit c of bad[i]: (a·b)·c = 0 but (b·a)·c != 0, at pair lo + i
+        bad = kills[ba[lo : lo + step]]
         np.invert(bad, out=bad)
-        bad &= kills[mul[lo : lo + _ELEMENT_ROWS]]
-        pair = _first_pair(bad.any(axis=2))
-        if pair is not None:
-            abc = lo + pair[0], pair[1], _first_bit(bad[pair])
+        bad &= kills[ab[lo : lo + step]]
+        hit = np.flatnonzero(bad.any(axis=1))
+        if hit.size:
+            abc = *_nth_pair(apart, lo + int(hit[0])), _first_bit(bad[hit[0]])
             return _element_verdict(PropertyId.SYMMETRIC, ring, None, abc)
     return _element_verdict(PropertyId.SYMMETRIC, ring, None, None)
 
@@ -437,8 +462,8 @@ def is_symmetric(ring: FiniteRing) -> Verdict:
 def is_rigid(ring: FiniteRing, alpha: Endomorphism) -> Verdict:
     """r·alpha(r) = 0 forces r = 0."""
     _require_over(ring, alpha)
-    prop = PropertyId.RIGID
-    return _element_verdict(prop, ring, alpha, _first_scalar(prop, ring, alpha))
+    products = ring.mul_array[np.arange(ring.size), alpha.images]
+    return _element_verdict(PropertyId.RIGID, ring, alpha, _first_scalar(ring, products))
 
 
 def _require_over(ring: FiniteRing, alpha: Endomorphism) -> None:

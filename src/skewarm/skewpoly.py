@@ -30,6 +30,7 @@ from .rings import (
     FiniteRing,
     RingElement,
     RingError,
+    _nonzero_generators,
 )
 
 
@@ -330,18 +331,21 @@ laurent_sandwich = sandwich
 
 def _forall_sandwich_zero(p, q) -> bool:
     """Whether p · h · q = 0 for every h.  By bilinearity of h -> p·h·q the
-    monomials r x^k suffice.  The coefficients of p (r x^k) q are sums of
-    a_i α^i(r) α^(i+k)(b_j), and α^(i+k+period) = α^(i+k) for k >= preperiod,
-    so k + period repeats the products of k, shifted: k < preperiod + period
-    decide exactly.  An automorphism has preperiod 0, so a negative k adds
-    nothing."""
+    monomials r x^k suffice, and since r -> p (r x^k) q is additive, r may
+    run over the nonzero additive generators of R only
+    (``_nonzero_generators``, at most log2 |R| of them).  The coefficients
+    of p (r x^k) q are sums of a_i α^i(r) α^(i+k)(b_j), and
+    α^(i+k+period) = α^(i+k) for k >= preperiod, so k + period repeats the
+    products of k, shifted: k < preperiod + period decide exactly.  An
+    automorphism has preperiod 0, so a negative k adds nothing."""
     _same_carrier(p, q)
     if p.is_zero or q.is_zero:
         return True
     ring, endo = p.ring, p.endo
+    gens = _nonzero_generators(ring.generators, ring.zero).tolist()
     for k in range(endo.preperiod + endo.period):
-        for r in range(ring.size):
-            if r != ring.zero and not sandwich(p, r, k, q).is_zero:
+        for r in gens:
+            if not sandwich(p, r, k, q).is_zero:
                 return False
     return True
 

@@ -129,3 +129,24 @@ def test_a_rise_in_the_failed_op_share_is_flagged(tmp_path, capsys):
         {"parent": 1, "change": 2}, {"parent": 10, "change": 40}
     )
     assert bench_pair.failed_share_rose({"parent": 1, "change": 2}, {"parent": 10, "change": 15})
+
+
+def _caches(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*.pyc"))
+
+
+def test_both_sides_start_with_fresh_bytecode(tmp_path):
+    parent = _stub_checkout(tmp_path / "parent", 2.0)
+    change = _stub_checkout(tmp_path / "change", 1.0)
+    # a stale cache on one side only, as a test run leaves it
+    stale = parent / "src" / "skewarm" / "__pycache__" / "gone.cpython-0.pyc"
+    stale.parent.mkdir()
+    stale.write_bytes(b"")
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main([str(parent), str(change), "--out", str(out), "--pairs", "1"]) == 0
+    assert json.loads(out.read_text())["bytecode"] == "compile"
+    assert not stale.exists()
+    assert _caches(parent) == _caches(change)
+    for side in (parent, change):
+        for module in ("src/skewarm/__init__.py", "bench/run.py"):
+            assert Path(importlib.util.cache_from_source(str(side / module))).exists()

@@ -5,6 +5,7 @@ The references are the per-element loops the vectorised code replaced; they
 use only the tables, so they do not share the code they check.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -907,26 +908,90 @@ def _small_rings():
     ]
 
 
+def _lower_column(m: int):
+    """The matrices [[0, b], [0, d]] over Z_m as (b, d), with
+    (b, d)(b', d') = (b·d', d·d'): noncommutative and semicommutative, but
+    not symmetric."""
+    b, d = np.divmod(np.arange(m * m), m)
+    add = (b[:, None] + b) % m * m + (d[:, None] + d) % m
+    mul = b[:, None] * d % m * m + d[:, None] * d % m
+    return add, mul
+
+
+def _upper_row(m: int, k: int):
+    """(a, b) in Z_m × Z_k, k | m, with (a, b)(c, d) = (ac, ad):
+    noncommutative, symmetric and semicommutative."""
+    a, b = np.divmod(np.arange(m * k), k)
+    add = (a[:, None] + a) % m * k + (b[:, None] + b) % k
+    mul = a[:, None] * a % m * k + a[:, None] * b % k
+    return add, mul
+
+
+def _late_symmetric_witness_ring():
+    """_lower_column(2) × _upper_row(8, 4), 128 elements.  The second
+    factor is symmetric, so a pair fails only where its first components
+    do, and the 32 rows whose first component is zero hold 2,688 pairs
+    with ab != ba before the first that fails."""
+    first, second = make_table_ring(*_lower_column(2)), make_table_ring(*_upper_row(8, 4))
+    return make_direct_product(first, second)
+
+
+def _law_carriers(seed):
+    """Each carrier of the symmetric and semicommutative loop tests as
+    built, and moved by a seeded permutation that takes the zero off
+    index 0: the small rings, a nonunital noncommutative ring, the zero
+    ring, a null multiplication, and a ring whose symmetric witness is
+    not its first pair with ab != ba and lies past the scan's first
+    block."""
+    rings = _small_rings() + [
+        make_table_ring(*_lower_column(2)),
+        make_table_ring(*_scaled_zmod(1, 0)),
+        make_table_ring(*_scaled_zmod(5, 0)),
+        _late_symmetric_witness_ring(),
+    ]
+    rng = np.random.default_rng(seed)
+    for ring in rings:
+        yield ring
+        yield make_table_ring(*_relabel(*_tables(ring), rng.permutation(ring.size)))
+
+
+def _pairs_apart_before(ring, a, b):
+    """How many pairs with xy != yx come before (a, b) in row-major order."""
+    apart = ring.mul_array != ring.mul_array.T
+    return int(np.count_nonzero(apart[:a]) + np.count_nonzero(apart[a, :b]))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_symmetric_matches_loop_reference(seed):
-    rings = _small_rings()
-    for ring in rings:
-        relabelled, _ = random_relabeling(ring, seed)
-        for r in (ring, relabelled):
-            assert _scanned_witness(is_symmetric, r) == _reference_symmetric_witness(r)
-    assert not is_symmetric(rings[0]).holds
+    carriers = list(_law_carriers(seed))
+    assert any(ring.zero != 0 for ring in carriers)
+    for ring in carriers:
+        assert _scanned_witness(is_symmetric, ring) == _reference_symmetric_witness(ring)
+    assert not is_symmetric(carriers[0]).holds
+    # the first pair with ab != ba, (1, 4), is no witness, and the witness
+    # lies past the scan's first block
+    late = _late_symmetric_witness_ring()
+    assert _pairs_apart_before(late, 1, 4) == 0 and late.mul(1, 4) != late.mul(4, 1)
+    assert _scanned_witness(is_symmetric, late) == ((32, 64, 32), (64,))
+    assert _pairs_apart_before(late, 32, 64) >= _ELEMENT_ROWS * late.size
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_semicommutative_matches_loop_reference(seed):
-    rings = _small_rings()
-    for ring in rings:
-        relabelled, _ = random_relabeling(ring, seed)
-        for r in (ring, relabelled):
-            got = _scanned_witness(is_semicommutative, r)
-            assert got == _reference_semicommutative_witness(r)
-    assert not is_semicommutative(rings[0]).holds
-    assert is_semicommutative(rings[1]).holds
+    for ring in _law_carriers(seed):
+        got = _scanned_witness(is_semicommutative, ring)
+        assert got == _reference_semicommutative_witness(ring)
+    ut2, tz4 = _small_rings()[:2]
+    assert not is_semicommutative(ut2).holds
+    assert is_semicommutative(tz4).holds
+    # The greedy generators always hold the least r of a failing pair (ab
+    # = 0, arb != 0): the r before it lie in the subgroup a·r·b = 0, so
+    # their closure does.  Given the generating set {e22, e11 + e12, e11}
+    # instead, the scan must still report r = e12, the least over R.
+    e22, e12, e11 = 1, 2, 4
+    other = dataclasses.replace(ut2, generators=(e22, ut2.add(e11, e12), e11))
+    assert _scanned_witness(is_semicommutative, other) == ((e11, e22, e12), (e12,))
+    assert _reference_semicommutative_witness(ut2) == ((e11, e22, e12), (e12,))
 
 
 @settings(max_examples=60, deadline=None)
