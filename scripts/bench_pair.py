@@ -25,7 +25,10 @@ The output file holds, per workload:
   ``failed_share_rose``: whether the change failed a larger share of its
   attempted ops than the parent;
 - ``counts``: each side's deterministic traced counts (every per-layer
-  metric in ``count`` units) and whether the two sides agree on them.
+  metric in ``count`` units), whether the two sides agree on them and,
+  in ``differ``, each count they disagree on with both values (null on a
+  side that has no such count); these are printed as ``name parent ->
+  change``.
 
 Before the first pair, both sides' ``src/`` and ``bench/`` are put in one
 bytecode state, which ``bytecode`` records as ``compile``: every
@@ -153,6 +156,13 @@ def traced_counts(root: Path, workload: str, seed: int) -> dict:
     }
 
 
+def differing_counts(counts: dict) -> dict:
+    """Each traced count on which the two sides differ, with both values."""
+    names = sorted(counts["parent"].keys() | counts["change"].keys())
+    values = {name: {side: counts[side].get(name) for side in SIDES} for name in names}
+    return {name: v for name, v in values.items() if v["parent"] != v["change"]}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="root of the parent checkout")
@@ -203,7 +213,11 @@ def main(argv=None) -> int:
             "failed": failed,
             "attempted": attempted,
             "failed_share_rose": failed_share_rose(failed, attempted),
-            "counts": {**counts, "equal": counts["parent"] == counts["change"]},
+            "counts": {
+                **counts,
+                "equal": counts["parent"] == counts["change"],
+                "differ": differing_counts(counts),
+            },
             "runs": runs,
         }
         args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
@@ -217,6 +231,8 @@ def main(argv=None) -> int:
                 f"{'  GAIN' if m['gain'] else ''}{'  REGRESSION' if m['regression'] else ''}"
             )
         print(f"{workload:<18} counts equal: {entry['counts']['equal']}")
+        for name, v in entry["counts"]["differ"].items():
+            print(f"{workload:<18} {name} {v['parent']} -> {v['change']}")
         failed, attempted = entry["failed"], entry["attempted"]
         shares = "  ".join(f"{side} {failed[side]}/{attempted[side]}" for side in SIDES)
         rose = "  FAILED SHARE ROSE" if entry["failed_share_rose"] else ""

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from importlib import resources
 
 from . import corpus as corpus_mod
 from . import deciders as dec
@@ -159,13 +158,10 @@ def cmd_replay(args) -> int:
     return EXIT_HOLDS
 
 
-def _load_entries(args) -> list[corpus_mod.CorpusEntry]:
+def _load_entries(args) -> list[formats.CorpusEntry]:
     if args.manifest is not None:
         return formats.load_manifest(args.manifest)
-    with resources.as_file(
-        resources.files("skewarm").joinpath("data/corpus.json")
-    ) as path:
-        return formats.load_manifest(path)
+    return corpus_mod.all_entries()
 
 
 def cmd_corpus(args) -> int:
@@ -173,9 +169,7 @@ def cmd_corpus(args) -> int:
         entries = _load_entries(args)
         for entry in entries:
             if entry.name == args.dump_definition:
-                doc = dict(entry.definition)
-                doc.setdefault("schema_version", formats.SCHEMA_VERSION)
-                print(json.dumps(doc, indent=2, sort_keys=True))
+                print(json.dumps(entry.definition, indent=2, sort_keys=True))
                 return EXIT_HOLDS
         raise formats.FormatError(f"unknown corpus entry {args.dump_definition!r}")
     entries = _load_entries(args)

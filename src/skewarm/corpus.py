@@ -3,374 +3,35 @@ consistency harness that cross-checks decider outputs against the implication
 lattice, isomorphism transport, product closure, and the Laurent/series
 correspondences.
 
-Expected outcomes are data: the same entries ship as ``data/corpus.json`` and
-double as the regression fixture consumed by the command line ``corpus`` run.
-Every expectation carries a provenance tag; ``confirm_witness`` data is
-validated by replay as *a* witness, never by equality with the decider's
-least witness.
+The entries are data, defined once in ``data/corpus.json``: ``all_entries``
+loads that manifest, the same file the command line ``corpus`` run reads
+when no ``--manifest`` is given.  Every expectation carries a provenance
+tag; ``confirm_witness`` data is validated by replay as *a* witness, never
+by equality with the decider's least witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import resources
 
 from . import deciders as dec
-from .deciders import Envelope, PropertyId, Verdict, Witness
+from .deciders import PropertyId, Verdict, Witness
+from .formats import CorpusEntry, Expectation, load_manifest
 from .rings import (
     Endomorphism,
     FiniteRing,
     make_direct_product,
-    make_galois_field,
-    make_table_ring,
-    make_trivial_extension,
-    make_zmod,
-    frobenius,
     product_endomorphism,
     random_relabeling,
-    regular_bimodule,
-    table_endomorphism,
     transport,
 )
-LITERATURE = "literature"
-TRIVIAL = "trivial"
-COMPUTED = "computed"
-
-
-@dataclass(frozen=True)
-class Expectation:
-    prop: PropertyId
-    envelope: Envelope
-    holds: bool
-    provenance: str
-    confirm_witness: Witness | None = None
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    description: str
-    ring: FiniteRing
-    endo: Endomorphism
-    definition: dict
-    expected: tuple[Expectation, ...]
-    exploratory: bool = False
-
-
-def _pair_index(n2: int, i: int, j: int) -> int:
-    return i * n2 + j
-
-
-def build_example1() -> CorpusEntry:
-    """Z2 (+) Z2 with the coordinate swap: reduced, hence quasi-skew
-    Armendariz at every tested bound, yet not skew Armendariz."""
-    z2 = make_zmod(2)
-    ring = make_direct_product(z2, z2)
-    swap = table_endomorphism(
-        ring, [_pair_index(2, i % 2, i // 2) for i in range(4)], "swap"
-    )
-    # (1,0)=2, (0,1)=1; p = (1,0)+(1,0)x, q = (0,1)+(1,0)x violates the skew
-    # conclusion at (i,j)=(1,0) with value (1,0)
-    skew_wit = Witness(
-        kind="poly", p_coeffs=(2, 2), q_coeffs=(1, 2), pair=(1, 0), offending=2
-    )
-    expected = (
-        Expectation(PropertyId.REDUCED, Envelope(exhaustive=True), True, LITERATURE),
-        Expectation(
-            PropertyId.ALPHA_SKEW_ARMENDARIZ, Envelope(degree=2), False, LITERATURE, skew_wit
-        ),
-        Expectation(
-            PropertyId.ALPHA_SKEW_ARMENDARIZ, Envelope(degree=1), False, COMPUTED
-        ),
-        Expectation(
-            PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, Envelope(degree=2), True, LITERATURE
-        ),
-        Expectation(PropertyId.RIGID, Envelope(exhaustive=True), False, COMPUTED),
-    )
-    definition = {
-        "kind": "product",
-        "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 2}],
-        "endomorphism": {"builtin": "swap"},
-        "label": "example1",
-    }
-    return CorpusEntry(
-        name="example1",
-        description="Z2(+)Z2 with the coordinate swap",
-        ring=ring,
-        endo=swap,
-        definition=definition,
-        expected=expected,
-    )
-
-
-def build_example2_quotient() -> CorpusEntry:
-    """The 16-element trivial extension T(Z4, Z4) with (a,b) -> (a,-b).
-
-    This is the matrix ring {(a,0;b,a) : a,b in Z4} in pair form; it is not
-    quasi-skew Armendariz already at degree 1, with the classical witness
-    p = q = (2,0)+(2,1)x.
-    """
-    z4 = make_zmod(4)
-    ring = make_trivial_extension(z4, regular_bimodule(z4))
-    neg2 = table_endomorphism(
-        ring,
-        [_pair_index(4, i // 4, (-(i % 4)) % 4) for i in range(16)],
-        "negate-second",
-    )
-    # indices: (2,0)=8, (2,1)=9, (1,0)=4, (0,2)=2
-    qskew_wit = Witness(
-        kind="poly",
-        p_coeffs=(8, 9),
-        q_coeffs=(8, 9),
-        pair=(1, 0),
-        monomial=(4, 1),
-        offending=2,
-    )
-    reduced_wit = Witness(kind="elements", elements=(8,), values=(0,))
-    expected = (
-        Expectation(
-            PropertyId.REDUCED, Envelope(exhaustive=True), False, COMPUTED, reduced_wit
-        ),
-        Expectation(
-            PropertyId.SEMICOMMUTATIVE, Envelope(exhaustive=True), True, COMPUTED
-        ),
-        Expectation(
-            PropertyId.Q_ALPHA_SKEW_ARMENDARIZ,
-            Envelope(degree=1),
-            False,
-            LITERATURE,
-            qskew_wit,
-        ),
-        Expectation(
-            PropertyId.ALPHA_SKEW_ARMENDARIZ, Envelope(degree=1), False, COMPUTED
-        ),
-    )
-    definition = {
-        "kind": "trivial_extension",
-        "base": {"kind": "zmod", "n": 4},
-        "endomorphism": {"builtin": "negate_second_component"},
-        "label": "example2",
-    }
-    return CorpusEntry(
-        name="example2",
-        description="T(Z4,Z4) with second-component negation",
-        ring=ring,
-        endo=neg2,
-        definition=definition,
-        expected=expected,
-    )
-
-
-def _example4_tables(p: int):
-    n = p * p
-    add = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    labels = []
-    for a in range(p):
-        for b in range(p):
-            labels.append(f"({a},{b})")
-    for i in range(n):
-        a, b = divmod(i, p)
-        for j in range(n):
-            c, d = divmod(j, p)
-            add[i][j] = ((a + c) % p) * p + (b + d) % p
-            mul[i][j] = ((a * c) % p) * p + (a * d) % p
-    return add, mul, labels
-
-
-def build_example4(p: int = 3) -> CorpusEntry:
-    """Upper-row matrices {(a,b;0,0) : a,b in F_p} with (a,b) -> (a,-b).
-
-    Has one-sided but no two-sided identity; quasi-Armendariz in both the
-    plain and the skew form.  p = 2 is rejected because the sign flip
-    degenerates to the identity there.
-    """
-    if p == 2:
-        raise ValueError(
-            "p = 2 degenerates the sign flip to the identity; pick an odd prime"
-        )
-    add, mul, labels = _example4_tables(p)
-    ring = make_table_ring(add, mul, labels, label=f"UpperRow(F{p})")
-    alpha = table_endomorphism(
-        ring,
-        [(i // p) * p + (-(i % p)) % p for i in range(p * p)],
-        "negate-second",
-    )
-    comm_wit = Witness(kind="elements", elements=(p, 1), values=(1, 0))
-    expected = (
-        Expectation(PropertyId.Q_ALPHA_ARMENDARIZ, Envelope(degree=2), True, LITERATURE),
-        Expectation(PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, Envelope(degree=2), True, LITERATURE),
-        Expectation(
-            PropertyId.COMMUTATIVE, Envelope(exhaustive=True), False, COMPUTED, comm_wit
-        ),
-    )
-    definition = {
-        "kind": "table",
-        "add_table": add,
-        "mul_table": mul,
-        "labels": labels,
-        "endomorphism": {"images": list(alpha.images)},
-        "label": "example4",
-    }
-    return CorpusEntry(
-        name="example4",
-        description=f"upper-row 2x2 matrices over F{p} with second-entry negation",
-        ring=ring,
-        endo=alpha,
-        definition=definition,
-        expected=expected,
-    )
-
-
-def build_example5(p: int = 3) -> tuple[CorpusEntry, CorpusEntry]:
-    """The two matrix rings {(0,a;0,b)} and {(0,d;0,0)} over F_p with their
-    sign-flip endomorphisms; both satisfy all four Armendariz variants."""
-    if p == 2:
-        raise ValueError(
-            "p = 2 degenerates the sign flips to the identity; pick an odd prime"
-        )
-    n = p * p
-    add1 = [[0] * n for _ in range(n)]
-    mul1 = [[0] * n for _ in range(n)]
-    labels1 = [f"({a},{b})" for a in range(p) for b in range(p)]
-    for i in range(n):
-        a, b = divmod(i, p)
-        for j in range(n):
-            c, d = divmod(j, p)
-            add1[i][j] = ((a + c) % p) * p + (b + d) % p
-            # [[0,a],[0,b]]·[[0,c],[0,d]] = [[0, a d],[0, b d]]
-            mul1[i][j] = ((a * d) % p) * p + (b * d) % p
-    r1 = make_table_ring(add1, mul1, labels1, label=f"RightCol(F{p})")
-    a1 = table_endomorphism(
-        r1, [((-(i // p)) % p) * p + i % p for i in range(n)], "negate-first"
-    )
-
-    add2 = [[(i + j) % p for j in range(p)] for i in range(p)]
-    mul2 = [[0] * p for _ in range(p)]
-    r2 = make_table_ring(add2, mul2, [str(i) for i in range(p)], label=f"Nil(F{p})")
-    a2 = table_endomorphism(r2, [(-i) % p for i in range(p)], "negate")
-
-    def expectations() -> tuple[Expectation, ...]:
-        return tuple(
-            Expectation(prop, Envelope(degree=2), True, LITERATURE)
-            for prop in (
-                PropertyId.ALPHA_ARMENDARIZ,
-                PropertyId.ALPHA_SKEW_ARMENDARIZ,
-                PropertyId.Q_ALPHA_ARMENDARIZ,
-                PropertyId.Q_ALPHA_SKEW_ARMENDARIZ,
-            )
-        )
-
-    e1 = CorpusEntry(
-        name="example5_r1",
-        description=f"right-column 2x2 matrices over F{p} with first-entry negation",
-        ring=r1,
-        endo=a1,
-        definition={
-            "kind": "table",
-            "add_table": add1,
-            "mul_table": mul1,
-            "labels": labels1,
-            "endomorphism": {"images": list(a1.images)},
-            "label": "example5_r1",
-        },
-        expected=expectations(),
-    )
-    e2 = CorpusEntry(
-        name="example5_r2",
-        description=f"zero-multiplication ring on F{p} with negation",
-        ring=r2,
-        endo=a2,
-        definition={
-            "kind": "table",
-            "add_table": add2,
-            "mul_table": mul2,
-            "labels": [str(i) for i in range(p)],
-            "endomorphism": {"images": list(a2.images)},
-            "label": "example5_r2",
-        },
-        expected=expectations(),
-    )
-    return e1, e2
-
-
-def build_field_frobenius(p: int = 2, k: int = 2) -> CorpusEntry:
-    """GF(p^k) with the Frobenius map: a domain with a monomorphism, so both
-    quasi variants hold at every tested bound."""
-    ring = make_galois_field(p, k)
-    fr = frobenius(ring)
-    expected = (
-        Expectation(PropertyId.DOMAIN, Envelope(exhaustive=True), True, TRIVIAL),
-        Expectation(PropertyId.REDUCED, Envelope(exhaustive=True), True, TRIVIAL),
-        Expectation(PropertyId.RIGID, Envelope(exhaustive=True), True, COMPUTED),
-        Expectation(PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, Envelope(degree=2), True, LITERATURE),
-        Expectation(PropertyId.Q_ALPHA_ARMENDARIZ, Envelope(degree=2), True, LITERATURE),
-    )
-    definition = {
-        "kind": "galois_field",
-        "p": p,
-        "k": k,
-        "endomorphism": {"builtin": "frobenius"},
-        "label": f"gf{p**k}_frobenius",
-    }
-    return CorpusEntry(
-        name=f"gf{p**k}_frobenius",
-        description=f"GF({p**k}) with the Frobenius endomorphism",
-        ring=ring,
-        endo=fr,
-        definition=definition,
-        expected=expected,
-    )
-
-
-def build_example3_analogue() -> CorpusEntry:
-    """Finite stand-in for the trivial extension of Z by Q with halving:
-    T(Z5, Z5) with (a,s) -> (a, 3s), 3 being the inverse of 2 mod 5.
-
-    Exploratory: expected outcomes below were computed by these deciders and
-    frozen as regression data; none are inherited claims.
-    """
-    z5 = make_zmod(5)
-    ring = make_trivial_extension(z5, regular_bimodule(z5))
-    alpha = table_endomorphism(
-        ring,
-        [_pair_index(5, i // 5, (3 * (i % 5)) % 5) for i in range(25)],
-        "halve-second",
-    )
-    expected = (
-        Expectation(PropertyId.REDUCED, Envelope(exhaustive=True), False, COMPUTED,
-                    Witness(kind="elements", elements=(1,), values=(0,))),
-        Expectation(PropertyId.SEMICOMMUTATIVE, Envelope(exhaustive=True), True, COMPUTED),
-        Expectation(PropertyId.ALPHA_SKEW_ARMENDARIZ, Envelope(degree=1), True, COMPUTED),
-        Expectation(PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, Envelope(degree=1), True, COMPUTED),
-    )
-    definition = {
-        "kind": "trivial_extension",
-        "base": {"kind": "zmod", "n": 5},
-        "endomorphism": {"images": list(alpha.images)},
-        "label": "example3_analogue",
-    }
-    return CorpusEntry(
-        name="example3_analogue",
-        description="T(Z5,Z5) with second-component scaling by the inverse of 2",
-        ring=ring,
-        endo=alpha,
-        definition=definition,
-        expected=expected,
-        exploratory=True,
-    )
 
 
 def all_entries() -> list[CorpusEntry]:
-    e5a, e5b = build_example5()
-    return [
-        build_example1(),
-        build_example2_quotient(),
-        build_example4(),
-        e5a,
-        e5b,
-        build_field_frobenius(),
-        build_example3_analogue(),
-    ]
+    """The built-in entries, loaded afresh from the shipped manifest."""
+    with resources.as_file(resources.files("skewarm").joinpath("data/corpus.json")) as path:
+        return load_manifest(path)
 
 
 def entry_by_name(name: str) -> CorpusEntry:

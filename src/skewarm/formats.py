@@ -18,14 +18,7 @@ import re
 
 import numpy as np
 
-from . import corpus as corpus_mod
-from .deciders import (
-    ELEMENT_PROPERTIES,
-    Envelope,
-    PropertyId,
-    Verdict,
-    Witness,
-)
+from .deciders import Envelope, PropertyId, Verdict, Witness
 from .skewpoly import _parse_terms, _render_terms
 from .rings import (
     Endomorphism,
@@ -81,6 +74,24 @@ def _object(value, where: str) -> dict:
 def _int(value, where: str) -> int:
     if type(value) is not int:  # JSON true/false and 1.5 are not integers
         raise FormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _choice(value, choices: tuple[str, ...], where: str) -> str:
+    if value not in choices:
+        raise FormatError(f"{where} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise FormatError(f"{where} must be true or false, got {value!r}")
     return value
 
 
@@ -409,7 +420,7 @@ def _envelope_from_json(doc) -> Envelope:
     window = doc.get("window")
     return Envelope(
         window=None if window is None else tuple(_ints(window, "envelope.window", 4)),
-        exhaustive=bool(doc.get("exhaustive", False)),
+        exhaustive=_bool(doc.get("exhaustive", False), "envelope.exhaustive"),
         **bounds,
     )
 
@@ -581,7 +592,7 @@ def parse_verdict_record(
         images = _ints(_object(edoc, "endomorphism").get("images"), "endomorphism.images")
         endo = table_endomorphism(ring, images, str(edoc.get("label", "endo")))
     env = _envelope_from_json(doc.get("envelope", {}))
-    holds = doc.get("outcome") == "holds"
+    holds = _choice(doc.get("outcome"), OUTCOMES, "outcome") == "holds"
     witness = None
     if doc.get("witness") is not None:
         witness = _witness_from_json(doc["witness"])
@@ -629,48 +640,41 @@ def witness_text_consistent(ring: FiniteRing, wdoc: dict) -> bool:
 # --------------------------------------------------------------------------
 # corpus manifest
 
-def _expectation_to_json(exp: corpus_mod.Expectation, ring: FiniteRing) -> dict:
-    return {
-        "property": exp.prop.value,
-        "envelope": _envelope_to_json(exp.envelope),
-        "outcome": "holds" if exp.holds else "fails",
-        "provenance": exp.provenance,
-        "confirm_witness": None
-        if exp.confirm_witness is None
-        else _witness_to_json(exp.confirm_witness, ring),
-    }
+OUTCOMES = ("holds", "fails")
+PROVENANCES = ("literature", "trivial", "computed")
 
 
-def corpus_manifest() -> dict:
-    """The built-in corpus as one serializable document."""
-    entries = []
-    for entry in corpus_mod.all_entries():
-        definition = dict(entry.definition)
-        definition["schema_version"] = SCHEMA_VERSION
-        entries.append(
-            {
-                "name": entry.name,
-                "description": entry.description,
-                "exploratory": entry.exploratory,
-                "definition": definition,
-                "expectations": [
-                    _expectation_to_json(exp, entry.ring) for exp in entry.expected
-                ],
-            }
-        )
-    return {"schema_version": SCHEMA_VERSION, "kind": "corpus", "entries": entries}
+@dataclasses.dataclass(frozen=True)
+class Expectation:
+    prop: PropertyId
+    envelope: Envelope
+    holds: bool
+    provenance: str
+    confirm_witness: Witness | None = None
 
 
-def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
+@dataclasses.dataclass(frozen=True)
+class CorpusEntry:
+    name: str
+    description: str
+    ring: FiniteRing
+    endo: Endomorphism
+    definition: dict
+    expected: tuple[Expectation, ...]
+    exploratory: bool = False
+
+
+def parse_manifest_entry(doc: dict) -> CorpusEntry:
     _require_keys(
         doc,
         {"name", "definition", "expectations"},
         {"description", "exploratory"},
         "corpus entry",
     )
+    name = _string(doc["name"], "corpus entry.name")
     ring, endo = parse_ring_definition(doc["definition"])
     if endo is None:
-        raise FormatError(f"corpus entry {doc['name']!r} lacks an endomorphism")
+        raise FormatError(f"corpus entry {name!r} lacks an endomorphism")
     if not isinstance(doc["expectations"], list):
         raise FormatError("corpus entry: 'expectations' must be a list")
     expected = []
@@ -685,29 +689,30 @@ def parse_manifest_entry(doc: dict) -> corpus_mod.CorpusEntry:
             prop = PropertyId(edoc["property"])
         except ValueError as err:
             raise FormatError(f"unknown property: {err}") from err
+        outcome = _choice(edoc["outcome"], OUTCOMES, "expectation.outcome")
         expected.append(
-            corpus_mod.Expectation(
+            Expectation(
                 prop=prop,
                 envelope=_envelope_from_json(edoc["envelope"]),
-                holds=edoc["outcome"] == "holds",
-                provenance=edoc["provenance"],
+                holds=outcome == "holds",
+                provenance=_choice(edoc["provenance"], PROVENANCES, "expectation.provenance"),
                 confirm_witness=None
                 if edoc.get("confirm_witness") is None
                 else _witness_from_json(edoc["confirm_witness"]),
             )
         )
-    return corpus_mod.CorpusEntry(
-        name=str(doc["name"]),
-        description=str(doc.get("description", "")),
+    return CorpusEntry(
+        name=name,
+        description=_string(doc.get("description", ""), "corpus entry.description"),
         ring=ring,
         endo=endo,
         definition=doc["definition"],
         expected=tuple(expected),
-        exploratory=bool(doc.get("exploratory", False)),
+        exploratory=_bool(doc.get("exploratory", False), "corpus entry.exploratory"),
     )
 
 
-def load_manifest(path) -> list[corpus_mod.CorpusEntry]:
+def load_manifest(path) -> list[CorpusEntry]:
     doc = read_json(path, "corpus manifest")
     if (
         not isinstance(doc, dict)

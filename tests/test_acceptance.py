@@ -23,8 +23,7 @@ from skewarm import (
 )
 from skewarm.corpus import (
     all_entries,
-    build_example1,
-    build_example2_quotient,
+    entry_by_name,
     run_implication_matrix,
     run_laurent_consistency,
     run_series_consistency,
@@ -41,7 +40,7 @@ def _stamp(n, started, note):
 
 def test_criterion_1_example2_reproduction():
     started = time.perf_counter()
-    entry = build_example2_quotient()
+    entry = entry_by_name("example2")
     ring, alpha = entry.ring, entry.endo
 
     verdict = check_armendariz_family(ring, alpha, 1, Q_SKEW)
@@ -74,7 +73,7 @@ def test_criterion_1_example2_reproduction():
 
 def test_criterion_2_example1_reproduction():
     started = time.perf_counter()
-    entry = build_example1()
+    entry = entry_by_name("example1")
     ring, alpha = entry.ring, entry.endo
 
     from skewarm import is_reduced

@@ -60,18 +60,20 @@ args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 wall = {WALL} + int(args["--seed"]) / 100
 metrics = {{"wall_s": {{"value": wall, "unit": "s"}}}}
 if args["--trace"] == "1":
-    metrics = {{"rings.build_calls": {{"value": 5, "unit": "count"}}}}
+    metrics = {{name: {{"value": value, "unit": "count"}} for name, value in {COUNTS}.items()}}
 with open("../order.log", "a") as fh:  # shared by both stub checkouts
     fh.write(f"{WALL} {{args['--seed']}} {{args['--trace']}}\\n")
 print(json.dumps({{"correct": True, "attempted": 3, "failed": {FAILED}, "metrics": metrics}}))
 """
 
 
-def _stub_checkout(root: Path, wall: float, failed: int = 0) -> Path:
+def _stub_checkout(root: Path, wall: float, failed: int = 0, counts=None) -> Path:
+    counts = {"rings.build_calls": 5} if counts is None else counts
     (root / "bench").mkdir(parents=True)
     (root / "src" / "skewarm").mkdir(parents=True)
     (root / "src" / "skewarm" / "__init__.py").write_text(f"# {wall}\n")
-    (root / "bench" / "run.py").write_text(textwrap.dedent(STUB.format(WALL=wall, FAILED=failed)))
+    stub = STUB.format(WALL=wall, FAILED=failed, COUNTS=counts)
+    (root / "bench" / "run.py").write_text(textwrap.dedent(stub))
     spec = {"workloads": [{"name": "w"}], "end_to_end": [WALL]}
     (root / "BENCHMARK.json").write_text(json.dumps(spec))
     return root
@@ -99,6 +101,7 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, capsys):
     wall = entry["metrics"]["wall_s"]
     assert (wall["change_wins"], wall["gain"], wall["regression"]) == (4, True, False)
     assert entry["counts"]["equal"] and entry["counts"]["change"] == {"rings.build_calls": 5}
+    assert entry["counts"]["differ"] == {}
     assert entry["failed"] == {"parent": 0, "change": 0}
     assert not entry["failed_share_rose"]
     assert doc["source_sha256"]["parent"] != doc["source_sha256"]["change"]
@@ -129,6 +132,24 @@ def test_a_rise_in_the_failed_op_share_is_flagged(tmp_path, capsys):
         {"parent": 1, "change": 2}, {"parent": 10, "change": 40}
     )
     assert bench_pair.failed_share_rose({"parent": 1, "change": 2}, {"parent": 10, "change": 15})
+
+
+def test_the_counts_that_differ_are_named_with_both_values(tmp_path, capsys):
+    same = {"deciders.holds": 23}
+    parent = _stub_checkout(tmp_path / "parent", 1.0, counts={**same, "rings.build_calls": 13})
+    change = _stub_checkout(tmp_path / "change", 1.0, counts={**same, "rings.build_calls": 15})
+    out = tmp_path / "BENCH.json"
+    assert bench_pair.main([str(parent), str(change), "--out", str(out), "--pairs", "1"]) == 0
+    counts = json.loads(out.read_text())["workloads"]["w"]["counts"]
+    assert not counts["equal"]
+    assert counts["differ"] == {"rings.build_calls": {"parent": 13, "change": 15}}
+    printed = capsys.readouterr().out
+    assert "w                  rings.build_calls 13 -> 15\n" in printed
+    assert "deciders.holds" not in printed
+    # a count that one side lacks shows as None there
+    assert bench_pair.differing_counts({"parent": {"a": 1}, "change": {"a": 1, "b": 2}}) == {
+        "b": {"parent": None, "change": 2}
+    }
 
 
 def _caches(root: Path) -> list[str]:

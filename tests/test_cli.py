@@ -389,6 +389,8 @@ MALFORMED_RECORD_EDITS = [
     (FAMILY_CHECK, _edit("witness", "pair", value=[0])),
     (FAMILY_CHECK, _edit("witness", "p", "min_exp", value="x")),
     (FAMILY_CHECK, _edit("envelope", value=[1])),
+    (ELEMENT_CHECK, _edit("envelope", "exhaustive", value="no")),
+    (ELEMENT_CHECK, _edit("outcome", value="hold")),
     (FAMILY_CHECK, _edit("ring", "add_table", 0, 0, value=False)),  # false must not read as 0
     # a JSON true or false is not an element index
     (FAMILY_CHECK, _edit("witness", "pair", value=[True, 0])),
@@ -400,11 +402,27 @@ MALFORMED_RECORD_EDITS = [
 
 _ENTRY = {"name": "e", "definition": dict(EX1, schema_version="1"), "expectations": []}
 _MYSTERY = {"property": "mystery", "envelope": {}, "outcome": "holds", "provenance": ""}
+_REDUCED = {"property": "reduced", "envelope": {}, "outcome": "holds", "provenance": "computed"}
+
+
+def _manifest(expectation=None, **entry):
+    """A one-entry manifest with ``_ENTRY``'s fields replaced by ``entry``
+    and its one expectation ``_REDUCED``'s replaced by ``expectation``."""
+    expectations = [dict(_REDUCED, **(expectation or {}))]
+    entry = dict(_ENTRY, expectations=expectations, **entry)
+    return {"schema_version": "1", "kind": "corpus", "entries": [entry]}
+
+
 MALFORMED_MANIFESTS = [
     [1],
     {"schema_version": "1", "kind": "corpus", "entries": 5},
     {"schema_version": "1", "kind": "corpus", "entries": [dict(_ENTRY, expectations=5)]},
     {"schema_version": "1", "kind": "corpus", "entries": [dict(_ENTRY, expectations=[_MYSTERY])]},
+    _manifest({"outcome": "hold"}),
+    _manifest({"provenance": "folklore"}),
+    _manifest({"envelope": {"exhaustive": "no"}}),
+    _manifest(exploratory="no"),
+    _manifest(name=["x"]),
 ]
 
 

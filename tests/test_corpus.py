@@ -1,17 +1,19 @@
-import json
-from importlib import resources
+import itertools
 
 import pytest
 
-from skewarm import PropertyId, identity_endomorphism, make_zmod
+from skewarm import (
+    PropertyId,
+    identity_endomorphism,
+    make_direct_product,
+    make_galois_field,
+    make_table_ring,
+    make_trivial_extension,
+    make_zmod,
+    regular_bimodule,
+)
 from skewarm.corpus import (
     all_entries,
-    build_example1,
-    build_example2_quotient,
-    build_example3_analogue,
-    build_example4,
-    build_example5,
-    build_field_frobenius,
     entry_by_name,
     run_expectations,
     run_implication_matrix,
@@ -20,48 +22,42 @@ from skewarm.corpus import (
     run_series_consistency,
     run_transport_consistency,
 )
-from skewarm.formats import corpus_manifest, load_manifest
+
+
+NAMES = [
+    "example1",
+    "example2",
+    "example4",
+    "example5_r1",
+    "example5_r2",
+    "gf4_frobenius",
+    "example3_analogue",
+]
 
 
 def test_entry_names():
-    names = [e.name for e in all_entries()]
-    assert names == [
-        "example1",
-        "example2",
-        "example4",
-        "example5_r1",
-        "example5_r2",
-        "gf4_frobenius",
-        "example3_analogue",
-    ]
+    assert [e.name for e in all_entries()] == NAMES
     assert entry_by_name("example2").ring.size == 16
     with pytest.raises(KeyError):
         entry_by_name("nope")
 
 
-def test_example4_rejects_characteristic_two():
-    with pytest.raises(ValueError):
-        build_example4(2)
-    with pytest.raises(ValueError):
-        build_example5(2)
-
-
 def test_example3_analogue_is_exploratory():
-    entry = build_example3_analogue()
+    entry = entry_by_name("example3_analogue")
     assert entry.exploratory
     assert entry.ring.size == 25
     # the scaling map squares to scaling by 4 and has multiplicative order 4
     assert entry.endo.preperiod == 0 and entry.endo.period == 4
 
 
-@pytest.mark.parametrize("name", [e.name for e in all_entries()])
+@pytest.mark.parametrize("name", NAMES)
 def test_every_expectation_reproduces(name):
     rep = run_expectations(entry_by_name(name))
     assert rep.ok, "\n".join(rep.lines)
 
 
 def test_expectations_are_deterministic():
-    entry = build_example2_quotient()
+    entry = entry_by_name("example2")
     first = run_expectations(entry)
     second = run_expectations(entry)
     assert first.lines == second.lines
@@ -75,13 +71,13 @@ def test_implication_matrix_has_zero_violations_at_degree_one():
 def test_example2_matrix_rows_are_vacuous():
     # not reduced, not rigid, not a domain, and skew-Armendariz fails,
     # so no implication hypothesis applies to this entry
-    rep = run_implication_matrix([build_example2_quotient()], degree=1)
+    rep = run_implication_matrix([entry_by_name("example2")], degree=1)
     assert rep.ok
     assert not any("=>" in line for line in rep.lines if line.startswith("PASS"))
 
 
 def test_transport_consistency_small():
-    for entry in (build_example1(), build_example2_quotient()):
+    for entry in (entry_by_name("example1"), entry_by_name("example2")):
         rep = run_transport_consistency(entry, seeds=range(3), degree=1)
         assert rep.ok, "\n".join(rep.lines)
 
@@ -89,13 +85,13 @@ def test_transport_consistency_small():
 def test_implication_matrix_reports_blocked_hypotheses():
     # a tiny budget blocks every polynomial hypothesis; rows are skipped,
     # not treated as violations
-    rep = run_implication_matrix([build_example1()], degree=2, budget=10)
+    rep = run_implication_matrix([entry_by_name("example1")], degree=2, budget=10)
     assert rep.ok
     assert any("not established (budget)" in line for line in rep.lines)
 
 
 def test_product_closure_skips_when_a_factor_fails():
-    rep = run_product_closure(build_example1(), build_example1(), degree=1)
+    rep = run_product_closure(entry_by_name("example1"), entry_by_name("example1"), degree=1)
     # the swap ring fails both Armendariz forms, so nothing is asserted
     assert rep.ok
     assert all("skipped" in line for line in rep.lines)
@@ -106,13 +102,13 @@ def test_product_closure_cases():
     ide = identity_endomorphism(z2)
     rep = run_product_closure((z2, ide), (z2, ide), degree=1)
     assert rep.ok and len(rep.lines) == 2
-    _, e5b = build_example5()
+    e5b = entry_by_name("example5_r2")
     rep = run_product_closure(e5b, e5b, degree=1)
     assert rep.ok, "\n".join(rep.lines)
 
 
 def test_laurent_and_series_consistency_quick():
-    for entry in (build_example1(), build_field_frobenius()):
+    for entry in (entry_by_name("example1"), entry_by_name("gf4_frobenius")):
         rep = run_laurent_consistency(entry, degree=2)
         assert rep.ok, "\n".join(rep.lines)
         rep = run_series_consistency(entry, truncation=2)
@@ -121,41 +117,105 @@ def test_laurent_and_series_consistency_quick():
 
 def test_laurent_consistency_at_degree_one_uses_the_shifted_window():
     # plain degree 1 has the same number of coefficients as window (1,0,1,0)
-    rep = run_laurent_consistency(build_field_frobenius(), degree=1)
+    rep = run_laurent_consistency(entry_by_name("gf4_frobenius"), degree=1)
     assert rep.ok, "\n".join(rep.lines)
     assert "Laurent window (1, 0, 1, 0) agrees with plain degree 1" in rep.lines[0]
 
 
-def test_manifest_matches_builders():
-    with resources.as_file(
-        resources.files("skewarm").joinpath("data/corpus.json")
-    ) as path:
-        shipped = json.loads(path.read_text(encoding="utf-8"))
-    assert shipped == corpus_manifest()
+# Each corpus ring rebuilt from its mathematical definition, independently of
+# the manifest: (ring, images of the twist).  Pairs (a, b) over Z_n sit at
+# index n a + b, as in the product and trivial-extension constructors.
+
+def _matrix_ring(elements):
+    """The ring of the 2x2 matrices over F3 in ``elements`` (label ->
+    matrix, in index order), with the tables of matrix addition and
+    multiplication mod 3."""
+    mats = list(elements.values())
+    index = {m: i for i, m in enumerate(mats)}
+
+    def add(x, y):
+        return tuple(tuple((u + v) % 3 for u, v in zip(r, s)) for r, s in zip(x, y))
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(2)) % 3 for j in range(2))
+            for i in range(2)
+        )
+
+    return make_table_ring(
+        [[index[add(x, y)] for y in mats] for x in mats],
+        [[index[mul(x, y)] for y in mats] for x in mats],
+        list(elements),
+    )
 
 
-def test_manifest_roundtrip_builds_same_rings():
-    with resources.as_file(
-        resources.files("skewarm").joinpath("data/corpus.json")
-    ) as path:
-        entries = load_manifest(path)
-    by_name = {e.name: e for e in entries}
-    for built in all_entries():
-        loaded = by_name[built.name]
-        assert loaded.ring.size == built.ring.size
-        assert loaded.ring.add_table == built.ring.add_table
-        assert loaded.ring.mul_table == built.ring.mul_table
-        assert loaded.endo.images == built.endo.images
-        assert loaded.expected == built.expected
+def _f3_pairs(shape):
+    """``shape(a, b)`` labelled (a,b), for (a, b) over F3 at index 3a + b."""
+    return {f"({a},{b})": shape(a, b) for a, b in itertools.product(range(3), repeat=2)}
+
+
+def _pairs(n, twist):
+    """Images of (a, b) -> twist(a, b) on pairs over Z_n at index n a + b."""
+    return [n * (c % n) + d % n for c, d in (twist(*divmod(i, n)) for i in range(n * n))]
+
+
+def _trivial_extension(n):
+    zn = make_zmod(n)
+    return make_trivial_extension(zn, regular_bimodule(zn))
+
+
+def _gf4():
+    ring = make_galois_field(2, 2)
+    return ring, [ring.mul(x, x) for x in range(ring.size)]
+
+
+DERIVED = {
+    # Z2 (+) Z2, swap (a, b) -> (b, a)
+    "example1": lambda: (
+        make_direct_product(make_zmod(2), make_zmod(2)),
+        _pairs(2, lambda a, b: (b, a)),
+    ),
+    # T(Z4, Z4), (a, b) -> (a, -b)
+    "example2": lambda: (_trivial_extension(4), _pairs(4, lambda a, b: (a, -b))),
+    # (a, b; 0, 0) over F3, (a, b) -> (a, -b)
+    "example4": lambda: (
+        _matrix_ring(_f3_pairs(lambda a, b: ((a, b), (0, 0)))),
+        _pairs(3, lambda a, b: (a, -b)),
+    ),
+    # (0, a; 0, b) over F3, (a, b) -> (-a, b)
+    "example5_r1": lambda: (
+        _matrix_ring(_f3_pairs(lambda a, b: ((0, a), (0, b)))),
+        _pairs(3, lambda a, b: (-a, b)),
+    ),
+    # (0, d; 0, 0) over F3, d -> -d
+    "example5_r2": lambda: (
+        _matrix_ring({str(d): ((0, d), (0, 0)) for d in range(3)}),
+        [0, 2, 1],
+    ),
+    # GF(4), x -> x^2
+    "gf4_frobenius": _gf4,
+    # T(Z5, Z5), (a, s) -> (a, 3s), 3 being the inverse of 2 mod 5
+    "example3_analogue": lambda: (_trivial_extension(5), _pairs(5, lambda a, s: (a, 3 * s))),
+}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_shipped_rings_match_an_independent_derivation(name):
+    entry = entry_by_name(name)
+    ring, images = DERIVED[name]()
+    assert entry.ring.add_table == ring.add_table
+    assert entry.ring.mul_table == ring.mul_table
+    assert entry.ring.element_labels == ring.element_labels
+    assert list(entry.endo.images) == images
 
 
 def test_literature_expectations_cover_the_classical_facts():
-    e1 = build_example1()
+    e1 = entry_by_name("example1")
     assert any(
         x.prop is PropertyId.REDUCED and x.holds and x.provenance == "literature"
         for x in e1.expected
     )
-    e2 = build_example2_quotient()
+    e2 = entry_by_name("example2")
     target = [
         x
         for x in e2.expected

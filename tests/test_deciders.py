@@ -71,9 +71,9 @@ def test_rigid_with_identity_agrees_with_reduced():
 
 
 def test_example4_not_commutative():
-    from skewarm.corpus import build_example4
+    from skewarm.corpus import entry_by_name
 
-    e = build_example4()
+    e = entry_by_name("example4")
     verdict = is_commutative(e.ring)
     assert not verdict.holds
     # the witness pair cited alongside the construction also violates
@@ -209,9 +209,9 @@ def test_holding_verdicts_are_downward_monotone(z2xz2, swap):
 def test_pruning_agrees_across_deciders_with_period_four_twist():
     # the 25-element extension with a period-4 twist exercises multi-residue
     # subtree pruning in the Laurent and series scanners
-    from skewarm.corpus import build_example3_analogue
+    from skewarm.corpus import entry_by_name
 
-    entry = build_example3_analogue()
+    entry = entry_by_name("example3_analogue")
     ring, alpha = entry.ring, entry.endo
     vp = check_armendariz_family(ring, alpha, 1, P.Q_ALPHA_SKEW_ARMENDARIZ)
     vl = check_laurent_q_alpha_skew(ring, alpha, (0, 1, 0, 1))

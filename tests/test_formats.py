@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import pickle
+import re
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,6 @@ from skewarm import (
 )
 from skewarm.formats import (
     FormatError,
-    corpus_manifest,
     parse_ring_definition,
     parse_verdict_record,
     record_to_json,
@@ -206,22 +207,74 @@ def test_verdict_record_rejects_garbage():
         )
 
 
+def _shipped_manifest() -> dict:
+    """The shipped manifest, read by plain ``json``."""
+    text = resources.files("skewarm").joinpath("data/corpus.json").read_text(encoding="utf-8")
+    return json.loads(text)
+
+
+# (a field of the shipped manifest's first entry, values the parser refuses
+# there, the start of the refusal)
+REFUSED_ENTRY_FIELDS = [
+    (("name",), (["x"], 5, None), "corpus entry.name must be a string"),
+    (("description",), (5, None), "corpus entry.description must be a string"),
+    (("exploratory",), ("no", 0, 1, None), "corpus entry.exploratory must be true or false"),
+    (("expectations", 0, "outcome"), ("hold", "Holds", True, None),
+     "expectation.outcome must be one of"),
+    (("expectations", 0, "provenance"), ("folklore", "", ["literature"]),
+     "expectation.provenance must be one of"),
+    (("expectations", 0, "envelope", "exhaustive"), ("no", 0, 1, None),
+     "envelope.exhaustive must be true or false"),
+]
+
+
 def test_manifest_schema():
-    m = corpus_manifest()
-    assert m["kind"] == "corpus" and m["schema_version"] == "1"
-    for entry in m["entries"]:
-        assert entry["definition"]["schema_version"] == "1"
-        for exp in entry["expectations"]:
-            assert exp["outcome"] in ("holds", "fails")
-            assert exp["provenance"] in ("literature", "trivial", "computed")
+    """An expectation's outcome is "holds" or "fails" and its provenance one
+    of three tags, and an entry's exploratory flag is a JSON boolean: the
+    shipped manifest uses each value, and the parser refuses any other,
+    naming the field."""
+    shipped = _shipped_manifest()["entries"]
+    entries = [formats.parse_manifest_entry(e) for e in shipped]
+    assert {x.provenance for e in entries for x in e.expected} == set(formats.PROVENANCES)
+    assert {x.holds for e in entries for x in e.expected} == {True, False}
+    assert {e.exploratory for e in entries} == {True, False}
+    for path, values, refusal in REFUSED_ENTRY_FIELDS:
+        for value in values:
+            entry = copy.deepcopy(shipped[0])
+            doc = entry
+            for key in path[:-1]:
+                doc = doc[key]
+            doc[path[-1]] = value
+            with pytest.raises(FormatError, match="^" + re.escape(refusal)):
+                formats.parse_manifest_entry(entry)
+
+
+@pytest.mark.parametrize(
+    "path, value, refusal",
+    [
+        *[(("envelope", "exhaustive"), v, r"^envelope\.exhaustive must be true or false")
+          for v in ("no", 0, 1, None)],
+        *[(("outcome",), v, r"^outcome must be one of") for v in ("hold", "Fails", True, None)],
+    ],
+)
+def test_verdict_record_refuses_a_field_it_would_guess_at(z4, path, value, refusal):
+    rec = verdict_to_record(is_reduced(z4), z4, None)
+    assert rec["envelope"] == {"exhaustive": True} and rec["outcome"] == "fails"
+    parse_verdict_record(json.loads(record_to_json(rec)))
+    doc = rec
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+    with pytest.raises(FormatError, match=refusal):
+        parse_verdict_record(json.loads(record_to_json(rec)))
 
 
 @pytest.mark.parametrize("name", ["example4", "example5_r1", "example5_r2"])
 def test_manifest_table_entries_refuse_booleans(tmp_path, name):
     """The manifest's table-kind definitions reach ``_table`` as lists of
-    rows, from the builders and from the file alike; a JSON true among the
-    entries is refused, not read by numpy as the index 1."""
-    manifest = corpus_manifest()
+    rows; a JSON true among the entries is refused, not read by numpy as the
+    index 1."""
+    manifest = _shipped_manifest()
     (entry,) = [e for e in manifest["entries"] if e["name"] == name]
     table = entry["definition"]["mul_table"]
     assert table[1][1] in (0, 1)
