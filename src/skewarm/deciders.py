@@ -801,8 +801,6 @@ class _RankScreen:
         # a weak reference, as the tables hold the screen: without a cycle
         # both go as soon as their twist does, not at the next collection
         self.tables, self.p = weakref.proxy(tables), p
-        # entries stay in [0, p); a step of the elimination reaches ±(p - 1)²
-        self.dtype = bool if p == 2 else np.int16 if (p - 1) ** 2 < 1 << 15 else np.int32
         # the stores keep the least dtype that holds [0, p)
         self.least = bool if p == 2 else np.min_scalar_type(p - 1)
         self.basis = np.asarray(basis, dtype=np.intp)
@@ -810,21 +808,21 @@ class _RankScreen:
         self.coords = coords.astype(self.least)
         lead = coords[np.arange(tables.n), (coords != 0).argmax(axis=1)]
         self.canonical = lead == 1  # heads whose first nonzero coordinate is 1
-        self.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], self.dtype)
+        self.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], self.least)
         self._hyp: dict = {}
         self._con: dict = {}
         self._null: dict = {}
 
     def hypothesis_table(self, e: int, k: int) -> np.ndarray:
-        """tab[a, g]: the matrix of b ↦ a·α^e(g)·α^(e+k)(b) (of b ↦ a·α^e(b)
-        for pq = 0), rows the output coordinates, columns b's; gathered as
-        [g, a, basis element, output coordinate] and transposed."""
+        """tab[a, j, g]: the image of the j-th basis element under
+        b ↦ a·α^e(g)·α^(e+k)(b) (under b ↦ a·α^e(b) for pq = 0), so each
+        map's matrix is stored column-major."""
         tables = self.tables
         key = (tables.red(e), tables.red(e + k))
         if key in self._hyp:
             return self._hyp[key]
         prod = tables.products(e, k).reshape(-1, tables.n, tables.n)
-        tab = self.coords[prod[:, :, self.basis]].transpose(1, 0, 3, 2)
+        tab = self.coords[prod[:, :, self.basis].transpose(1, 2, 0)]
         return tables.keep(self._hyp, key, tab, tab.size)
 
     def conclusion_table(self, twists: tuple[int, ...]) -> np.ndarray:
@@ -835,8 +833,8 @@ class _RankScreen:
         twist t."""
         if twists in self._con:
             return self._con[twists]
-        tab = np.stack([self.hypothesis_table(0, t) for t in twists], axis=1, dtype=self.dtype)
-        tab = self._echelon(tab.reshape(self.tables.n, -1, self.m)).astype(self.least)
+        tab = np.stack([self.hypothesis_table(0, t) for t in twists], axis=2)
+        tab = self._echelon(tab.reshape(self.tables.n, self.m, -1))
         return self.tables.keep(self._con, twists, tab, tab.size)
 
     def first_uncleared(self, sc: _Scanner, amin: int, shapes, lq: int) -> int:
@@ -895,48 +893,56 @@ class _RankScreen:
             return self._null[key]
         tables, m = self.tables, self.m
         count, lp = ps.shape
-        hyp = np.zeros((count, len(tables.ks), lp + lq - 1, tables.width, m, lq, m), dtype=self.dtype)
+        # column-major: [p, q coefficient, basis element, rows of H(p)]
+        hyp = np.zeros((count, lq, m, len(tables.ks), lp + lq - 1, tables.width, m), dtype=self.least)
         for x, k in enumerate(tables.ks):
             for i in range(lp):
                 block = self.hypothesis_table(amin + i, k)[ps[:, i]]
                 for j in range(lq):
-                    hyp[:, x, i + j, :, :, j, :] = block
-        hyp = self._echelon(hyp.reshape(count, -1, lq * m))
+                    hyp[:, j, :, x, i + j] = block
+        hyp = self._echelon(hyp.reshape(count, lq * m, -1))
         null = ((np.eye(lq * m, dtype=np.int32) - hyp) % self.p).astype(self.least)
         counts["null_spaces_built"] += count
         return tables.keep(self._null, key, null, null.size + ps.size)
 
     def _echelon(self, h: np.ndarray) -> np.ndarray:
-        """The reduced row echelon form of each matrix of ``h`` (mod p), one
-        row per column: the row with its pivot there, or zero.  With E that
-        form, the columns of I - E span the null space."""
+        """The reduced row echelon form of each matrix of ``h`` (mod p), given
+        column-major as [matrix, column, row], one row per column: the row
+        with its pivot there, or zero.  With E that form, the columns of
+        I - E span the null space.  Each column step updates the contiguous
+        rows of every later column in place."""
         p = self.p
-        h = h[:, h.any(axis=(0, 2))]  # rows that are zero in every matrix add nothing
-        count, rows, cols = h.shape
-        if not rows:
-            return np.zeros((count, cols, cols), dtype=h.dtype)
+        count, cols, _ = h.shape
+        nonzero = np.flatnonzero(h.any(axis=(0, 1)))  # a row zero in every matrix adds nothing
+        rows = len(nonzero)
+        # Over F_p an entry is reduced only when its column is reached, and
+        # grows by at most p·(p - 1) a step before then.  The extra zero row
+        # stands in as the pivot row of a matrix with no pivot in a column.
+        dtype = bool if p == 2 else np.min_scalar_type(p - 1 + cols * p * (p - 1))
+        x = np.zeros((count, cols, rows + 1), dtype)
+        x[:, :, :rows] = h[:, :, nonzero]
         at = np.arange(count)
-        free = np.ones((count, rows), dtype=bool)
-        pivot = np.full((count, cols), -1)  # the row that holds each column's pivot
+        free = np.ones((count, rows + 1), dtype=bool)
+        pivot = np.full((count, cols), rows)  # the row that holds each column's pivot
         for c in range(cols):
-            col = h[:, :, c]
+            col = x[:, c]
+            if p > 2:
+                col %= p
             cand = (col != 0) & free
             has = cand.any(axis=1)
             if not has.any():
                 continue
-            r = cand.argmax(axis=1)
-            # the pivot row is zero left of c; no row is taken where there is no pivot
-            row = h[at, r, c:] * has[:, None]
+            r = np.where(has, cand.argmax(axis=1), rows)
+            row = x[at, c:, r]  # zero left of c
             if p == 2:
-                h[:, :, c:] ^= col[:, :, None] & row[:, None, :]
+                x[:, c:] ^= row[:, :, None] & col[:, None, :]
             else:
-                row = row * self.inverse[row[:, 0]][:, None] % p
-                h[:, :, c:] = (h[:, :, c:] - col[:, :, None] * row[:, None, :]) % p
-            took, r = at[has], r[has]
-            h[took, r, c:] = row[has]
-            free[took, r] = False
-            pivot[took, c] = r
-        return np.where(pivot[:, :, None] >= 0, h[at[:, None], np.maximum(pivot, 0)], 0)
+                row = row % p * self.inverse[row[:, 0]][:, None] % p
+                x[:, c:] += row[:, :, None] * (p - col)[:, None, :]
+            x[at, c:, r] = row
+            free[at, r] = False
+            pivot[:, c] = r
+        return (x[at[:, None], :, pivot] % p).astype(self.least)
 
 
 def _doubling_batches(pieces, first: int, cap: int):

@@ -219,7 +219,7 @@ def parse_ring_definition(doc: dict, size_cap: int = 256) -> tuple[FiniteRing, E
     body = {k: v for k, v in doc.items() if k not in ("schema_version", "endomorphism", "label")}
     ring = _build_kind(body, "ring", size_cap)
     if "label" in doc:
-        ring = dataclasses.replace(ring, label=str(doc["label"]))
+        ring = dataclasses.replace(ring, label=_string(doc["label"], "label"))
     endo = None
     if "endomorphism" in doc:
         spec = doc["endomorphism"]
@@ -228,13 +228,13 @@ def parse_ring_definition(doc: dict, size_cap: int = 256) -> tuple[FiniteRing, E
         _require_keys(spec, set(), {"images", "builtin", "label"}, "endomorphism")
         if ("images" in spec) == ("builtin" in spec):
             raise FormatError("'endomorphism' needs exactly one of 'images'/'builtin'")
+        label = _string(spec.get("label", "endo"), "endomorphism.label")
         if "images" in spec:
-            images = _ints(spec["images"], "endomorphism.images")
-            endo = table_endomorphism(ring, images, str(spec.get("label", "endo")))
+            endo = table_endomorphism(ring, _ints(spec["images"], "endomorphism.images"), label)
         else:
             endo = _builtin_endomorphism(ring, spec["builtin"], body, size_cap)
             if "label" in spec:
-                endo = dataclasses.replace(endo, label=str(spec["label"]))
+                endo = dataclasses.replace(endo, label=label)
     return ring, endo
 
 
@@ -584,13 +584,14 @@ def parse_verdict_record(
         _table(rdoc.get("add_table"), "ring.add_table"),
         _table(rdoc.get("mul_table"), "ring.mul_table"),
         _labels(rdoc.get("element_labels"), "ring.element_labels"),
-        label=str(rdoc.get("label", "ring")),
+        label=_string(rdoc.get("label", "ring"), "ring.label"),
     )
     endo = None
     edoc = doc.get("endomorphism")
     if edoc is not None:
         images = _ints(_object(edoc, "endomorphism").get("images"), "endomorphism.images")
-        endo = table_endomorphism(ring, images, str(edoc.get("label", "endo")))
+        label = _string(edoc.get("label", "endo"), "endomorphism.label")
+        endo = table_endomorphism(ring, images, label)
     env = _envelope_from_json(doc.get("envelope", {}))
     holds = _choice(doc.get("outcome"), OUTCOMES, "outcome") == "holds"
     witness = None

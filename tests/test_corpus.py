@@ -42,6 +42,19 @@ def test_entry_names():
         entry_by_name("nope")
 
 
+def test_shipped_twists_keep_their_names():
+    # the names every verdict record of the corpus gives its twist
+    assert {e.name: e.endo.label for e in all_entries()} == {
+        "example1": "swap",
+        "example2": "negate_second_component",
+        "example4": "negate-second",
+        "example5_r1": "negate-first",
+        "example5_r2": "negate",
+        "gf4_frobenius": "frobenius",
+        "example3_analogue": "halve-second",
+    }
+
+
 def test_example3_analogue_is_exploratory():
     entry = entry_by_name("example3_analogue")
     assert entry.exploratory

@@ -269,6 +269,59 @@ def test_verdict_record_refuses_a_field_it_would_guess_at(z4, path, value, refus
         parse_verdict_record(json.loads(record_to_json(rec)))
 
 
+NOT_STRINGS = pytest.mark.parametrize(
+    "value", [["x"], {"a": 1}, 5, True], ids=["list", "object", "number", "true"]
+)
+# where a definition gives a label, and the refusal naming it
+DEFINITION_LABELS = [
+    ({}, "label"),
+    ({"endomorphism": {"images": [0, 1]}}, "endomorphism.label"),
+    ({"endomorphism": {"builtin": "identity"}}, "endomorphism.label"),
+]
+
+
+@NOT_STRINGS
+@pytest.mark.parametrize("fields, name", DEFINITION_LABELS, ids=["ring", "images", "builtin"])
+def test_definition_refuses_a_label_that_is_not_a_string(tmp_path, capsys, value, fields, name):
+    definition = copy.deepcopy(doc(kind="zmod", n=2, **fields))
+    spec = definition.get("endomorphism", definition)
+    spec["label"] = "named"
+    parse_ring_definition(definition)
+    spec["label"] = value
+    with pytest.raises(FormatError, match=f"^{re.escape(name)} must be a string"):
+        parse_ring_definition(definition)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(definition))
+    assert cli.main(["check", str(path), "--property", "reduced"]) == 2
+    assert f"{name} must be a string" in capsys.readouterr().err
+
+
+def test_absent_labels_keep_their_defaults(z4):
+    ring, endo = parse_ring_definition(doc(kind="zmod", n=2, endomorphism={"images": [0, 1]}))
+    assert (ring.label, endo.label) == ("Z2", "endo")
+    _, endo = parse_ring_definition(doc(kind="zmod", n=2, endomorphism={"builtin": "identity"}))
+    assert endo.label == "identity"
+    rec = verdict_to_record(is_reduced(z4), z4, identity_endomorphism(z4))
+    del rec["ring"]["label"], rec["endomorphism"]["label"]
+    ring, endo, *_ = parse_verdict_record(json.loads(record_to_json(rec)))
+    assert (ring.label, endo.label) == ("ring", "endo")
+
+
+@NOT_STRINGS
+@pytest.mark.parametrize("field", ["ring", "endomorphism"])
+def test_verdict_record_refuses_a_label_that_is_not_a_string(
+    z4, tmp_path, capsys, value, field
+):
+    rec = verdict_to_record(is_reduced(z4), z4, identity_endomorphism(z4))
+    rec[field]["label"] = value
+    with pytest.raises(FormatError, match=f"^{field}.label must be a string"):
+        parse_verdict_record(json.loads(record_to_json(rec)))
+    path = tmp_path / "record.json"
+    path.write_text(record_to_json(rec))
+    assert cli.main(["replay", str(path)]) == 2
+    assert f"{field}.label must be a string" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["example4", "example5_r1", "example5_r2"])
 def test_manifest_table_entries_refuse_booleans(tmp_path, name):
     """The manifest's table-kind definitions reach ``_table`` as lists of

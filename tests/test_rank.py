@@ -5,6 +5,7 @@ checks it against the kernel, and its reach and memory."""
 import itertools
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from skewarm import (
     all_endomorphisms,
     check_property,
     deciders,
+    frobenius,
     rings,
     identity_endomorphism,
     make_direct_product,
@@ -25,6 +27,7 @@ from skewarm import (
     regular_bimodule,
     replay_witness,
     table_endomorphism,
+    transport,
     zero_endomorphism,
 )
 from skewarm.corpus import entry_by_name
@@ -194,27 +197,184 @@ def test_all_endomorphisms_of_z3_squared():
 # the elimination
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_echelon_spans_the_null_space_of_every_matrix_of_a_batch(p):
-    rng = np.random.default_rng(p)
-    cols = 3
-    vectors = np.array(list(itertools.product(range(p), repeat=cols))).T  # cols × p^cols
+def echelon_screen(p):
+    """A screen over F_p with only what ``_echelon`` reads."""
     screen = deciders._RankScreen.__new__(deciders._RankScreen)
     screen.p = p
-    screen.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)])
-    dtype = bool if p == 2 else np.int16
-    # sparse matrices, so that a column lacks a pivot in some of them only;
-    # the first has its only pivot row nonzero in a later pivot-less column
-    h = rng.integers(0, p, size=(200, 4, cols)) * (rng.random((200, 4, cols)) < 0.4)
-    h[0] = [[1, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    h[1] = [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    ech = screen._echelon(h.astype(dtype)).astype(np.int64)
+    screen.least = bool if p == 2 else np.min_scalar_type(p - 1)
+    screen.inverse = np.array([pow(x, p - 2, p) if x else 0 for x in range(p)], screen.least)
+    return screen
+
+
+def reference_echelon(matrix, p):
+    """The reduced row echelon form of one matrix mod p, by hand, one row
+    per column: the row with its pivot there, or zero."""
+    work = [[int(v) % p for v in row] for row in matrix]
+    cols = len(matrix[0])
+    pivots = {}
+    for c in range(cols):
+        done = len(pivots)
+        r = next((r for r in range(done, len(work)) if work[r][c]), None)
+        if r is None:
+            continue
+        work[done], work[r] = work[r], work[done]
+        inverse = pow(work[done][c], p - 2, p)
+        work[done] = [v * inverse % p for v in work[done]]
+        for k, row in enumerate(work):
+            if k != done and row[c]:
+                work[k] = [(a - row[c] * b) % p for a, b in zip(row, work[done])]
+        pivots[c] = done
+    out = np.zeros((cols, cols), dtype=np.int64)
+    for c, r in pivots.items():
+        out[c] = work[r]
+    return out
+
+
+def assert_echelon_spans_null_spaces(h, p):
+    """``_echelon`` of the matrices ``h`` ([matrix, row, column], given to it
+    column-major) is their reduced echelon form, and I - E spans each null
+    space, whose size is counted over every vector."""
+    screen = echelon_screen(p)
+    count, _, cols = h.shape
+    vectors = np.array(list(itertools.product(range(p), repeat=cols))).T  # cols × p^cols
+    ech = screen._echelon(h.swapaxes(1, 2).astype(screen.least)).astype(np.int64)
+    assert ech.shape == (count, cols, cols)
     for matrix, e in zip(h, ech):
+        assert np.array_equal(e, reference_echelon(matrix, p))
         null = (np.eye(cols, dtype=np.int64) - e) % p
         assert not (matrix @ null % p).any()
         size = int((~(matrix @ vectors % p).any(axis=0)).sum())  # |null space|, by brute force
         pivots = int(e.any(axis=1).sum())
         assert size == p ** (cols - pivots)
+    return ech
+
+
+# the widest H(p) has 12 columns: gf16_frobenius (F_2^4) at degree 2
+ECHELON_PRIMES = {2: 12, 3: 6, 5: 6, 7: 6}
+
+
+@pytest.mark.parametrize("p", sorted(ECHELON_PRIMES))
+def test_echelon_spans_the_null_space_of_every_matrix_of_a_batch(p):
+    rng = np.random.default_rng(p)
+    cols = 3
+    # sparse matrices, so that a column lacks a pivot in some of them only;
+    # the first has its only pivot row nonzero in a later pivot-less column
+    h = rng.integers(0, p, size=(200, 4, cols)) * (rng.random((200, 4, cols)) < 0.4)
+    h[0] = [[1, 1, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    h[1] = [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert_echelon_spans_null_spaces(h, p)
+    for cols in range(1, ECHELON_PRIMES[p] + 1):
+        for rows in (1, cols, cols + 3):  # rows below, at and above the columns
+            h = rng.integers(0, p, size=(20, rows, cols)) * (rng.random((20, rows, cols)) < 0.5)
+            assert_echelon_spans_null_spaces(h, p)
+
+
+@pytest.mark.parametrize("p", sorted(ECHELON_PRIMES))
+def test_echelon_of_zero_single_and_full_rank_batches(p):
+    rng = np.random.default_rng(10 + p)
+    cols = ECHELON_PRIMES[p]
+    # a batch whose every row is zero: no pivot, the whole space is null
+    assert not assert_echelon_spans_null_spaces(np.zeros((5, 4, cols), dtype=np.int64), p).any()
+    # a single matrix, with more columns than rows
+    assert_echelon_spans_null_spaces(rng.integers(0, p, size=(1, 2, cols)), p)
+    # full-rank matrices: L·U with unit diagonals, rows shuffled, then rows
+    # to spare; their echelon form is the identity
+    lower = np.tril(rng.integers(0, p, size=(30, cols, cols)), -1) + np.eye(cols, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(30, cols, cols)), 1) + np.eye(cols, dtype=np.int64)
+    full = (lower @ upper % p)[:, rng.permutation(cols)]
+    full = np.concatenate([full, rng.integers(0, p, size=(30, 2, cols))], axis=1)
+    ech = assert_echelon_spans_null_spaces(full, p)
+    assert np.array_equal(ech, np.broadcast_to(np.eye(cols, dtype=np.int64), ech.shape))
+
+
+def hypothesis_kernels(ring, endo, sandwich, ps, lq):
+    """For each p of ``ps`` (coefficient tuples, lowest exponent 0), the set
+    of q of ``lq`` coefficients, as vectors of F_p^(lq·m) in the ring's prime
+    basis coordinates, with p (r x^k) q = 0 for every r of R and k of one
+    twist window (pq = 0 without ``sandwich``), by trying every q."""
+    prime, _, coords = ring.prime_basis
+    m = coords.shape[1]
+    element = {tuple(c): x for x, c in enumerate(coords.tolist())}
+    vectors = list(itertools.product(range(prime), repeat=lq * m))
+    qs = np.array([[element[v[j * m : (j + 1) * m]] for j in range(lq)] for v in vectors])
+    add, mul = np.asarray(ring.add_table), np.asarray(ring.mul_table)
+    ks = range(endo.preperiod + endo.period) if sandwich else range(1)
+    exponents = range(ps.shape[1] + len(ks))
+    power = np.asarray(endo.pow_maps)[[endo.reduce_exponent(e) for e in exponents]]
+    rs = range(ring.size) if sandwich else [None]
+    kernels = []
+    for p in ps:
+        passing = np.ones(len(qs), dtype=bool)
+        for k, r in itertools.product(ks, rs):
+            coeff = np.full((len(qs), len(p) + lq - 1), ring.zero)
+            for i, a in enumerate(p):
+                left = a if r is None else mul[a, power[i, r]]  # a·α^i(r)
+                for j in range(lq):
+                    term = mul[left, power[i + k, qs[:, j]]]
+                    coeff[:, i + j] = add[coeff[:, i + j], term]
+            passing &= (coeff == ring.zero).all(axis=1)
+        kernels.append({v for v, ok in zip(vectors, passing) if ok})
+    return kernels
+
+
+def span(columns, prime):
+    """Every F_p combination of the columns of ``columns``, as tuples."""
+    combos = np.array(list(itertools.product(range(prime), repeat=columns.shape[1]))).T
+    return {tuple(v) for v in (columns.astype(np.int64) @ combos % prime).T.tolist()}
+
+
+def entry_twist(name):
+    entry = entry_by_name(name)
+    return entry.ring, entry.endo
+
+
+def gf16_frobenius():
+    field = make_galois_field(2, 4)
+    return field, frobenius(field)
+
+
+# at degree 2, H(p) has lq·m = 6 columns over F_3^2 (example4, example5_r1)
+# and 12 over F_2^4
+KERNEL_RINGS = {
+    "example4": lambda: entry_twist("example4"),
+    "example5_r1": lambda: entry_twist("example5_r1"),
+    "gf16_frobenius": gf16_frobenius,
+}
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["as-built", "zero-moved"])
+@pytest.mark.parametrize("name", list(KERNEL_RINGS))
+def test_null_spaces_span_the_brute_force_kernel(monkeypatch, name, moved):
+    ring, endo = KERNEL_RINGS[name]()
+    if moved:
+        ring, sigma = zero_moved(ring, seed=len(name))
+        endo = transport(sigma, endo)
+        assert ring.zero != 0
+    # the batches two searches hand the screen (none in a field, whose
+    # prefix rule refuses every head), and a seeded batch of any p
+    batches = []
+    null_spaces = deciders._RankScreen.null_spaces
+
+    def recorded(self, ps, amin, lq, counts):
+        batches.append((self.tables.gens is not None, ps.copy(), amin, lq))
+        return null_spaces(self, ps, amin, lq, counts)
+
+    with monkeypatch.context() as m:
+        m.setattr(deciders._RankScreen, "null_spaces", recorded)
+        for prop in (P.ALPHA_SKEW_ARMENDARIZ, P.Q_ALPHA_SKEW_ARMENDARIZ):
+            check_property(ring, endo, prop, degree=2)
+    assert batches or name == "gf16_frobenius"
+    rng = np.random.default_rng(len(name))
+    for sandwich in (False, True):
+        batches.append((sandwich, rng.integers(0, ring.size, size=(12, 3)), 0, 3))
+    prime = ring.prime_basis[0]
+    for sandwich, ps, amin, lq in batches:
+        assert amin == 0
+        screen = deciders._twist_tables(ring, endo, sandwich).screen(ring.prime_basis)
+        null = screen.null_spaces(ps, amin, lq, Counter())
+        kernels = hypothesis_kernels(ring, endo, sandwich, ps, lq)
+        for p, columns, kernel in zip(ps, null, kernels):
+            assert span(columns, prime) == kernel, (sandwich, p.tolist())
 
 
 # --------------------------------------------------------------------------
