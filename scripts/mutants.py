@@ -1,6 +1,6 @@
 """Check that the tests kill seeded faults (mutants) of the program.
 
-    python3 scripts/mutants.py [NAME ...]
+    python3 scripts/mutants.py
 
 Run it from a source checkout.  Each mutant gives a file of the checkout,
 the exact text it replaces (found exactly once), the text put in its place
@@ -15,9 +15,8 @@ A mutant listed with ``survives`` is one the tests are known not to kill,
 with the reason.  The script prints one line per mutant and a summary, and
 exits 1 if a mutant's old text is not found exactly once, if the unchanged
 copy fails, if a mutant survives that should not, or if an expected
-survivor is killed (so the list says what the tests do).  With NAMEs it
-runs only those mutants.  Nothing is fetched; it runs offline, one pytest
-process at a time.
+survivor is killed (so the list says what the tests do).  Nothing is
+fetched; it runs offline, one pytest process at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ DECIDERS = "src/skewarm/deciders.py"
 
 ECHELON = "tests/test_rank.py::test_echelon_spans_the_null_space_of_every_matrix_of_a_batch"
 SPECIAL = "tests/test_rank.py::test_echelon_of_zero_single_and_full_rank_batches"
+GROWTH = "tests/test_rank.py::test_echelon_holds_entries_grown_before_their_column_is_reduced"
 KERNEL = "tests/test_rank.py::test_null_spaces_span_the_brute_force_kernel"
 SWEEP = "tests/test_rank.py::test_screen_matches_the_kernel_on_every_endomorphism"
 COUNTS = "tests/test_rank.py::test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat"
@@ -96,6 +96,20 @@ MUTANTS = [
         "return x[at[:, None], :, pivot].astype(self.least)",
         # null_spaces and _witnessed reduce what they read mod p
         (ECHELON, SPECIAL),
+    ),
+    Mutant(
+        "working-dtype-without-column-growth",  # sized for one step's growth
+        DECIDERS,
+        "np.min_scalar_type(p - 1 + cols * p * (p - 1))",
+        "np.min_scalar_type(p - 1 + p * (p - 1))",
+        (GROWTH,),
+    ),
+    Mutant(
+        "working-dtype-of-the-stores",
+        DECIDERS,
+        "dtype = bool if p == 2 else np.min_scalar_type(p - 1 + cols * p * (p - 1))",
+        "dtype = bool if p == 2 else self.least",
+        (GROWTH,),
     ),
     # building H(p) and K(p)
     Mutant(
@@ -160,13 +174,9 @@ def failing_tests(where: Path, tests) -> set[str]:
     return {t for t in tests if any(f == t or f.startswith(t + "::") for f in failed)}
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    if argv and len(chosen) != len(set(argv)):
-        print(f"unknown mutants: {sorted(set(argv) - {m.name for m in MUTANTS})}")
-        return 1
+def main() -> int:
     bad = 0
-    for m in chosen:
+    for m in MUTANTS:
         count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
         if count != 1:
             print(f"{m.name}: old text found {count} times in {m.path}")
@@ -177,13 +187,13 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         base = Path(tmp) / "unchanged"
         copy_checkout(base)
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         broken = failing_tests(base, tests)
         if broken:
             print(f"the unchanged copy fails: {sorted(broken)}")
             return 1
         killed = expected = 0
-        for i, m in enumerate(chosen):
+        for i, m in enumerate(MUTANTS):
             where = Path(tmp) / f"mutant{i}"
             copy_checkout(where)
             target = where / m.path
@@ -204,11 +214,11 @@ def main(argv: list[str]) -> int:
                 bad += 1
             print(f"{m.name}: {verdict}", flush=True)
     print(
-        f"{len(chosen)} mutants: {killed} killed, {expected} expected survivors, "
+        f"{len(MUTANTS)} mutants: {killed} killed, {expected} expected survivors, "
         f"{bad} wrong, in {time.perf_counter() - start:.0f} s"
     )
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

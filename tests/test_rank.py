@@ -287,6 +287,22 @@ def test_echelon_of_zero_single_and_full_rank_batches(p):
     assert np.array_equal(ech, np.broadcast_to(np.eye(cols, dtype=np.int64), ech.shape))
 
 
+def test_echelon_holds_entries_grown_before_their_column_is_reduced():
+    # An entry is reduced mod p only when the elimination reaches its column
+    # and grows by up to p·(p - 1) at each column before.  Over F_7, rows of
+    # a 1 then 6s, each zero left of its 1, grow a row's entries by 42 a
+    # column, past uint8 after six columns (up to 294); a dense batch over
+    # F_251 passes uint16 after two.
+    rng = np.random.default_rng(251)
+    stairs = np.triu(np.full((1, 7, 8), 6)) - 5 * np.eye(7, 8, dtype=np.int64)
+    for p, h in ((7, stairs), (251, rng.integers(0, 251, size=(50, 14, 12)))):
+        screen = echelon_screen(p)
+        ech = screen._echelon(h.swapaxes(1, 2).astype(screen.least)).astype(np.int64)
+        for matrix, e in zip(h, ech):
+            assert np.array_equal(e, reference_echelon(matrix, p))
+            assert not (matrix @ ((np.eye(len(e), dtype=np.int64) - e) % p) % p).any()
+
+
 def hypothesis_kernels(ring, endo, sandwich, ps, lq):
     """For each p of ``ps`` (coefficient tuples, lowest exponent 0), the set
     of q of ``lq`` coefficients, as vectors of F_p^(lq·m) in the ring's prime
@@ -455,7 +471,8 @@ def test_screen_matches_the_kernel_on_every_endomorphism(monkeypatch, name, move
     assert failed or null  # in a null ring every property holds
 
 
-@pytest.mark.parametrize("n", [181, 193])  # the last int16 prime, the first int32 one
+# at two columns _echelon works in uint16 over F_181 and in uint32 over F_193
+@pytest.mark.parametrize("n", [181, 193])
 def test_screen_matches_the_kernel_on_large_prime_fields(monkeypatch, n):
     ring, _ = zero_moved(make_zmod(n, size_cap=n), seed=n)
     for endo in (identity_endomorphism(ring), zero_endomorphism(ring)):
