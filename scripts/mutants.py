@@ -33,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DECIDERS = "src/skewarm/deciders.py"
+RINGS = "src/skewarm/rings.py"
+CORPUS = "src/skewarm/corpus.py"
 
 ECHELON = "tests/test_rank.py::test_echelon_spans_the_null_space_of_every_matrix_of_a_batch"
 SPECIAL = "tests/test_rank.py::test_echelon_of_zero_single_and_full_rank_batches"
@@ -40,6 +42,8 @@ GROWTH = "tests/test_rank.py::test_echelon_holds_entries_grown_before_their_colu
 KERNEL = "tests/test_rank.py::test_null_spaces_span_the_brute_force_kernel"
 SWEEP = "tests/test_rank.py::test_screen_matches_the_kernel_on_every_endomorphism"
 COUNTS = "tests/test_rank.py::test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat"
+BASIS = "tests/test_rank.py::test_fp_vector_spaces_get_a_basis_wherever_the_zero_sits"
+HARNESS = "tests/test_corpus.py::"
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,67 @@ MUTANTS = [
             "null space of the sandwich H(p) is the same at every lowest exponent, since k runs "
             "over a whole period; no test can tell, and the key keeps it"
         ),
+    ),
+    # the walk of (R,+) (rings._additive_walk)
+    Mutant(
+        "f_p-rule-without-the-run-ending-at-zero",  # orders alone taken for F_p^m
+        RINGS,
+        "runs.add((len(multiples), x == zero))",
+        "runs.add((len(multiples), True))",
+        ("tests/test_rank.py::test_orders_alone_do_not_make_an_fp_vector_space",),
+    ),
+    Mutant(
+        "coset-block-transposed",  # each element's position no longer its coordinates
+        RINGS,
+        "span = add[np.array(multiples)[:, None], span].ravel()",
+        "span = add[span[:, None], np.array(multiples)].ravel()",
+        (BASIS,),
+    ),
+    Mutant(
+        "zero-not-first-among-the-generators",
+        RINGS,
+        "gens, runs = [zero] if zero == 0 else [], set()",
+        "gens, runs = [], set()",
+        (
+            "tests/test_carrier_arrays.py::test_stored_arrays_are_the_validated_tables",
+            "tests/test_kernel.py::test_zero_among_the_greedy_generators_is_dropped",
+        ),
+    ),
+    # the comparisons of the corpus harness
+    Mutant(
+        "expectation-always-met",
+        CORPUS,
+        "ok = verdict.holds == exp.holds",
+        "ok = True",
+        (HARNESS + "test_a_flipped_expectation_fails",),
+    ),
+    Mutant(
+        "recorded-witness-never-rejected",
+        CORPUS,
+        'rep.record(False, f"{entry.name}: recorded witness rejected',
+        'rep.record(True, f"{entry.name}: recorded witness rejected',
+        (HARNESS + "test_a_tampered_recorded_witness_is_rejected",),
+    ),
+    Mutant(
+        "transport-never-diverges",
+        CORPUS,
+        "ok = moved.holds == originals[prop].holds",
+        "ok = True",
+        (HARNESS + "test_a_transport_that_changes_the_twist_diverges",),
+    ),
+    Mutant(
+        "laurent-window-always-agrees",
+        CORPUS,
+        'vp.holds == vl.holds,\n        f"{entry.name}: Laurent window',
+        'True,\n        f"{entry.name}: Laurent window',
+        (HARNESS + "test_a_laurent_verdict_that_disagrees_fails",),
+    ),
+    Mutant(
+        "laurent-series-always-agrees",
+        CORPUS,
+        'vp.holds == vl.holds,\n        f"{entry.name}: Laurent series',
+        'True,\n        f"{entry.name}: Laurent series',
+        (HARNESS + "test_a_laurent_series_verdict_that_disagrees_fails",),
     ),
 ]
 

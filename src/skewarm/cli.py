@@ -181,6 +181,10 @@ def cmd_corpus(args) -> int:
     elif not args.all:
         raise formats.FormatError("pass --all or --entry NAME")
     budget = _budget(args)
+    if args.transport_seeds < 0:
+        raise formats.FormatError(
+            f"--transport-seeds must be nonnegative, got {args.transport_seeds}"
+        )
     report = corpus_mod.Report()
     for entry in entries:
         report.extend(corpus_mod.run_expectations(entry, budget))

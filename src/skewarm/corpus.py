@@ -103,13 +103,10 @@ def run_expectations(
     return rep
 
 
-def _established(
-    entry: CorpusEntry, prop: PropertyId, degree: int, budget: int
-) -> tuple[str, Verdict | None]:
+def _established(entry: CorpusEntry, prop: PropertyId, degree: int, budget: int) -> str:
     """Establish a polynomial hypothesis at a degree bound, exploiting
     monotonicity: a failure at a smaller feasible bound already settles
-    failure at the requested one.  Returns (status, verdict) with status in
-    {"holds", "fails", "blocked"}."""
+    failure at the requested one.  Returns "holds", "fails" or "blocked"."""
     n = entry.ring.size
     feasible = degree
     if dec.over_budget(n, 2 * (degree + 1), budget):
@@ -118,13 +115,11 @@ def _established(
         while not dec.over_budget(n, 2 * (feasible + 2), budget):
             feasible += 1
     if feasible < 0:
-        return "blocked", None
+        return "blocked"
     verdict = dec.check_armendariz_family(entry.ring, entry.endo, feasible, prop, budget)
     if not verdict.holds:
-        return "fails", verdict
-    if feasible == degree:
-        return "holds", verdict
-    return "blocked", verdict
+        return "fails"
+    return "holds" if feasible == degree else "blocked"
 
 
 def run_implication_matrix(
@@ -154,7 +149,7 @@ def run_implication_matrix(
         domain = dec.is_domain(ring).holds
         semicomm = dec.is_semicommutative(ring).holds
         fixes_one = ring.is_unital and alpha.preserves_one
-        cache: dict[PropertyId, Verdict] = {}
+        cache: dict[PropertyId, Verdict | None] = {}
 
         def conclusion(prop: PropertyId, row: str) -> None:
             if prop not in cache:
@@ -183,9 +178,7 @@ def run_implication_matrix(
             conclusion(PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, "domain+mono")
             conclusion(PropertyId.Q_ALPHA_ARMENDARIZ, "domain+mono")
 
-        skew_status, _ = _established(
-            entry, PropertyId.ALPHA_SKEW_ARMENDARIZ, degree, budget
-        )
+        skew_status = _established(entry, PropertyId.ALPHA_SKEW_ARMENDARIZ, degree, budget)
         if skew_status == "blocked":
             rep.note(f"{entry.name}: skew-Armendariz hypothesis not established (budget)")
         if skew_status == "holds" and alpha.is_surjective:
@@ -195,9 +188,7 @@ def run_implication_matrix(
                 PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, "semicommutative+skew-Armendariz"
             )
 
-        plain_status, _ = _established(
-            entry, PropertyId.ALPHA_ARMENDARIZ, degree, budget
-        )
+        plain_status = _established(entry, PropertyId.ALPHA_ARMENDARIZ, degree, budget)
         if plain_status == "blocked":
             rep.note(f"{entry.name}: alpha-Armendariz hypothesis not established (budget)")
         if plain_status == "holds" and alpha.is_surjective:
@@ -223,6 +214,7 @@ def run_transport_consistency(
         PropertyId.Q_ALPHA_ARMENDARIZ,
         PropertyId.Q_ALPHA_SKEW_ARMENDARIZ,
     )
+    seeds = list(seeds)
     rep = Report()
     originals = {
         prop: dec.check_armendariz_family(entry.ring, entry.endo, degree, prop, budget)
@@ -262,9 +254,8 @@ def run_transport_consistency(
                     )
     # compress the (large) per-seed log when everything passed
     if rep.ok:
-        n = len(list(seeds))
         rep.lines = [
-            f"PASS {entry.name}: verdicts preserved under {n} relabelings "
+            f"PASS {entry.name}: verdicts preserved under {len(seeds)} relabelings "
             f"for all four transported properties (degree {degree})"
         ]
     return rep

@@ -122,14 +122,14 @@ class FiniteRing:
     ``one`` is optional: rings without a two-sided identity are first-class.
     ``add_array`` and ``mul_array`` hold the tables as read-only numpy arrays
     in the least unsigned dtype that holds every index
-    (``np.min_scalar_type(n - 1)``), and ``generators`` the additive
-    generators validation found (``_additive_generators``).  They hold the
-    zero when it is the least index, as it is in every builtin ring; the
-    law checks skip it (``_nonzero_generators``).  The public
-    tables ``add_table`` and ``mul_table`` are the same tables as tuples of
-    row tuples, and therefore immutable; each is built from its array on
-    first read and kept, and so is ``prime_basis``.  Instances compare by
-    identity (``ring_id``), never structurally.
+    (``np.min_scalar_type(n - 1)``).  ``generators`` and ``prime_basis``
+    come from the one walk of (R,+) at validation (``_additive_walk``).
+    The generators hold the zero when it is the least index, as it is in
+    every builtin ring; the law checks skip it (``_nonzero_generators``).
+    The public tables ``add_table`` and ``mul_table`` are the same tables
+    as tuples of row tuples, and therefore immutable; each is built from its
+    array on first read and kept.  Instances compare by identity
+    (``ring_id``), never structurally.
     """
 
     ring_id: int
@@ -143,6 +143,7 @@ class FiniteRing:
     add_array: np.ndarray = field(repr=False)
     mul_array: np.ndarray = field(repr=False)
     generators: tuple[int, ...] = field(repr=False)
+    prime_basis: tuple | None = field(repr=False)
 
     @functools.cached_property
     def add_table(self) -> tuple[tuple[int, ...], ...]:
@@ -154,12 +155,6 @@ class FiniteRing:
     @functools.cached_property
     def mul_table(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.mul_array.tolist()))
-
-    @functools.cached_property
-    def prime_basis(self):
-        """``_prime_basis`` of the additive table, found on first read and
-        shared by every search on the ring, which only read it."""
-        return _prime_basis(self.add_array, self.zero)
 
     @property
     def is_unital(self) -> bool:
@@ -266,73 +261,49 @@ def _scan_axioms(add: np.ndarray, mul: np.ndarray, labels: tuple[str, ...]) -> N
             )
 
 
-def _additive_generators(add: np.ndarray) -> list[int]:
-    """A generating set of the commutative magma (R,+), picked greedily: the
-    least index outside the closure of the generators taken so far.
+def _additive_walk(add: np.ndarray, zero: int):
+    """One walk of (R,+): ``(generators, prime_basis)``.
 
-    In a group each new generator at least doubles the closure, so there are
-    at most log2(n) of them besides the zero, which comes first when it has
-    the least index (its closure is itself).  Work is O(n^2): every pair of
-    closed elements is summed once.  Each round sums the whole frontier with
-    every closed element in one gather, so a group of order n closes in
-    O(log n) rounds per generator.
+    Each generator g is the least index not yet reached (the zero first
+    when it is index 0).  Its multiples g, 2g, ... are read from the column
+    ``add[:, g]`` until one is reached (in the span, or a repeat), and one
+    gather reaches every coset span + c·g.  In a group these are the
+    generators of the greedy closure, at most log2 n besides the zero, and
+    x = Σ e_i·g_i sits in the final span at Σ e_i·c_1···c_(i-1), e_i below
+    c_i, the order of g_i modulo the span before it.  On any table only
+    sums of reached elements are marked, so the generators and the zero
+    reach every element by table sums.  When cosets overlap, (R,+) is no
+    group, and every index is returned, for Light's test to find that.
+
+    ``prime_basis`` is ``(p, basis, coords)`` when every order is one prime
+    p and every run of multiples ended at the zero, so that (R,+) is F_p^m,
+    else None: the basis is the nonzero generators and ``coords[x]``
+    (n × m, read-only, entries in [0, p)) gives x = Σ coords[x][i]·basis[i].
     """
     n = len(add)
-    inside = np.zeros(n, dtype=bool)
-    closed = np.empty(0, dtype=np.intp)  # all their pairwise sums are taken
-    gens = []
-    while not inside.all():
-        g = int(np.argmin(inside))  # the least index outside the closure
+    reached = np.arange(n) == zero
+    span = np.array([zero])
+    gens, runs = [zero] if zero == 0 else [], set()
+    while len(span) < n:
+        g = int(np.argmin(reached))
+        column, multiples, x = add[:, g], [zero], g
+        while not reached[x]:
+            reached[x] = True
+            multiples.append(x)
+            x = int(column[x])
         gens.append(g)
-        inside[g] = True
-        new = np.array([g])
-        while new.size:
-            closed = np.concatenate([closed, new])
-            reached = np.zeros(n, dtype=bool)
-            reached[add[new[:, None], closed]] = True
-            new = np.flatnonzero(reached & ~inside)
-            inside |= reached
-    return gens
-
-
-def _prime_basis(add: np.ndarray, zero: int):
-    """``(p, basis, coords)`` when (R,+) is the vector space F_p^m, else None.
-
-    That is so exactly when p·x = 0 for every x, with p the least prime
-    factor of n.  The basis is picked greedily, as ``_additive_generators``
-    picks generators: the least index outside the span so far.
-    ``coords[x]`` (n × m, entries in [0, p)) gives x = Σ coords[x][i]·basis[i];
-    it is built outward from the zero, wherever that sits.
-    """
-    n = len(add)
-    p = next((d for d in range(2, n + 1) if n % d == 0), None)
-    if p is None:
-        return None
-    every, multiple = np.arange(n), np.arange(n)
-    for _ in range(p - 1):
-        multiple = add[multiple, every]
-    if (multiple != zero).any():
-        return None
-    m = 0
-    while p**m < n:
-        m += 1
-    coords = np.zeros((n, m), dtype=np.int64)
-    inside = np.zeros(n, dtype=bool)
-    inside[zero] = True
-    span, basis = np.array([zero]), []
-    for g in range(n):
-        if inside[g]:
-            continue
-        layers = [span]
-        for c in range(1, p):  # the cosets span + c·g
-            layer = add[layers[-1], g]
-            coords[layer] = coords[span]
-            coords[layer, len(basis)] = c
-            layers.append(layer)
-        basis.append(g)
-        span = np.concatenate(layers)
-        inside[span] = True
-    return p, basis, coords
+        runs.add((len(multiples), x == zero))
+        span = add[np.array(multiples)[:, None], span].ravel()
+        reached[span] = True
+        if np.count_nonzero(reached) != len(span):
+            return list(range(n)), None
+    p = min(runs)[0] if runs else 0
+    if runs != {(p, True)} or not _is_prime(p):
+        return gens, None
+    basis = [g for g in gens if g != zero]
+    coords = np.argsort(span)[:, None] // p ** np.arange(len(basis)) % p
+    coords.setflags(write=False)
+    return gens, (p, basis, coords)
 
 
 def _nonzero_generators(gens, zero: int) -> np.ndarray:
@@ -384,14 +355,14 @@ def _validate(
     add: np.ndarray,
     mul: np.ndarray,
     labels: tuple[str, ...],
-) -> tuple[int, tuple[int, ...], int | None, list[int], np.ndarray, np.ndarray]:
+) -> tuple[int, tuple[int, ...], int | None, list[int], tuple | None, np.ndarray, np.ndarray]:
     """Exhaustively check all ring axioms; return (zero, neg_table, one,
-    additive generators, add, mul), the tables as new arrays in the least
-    dtype that holds every index (``np.min_scalar_type(n - 1)``).
+    additive generators, prime basis, add, mul), the tables as new arrays in
+    the least dtype that holds every index (``np.min_scalar_type(n - 1)``).
 
     Commutativity, the unique zero and unique inverses of ``+`` are checked
     at every pair.  The cubic axioms are then reduced to G′, the nonzero
-    elements of a generating set of (R,+) (``_additive_generators``,
+    elements of a generating set of (R,+) (``_additive_walk``,
     ``_nonzero_generators``, |G′| <= log2 n), which is complete:
 
     - Additive associativity (Light's test): the b with (a+b)+c = a+(b+c)
@@ -437,13 +408,13 @@ def _validate(
         raise AxiomError(f"element {labels[no_inverse[0]]} has no unique additive inverse")
     neg = is_zero.argmax(axis=1)
 
-    gens = _additive_generators(add)
+    gens, basis = _additive_walk(add, zero)
     if not _axioms_hold_on(add, mul, _nonzero_generators(gens, zero)):
         _scan_axioms(add, mul, labels)
 
     ones = np.flatnonzero((mul == idx).all(axis=1) & (mul == idx[:, None]).all(axis=0))
     one = int(ones[0]) if ones.size else None
-    return zero, tuple(neg.tolist()), one, gens, add, mul
+    return zero, tuple(neg.tolist()), one, gens, basis, add, mul
 
 
 def _build_ring(
@@ -468,7 +439,7 @@ def _build_ring(
 
     add = _int64(add_table, f"add table must be {n} rows of {n} integers")
     mul = _int64(mul_table, f"mul table must be {n} rows of {n} integers")
-    zero, neg, one, gens, add, mul = _validate(n, add, mul, labels)
+    zero, neg, one, gens, basis, add, mul = _validate(n, add, mul, labels)
     add.setflags(write=False)
     mul.setflags(write=False)
 
@@ -484,6 +455,7 @@ def _build_ring(
         add_array=add,
         mul_array=mul,
         generators=tuple(gens),
+        prime_basis=basis,
     )
 
 
@@ -602,7 +574,7 @@ def make_bimodule(
         raise AxiomError(f"bimodule element {labels[no_inverse[0]]} has no unique inverse")
     neg = is_zero.argmax(axis=1)
 
-    gens = _nonzero_generators(_additive_generators(add), zero)
+    gens = _nonzero_generators(_additive_walk(add, zero)[0], zero)
     if not _light_test(add, gens):
         raise AxiomError("bimodule addition not associative")
     lact = _check_action_table("left action", left_action, (n, m), m)

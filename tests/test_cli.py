@@ -215,6 +215,13 @@ def test_replay_rejects_out_of_range_index(ex2_file, tmp_path, capsys):
     assert main(["replay", str(vfile)]) == 2
 
 
+def test_negative_transport_seeds_are_invalid_input(capsys):
+    assert main(["corpus", "--all", "--transport-seeds", "-2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --transport-seeds must be nonnegative, got -2\n"
+
+
 def test_corpus_single_entry(capsys):
     assert main(["corpus", "--entry", "example2", "--deg", "1"]) == 0
     assert "all checks passed" in capsys.readouterr().out

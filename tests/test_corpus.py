@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from skewarm import (
     PropertyId,
+    corpus,
+    deciders,
     identity_endomorphism,
     make_direct_product,
     make_galois_field,
@@ -11,6 +14,7 @@ from skewarm import (
     make_trivial_extension,
     make_zmod,
     regular_bimodule,
+    zero_endomorphism,
 )
 from skewarm.corpus import (
     all_entries,
@@ -133,6 +137,68 @@ def test_laurent_consistency_at_degree_one_uses_the_shifted_window():
     rep = run_laurent_consistency(entry_by_name("gf4_frobenius"), degree=1)
     assert rep.ok, "\n".join(rep.lines)
     assert "Laurent window (1, 0, 1, 0) agrees with plain degree 1" in rep.lines[0]
+
+
+def test_transport_summary_counts_seeds_given_as_an_iterator():
+    rep = run_transport_consistency(entry_by_name("example2"), seeds=iter(range(3)), degree=1)
+    assert rep.ok and "verdicts preserved under 3 relabelings" in rep.lines[0]
+
+
+# --------------------------------------------------------------------------
+# every comparison of the harness records a FAIL line when its sides differ
+
+
+def failures(rep):
+    assert not rep.ok
+    return [line for line in rep.lines if line.startswith("FAIL ")]
+
+
+def test_a_flipped_expectation_fails():
+    entry = entry_by_name("example2")
+    exp = next(e for e in entry.expected if e.prop == PropertyId.SEMICOMMUTATIVE)
+    flipped = dataclasses.replace(entry, expected=(dataclasses.replace(exp, holds=False),))
+    (line,) = failures(run_expectations(flipped))
+    assert "semicommutative" in line and "expected fails" in line
+
+
+def test_a_tampered_recorded_witness_is_rejected():
+    entry = entry_by_name("example2")
+    exp = next(e for e in entry.expected if e.prop == PropertyId.REDUCED)
+    assert exp.confirm_witness.elements == (8,)
+    tampered = dataclasses.replace(exp.confirm_witness, elements=(entry.ring.zero,))
+    tampered = dataclasses.replace(entry, expected=(dataclasses.replace(exp, confirm_witness=tampered),))
+    (line,) = failures(run_expectations(tampered))
+    assert "recorded witness rejected" in line
+
+
+def test_a_transport_that_changes_the_twist_diverges(monkeypatch):
+    # the relabelled side gets the zero map in place of the swap's transport
+    monkeypatch.setattr(corpus, "transport", lambda sigma, alpha: zero_endomorphism(sigma.codomain))
+    rep = run_transport_consistency(entry_by_name("example1"), seeds=range(1), degree=1)
+    assert any("transport seed 0" in line and "diverged" in line for line in failures(rep))
+
+
+def test_a_laurent_verdict_that_disagrees_fails(monkeypatch):
+    decide = deciders.check_laurent_q_alpha_skew
+    monkeypatch.setattr(
+        deciders,
+        "check_laurent_q_alpha_skew",
+        lambda *args: dataclasses.replace(decide(*args), witness=None),
+    )
+    (line,) = failures(run_laurent_consistency(entry_by_name("example2"), degree=2))
+    assert "Laurent window (1, 1, 1, 1) agrees with plain degree 2 (fails)" in line
+
+
+def test_a_laurent_series_verdict_that_disagrees_fails(monkeypatch):
+    decide = deciders.check_powerseries_q_alpha_skew
+
+    def laurent_holds(*args, laurent=False, **kwargs):
+        verdict = decide(*args, laurent=laurent, **kwargs)
+        return dataclasses.replace(verdict, witness=None) if laurent else verdict
+
+    monkeypatch.setattr(deciders, "check_powerseries_q_alpha_skew", laurent_holds)
+    (line,) = failures(run_series_consistency(entry_by_name("example2"), truncation=2))
+    assert "agrees with plain series at order 2 (fails)" in line
 
 
 # Each corpus ring rebuilt from its mathematical definition, independently of

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from test_oracle import FAMILY, zero_moved
+from test_validator import _reference_additive_generators
 
 from skewarm import (
     PropertyId,
@@ -24,6 +25,7 @@ from skewarm import (
     make_table_ring,
     make_trivial_extension,
     make_zmod,
+    random_relabeling,
     regular_bimodule,
     replay_witness,
     table_endomorphism,
@@ -31,13 +33,13 @@ from skewarm import (
     zero_endomorphism,
 )
 from skewarm.corpus import entry_by_name
-from skewarm.rings import _additive_generators, _prime_basis
+from skewarm.rings import _additive_walk
 
 P = PropertyId
 
 
 def basis_of(ring):
-    return _prime_basis(np.asarray(ring.add_table), ring.zero)
+    return _additive_walk(np.asarray(ring.add_table), ring.zero)[1]
 
 
 def z2_power(k):
@@ -125,6 +127,21 @@ def test_carriers_that_are_not_fp_vector_spaces_take_the_search(monkeypatch, nam
         check_property(ring, None, prop, degree=1)
 
 
+def test_orders_alone_do_not_make_an_fp_vector_space():
+    # this relabelling of Z4 walks generators of order 2 and 2, but the
+    # second one's run of multiples ends at the first, not at the zero
+    z4 = make_zmod(4)
+    ring, sigma = random_relabeling(z4, 7)
+    assert len(ring.generators) == 2 and ring.zero not in ring.generators
+    assert ring.add(ring.generators[1], ring.generators[1]) == ring.generators[0]
+    assert ring.prime_basis is None
+    for endo in (identity_endomorphism(z4), zero_endomorphism(z4)):
+        moved = transport(sigma, endo)
+        for prop in FAMILY:
+            expected = check_property(z4, endo, prop, degree=2).holds
+            assert check_property(ring, moved, prop, degree=2).holds == expected
+
+
 BASES = {
     "GF(4)": (lambda: make_galois_field(2, 2), 2, 2),
     "GF(9)": (lambda: make_galois_field(3, 2), 3, 2),
@@ -147,7 +164,7 @@ def test_fp_vector_spaces_get_a_basis_wherever_the_zero_sits(name):
     assert np.array_equal(coords[basis], np.eye(m, dtype=coords.dtype))
     assert len({tuple(c) for c in coords.tolist()}) == ring.size  # one element per vector
     add = np.asarray(ring.add_table)
-    assert basis == [g for g in _additive_generators(add) if g != ring.zero]
+    assert basis == [g for g in _reference_additive_generators(add) if g != ring.zero]
     # coords(x + y) = coords(x) + coords(y) mod p, on every pair
     assert np.array_equal(coords[add], (coords[:, None, :] + coords[None, :, :]) % p)
 
@@ -505,19 +522,20 @@ def test_screen_batches_of_one_p_match_the_kernel(monkeypatch, name, prop, envel
 
 def test_prime_basis_is_found_once_per_ring(monkeypatch):
     calls = []
-    prime_basis = rings._prime_basis
+    walk = rings._additive_walk
 
     def counted(add, zero):
         calls.append(zero)
-        return prime_basis(add, zero)
+        return walk(add, zero)
 
-    monkeypatch.setattr(rings, "_prime_basis", counted)
-    ring = z2_power(2)
+    z2 = make_zmod(2)
+    monkeypatch.setattr(rings, "_additive_walk", counted)
+    ring = make_direct_product(z2, z2)
     for prop in FAMILY:
         check_property(ring, identity_endomorphism(ring), prop, degree=1)
-    assert len(calls) == 1
-    assert ring.prime_basis is ring.prime_basis
+    assert len(calls) == 1  # at the build; the seven searches walk nothing
     assert ring.prime_basis[:2] == basis_of(ring)[:2]
+    assert not ring.prime_basis[2].flags.writeable
 
 
 def test_screen_hands_its_first_uncleared_shape_to_the_kernel(monkeypatch):

@@ -34,7 +34,7 @@ from skewarm.deciders import (
     is_symmetric,
 )
 from skewarm.rings import (
-    _additive_generators,
+    _additive_walk,
     _irreducible,
     _poly_divmod,
     _scan_axioms,
@@ -47,8 +47,7 @@ from skewarm.corpus import all_entries
 
 def _validate_tables(n, add, mul, labels):
     """The validator under test: (zero, neg_table, one) of ``rings._validate``."""
-    zero, neg, one, _, _, _ = _validate(n, add, mul, labels)
-    return zero, neg, one
+    return _validate(n, add, mul, labels)[:3]
 
 
 # --------------------------------------------------------------------------
@@ -394,9 +393,30 @@ def test_additive_generators_match_one_element_closure(tables):
     # zero moved off index 0, non-unital and null multiplications among them
     add, _ = tables
     expected = _reference_additive_generators(add)
-    assert _additive_generators(add) == expected
+    zero = int(np.flatnonzero((add == np.arange(len(add))).all(axis=1))[0])
+    assert _additive_walk(add, zero)[0] == expected
     # validation runs on the least dtype
-    assert _additive_generators(add.astype(np.min_scalar_type(len(add) - 1))) == expected
+    assert _additive_walk(add.astype(np.min_scalar_type(len(add) - 1)), zero)[0] == expected
+
+
+# commutative, with a unique zero and unique inverses, but not associative:
+# adding 2 (first table) or 1 (second) is no bijection, so the cosets of the
+# walk overlap; in the second, 1's multiples 1, 2, 2 repeat off the span
+NOT_A_GROUP = (
+    [[0, 1, 2, 3], [1, 0, 1, 3], [2, 1, 0, 1], [3, 3, 1, 0]],
+    [[0, 1, 2, 3], [1, 2, 2, 0], [2, 2, 0, 1], [3, 0, 1, 2]],
+)
+
+
+@pytest.mark.parametrize("add", NOT_A_GROUP)
+def test_addition_that_is_no_group_ends_in_the_ordered_scan(add):
+    add, mul = np.array(add), np.zeros((4, 4), dtype=np.int64)
+    assert _additive_walk(add, 0) == ([0, 1, 2, 3], None)
+    labels = tuple(f"e{i}" for i in range(4))
+    with pytest.raises(AxiomError) as scanned:
+        _scan_axioms(add, mul, labels)
+    assert "addition not associative" in str(scanned.value)
+    assert _outcome(_validate_tables, add, mul) == str(scanned.value)
 
 
 # --------------------------------------------------------------------------
