@@ -175,7 +175,7 @@ MUTANTS = [
             "tests/test_kernel.py::test_zero_among_the_greedy_generators_is_dropped",
         ),
     ),
-    # the comparisons of the corpus harness
+    # the corpus harness: its comparisons, its replay and its witness map
     Mutant(
         "expectation-always-met",
         CORPUS,
@@ -184,11 +184,21 @@ MUTANTS = [
         (HARNESS + "test_a_flipped_expectation_fails",),
     ),
     Mutant(
-        "recorded-witness-never-rejected",
+        "recorded-witness-never-replayed",
         CORPUS,
-        'rep.record(False, f"{entry.name}: recorded witness rejected',
-        'rep.record(True, f"{entry.name}: recorded witness rejected',
+        "        if exp.confirm_witness is not None:\n",
+        "        if False:\n",
         (HARNESS + "test_a_tampered_recorded_witness_is_rejected",),
+    ),
+    Mutant(
+        "replay-failure-recorded-as-a-pass",
+        CORPUS,
+        'rep.record(False, f"{failed}: {err}")',
+        'rep.record(True, f"{failed}: {err}")',
+        (
+            HARNESS + "test_every_relation_records_a_witness_that_fails_to_replay",
+            HARNESS + "test_a_tampered_recorded_witness_is_rejected",
+        ),
     ),
     Mutant(
         "transport-never-diverges",
@@ -198,18 +208,46 @@ MUTANTS = [
         (HARNESS + "test_a_transport_that_changes_the_twist_diverges",),
     ),
     Mutant(
-        "laurent-window-always-agrees",
+        "transport-not-mapping-q",
         CORPUS,
-        'vp.holds == vl.holds,\n        f"{entry.name}: Laurent window',
-        'True,\n        f"{entry.name}: Laurent window',
-        (HARNESS + "test_a_laurent_verdict_that_disagrees_fails",),
+        "_moved(originals[prop].witness, sigma.apply, sigma.apply)",
+        "_moved(originals[prop].witness, sigma.apply, lambda c: c)",
+        (
+            HARNESS + "test_transport_consistency_small",
+            HARNESS + "test_transport_summary_counts_seeds_given_as_an_iterator",
+            "tests/test_acceptance.py::test_criterion_4_transport",
+            "tests/test_cli.py::test_corpus_all_quick",
+            "tests/test_cli.py::test_corpus_at_a_huge_degree_finds_its_feasible_degrees",
+        ),
     ),
     Mutant(
-        "laurent-series-always-agrees",
+        "sides-always-agree",  # the Laurent window and the Laurent series
         CORPUS,
-        'vp.holds == vl.holds,\n        f"{entry.name}: Laurent series',
-        'True,\n        f"{entry.name}: Laurent series',
-        (HARNESS + "test_a_laurent_series_verdict_that_disagrees_fails",),
+        "rep.record(vl.holds == vr.holds,",
+        "rep.record(True,",
+        (
+            HARNESS + "test_a_laurent_verdict_that_disagrees_fails",
+            HARNESS + "test_a_laurent_series_verdict_that_disagrees_fails",
+        ),
+    ),
+    Mutant(
+        "laurent-shift-without-the-twist",  # p's coefficients not sent through alpha^m
+        CORPUS,
+        "lambda c: alpha.power_apply(m, c), lambda c: c, m, t",
+        "lambda c: c, lambda c: c, m, t",
+        (HARNESS + "test_the_laurent_shift_twists_p_and_moves_both_exponents",),
+    ),
+    Mutant(
+        "q-exponent-not-moved",
+        CORPUS,
+        "q_min=w.q_min + t,",
+        "q_min=w.q_min,",
+        (
+            HARNESS + "test_a_laurent_verdict_that_disagrees_fails",
+            HARNESS + "test_the_laurent_shift_twists_p_and_moves_both_exponents",
+            "tests/test_acceptance.py::test_criterion_3_implication_matrix",
+            "tests/test_acceptance.py::test_criterion_5_laurent_and_series_consistency",
+        ),
     ),
 ]
 

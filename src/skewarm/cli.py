@@ -245,12 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--dump-definition", help="print an entry's ring-definition document"
     )
-    p_cor.add_argument("--deg", type=int, default=2, help="implication-matrix degree")
+    p_cor.add_argument(
+        "--deg", type=int, default=2, help="implication-matrix degree (read only with --all)"
+    )
     p_cor.add_argument(
         "--transport-seeds",
         type=int,
         default=3,
-        help="relabelling seeds per entry in the transport check",
+        help="relabelling seeds per entry in the transport check (read only with --all)",
     )
     p_cor.add_argument("--manifest", help="override the built-in corpus manifest")
     p_cor.add_argument("--budget", type=int, help="tuple budget override")

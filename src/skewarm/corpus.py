@@ -17,7 +17,7 @@ from importlib import resources
 
 from . import deciders as dec
 from .deciders import PropertyId, Verdict, Witness
-from .formats import CorpusEntry, Expectation, load_manifest
+from .formats import CorpusEntry, load_manifest
 from .rings import (
     Endomorphism,
     FiniteRing,
@@ -61,18 +61,48 @@ class Report:
         self.lines.extend(other.lines)
 
 
-def _run_expected(entry: CorpusEntry, exp: Expectation, budget: int) -> Verdict:
-    env = exp.envelope
-    return dec.check_property(
-        entry.ring,
-        entry.endo,
-        exp.prop,
-        degree=env.degree,
-        window=env.window,
-        truncation=env.truncation,
-        min_exp=env.min_exp,
-        budget=budget,
+def _replay(rep: Report, ring, alpha, prop, witness, passed: str | None, failed: str) -> None:
+    """Replay a witness: record ``failed: <error>`` if it is rejected, else
+    ``passed`` unless that is None."""
+    try:
+        dec.replay_witness(ring, alpha, prop, witness)
+    except dec.RingError as err:
+        rep.record(False, f"{failed}: {err}")
+        return
+    if passed is not None:
+        rep.record(True, passed)
+
+
+def _moved(w: Witness, on_p, on_q, m: int = 0, t: int = 0) -> Witness:
+    """Carry a polynomial witness across a relation: p's coefficients, the
+    sandwich element and the offending value go through ``on_p``, q's through
+    ``on_q``; p's exponents and the monomial's twist (that of a_i) move by m,
+    q's by t.  The violated conclusion instance moves along with them."""
+    return Witness(
+        kind="laurent" if w.p_min + m < 0 or w.q_min + t < 0 else "poly",
+        p_coeffs=tuple(map(on_p, w.p_coeffs)),
+        p_min=w.p_min + m,
+        q_coeffs=tuple(map(on_q, w.q_coeffs)),
+        q_min=w.q_min + t,
+        pair=(w.pair[0] + m, w.pair[1] + t),
+        monomial=None if w.monomial is None else (on_p(w.monomial[0]), w.monomial[1] + m),
+        offending=on_p(w.offending),
     )
+
+
+def _agree(rep: Report, left: str, right: str, decide_left, decide_right):
+    """Decide both sides of a relation, the right (plain) one first, and
+    record whether their verdicts agree.  Returns the verdicts (left,
+    right), or None, with a note, when either side is over the budget."""
+    try:
+        vr = decide_right()
+        vl = decide_left()
+    except dec.BudgetExceededError:
+        rep.note(f"{left} vs {right} not evaluated (budget)")
+        return None
+    outcome = "holds" if vr.holds else "fails"
+    rep.record(vl.holds == vr.holds, f"{left} agrees with {right} ({outcome})")
+    return vl, vr
 
 
 def run_expectations(
@@ -80,8 +110,13 @@ def run_expectations(
 ) -> Report:
     """Re-run every frozen expectation of an entry and confirm witnesses."""
     rep = Report()
+    ring, alpha = entry.ring, entry.endo
     for exp in entry.expected:
-        verdict = _run_expected(entry, exp, budget)
+        env = exp.envelope
+        verdict = dec.check_property(
+            ring, alpha, exp.prop, degree=env.degree, window=env.window,
+            truncation=env.truncation, min_exp=env.min_exp, budget=budget,
+        )
         ok = verdict.holds == exp.holds
         want = "holds" if exp.holds else "fails"
         rep.record(
@@ -90,16 +125,16 @@ def run_expectations(
             f"expected {want} ({exp.provenance})",
         )
         if not verdict.holds:
-            try:
-                dec.replay_witness(entry.ring, entry.endo, verdict.prop, verdict.witness)
-            except dec.RingError as err:
-                rep.record(False, f"{entry.name}: decider witness replay: {err}")
+            _replay(
+                rep, ring, alpha, verdict.prop, verdict.witness, None,
+                f"{entry.name}: decider witness replay",
+            )
         if exp.confirm_witness is not None:
-            try:
-                dec.replay_witness(entry.ring, entry.endo, exp.prop, exp.confirm_witness)
-                rep.record(True, f"{entry.name}: recorded witness confirmed by replay")
-            except dec.RingError as err:
-                rep.record(False, f"{entry.name}: recorded witness rejected: {err}")
+            _replay(
+                rep, ring, alpha, exp.prop, exp.confirm_witness,
+                f"{entry.name}: recorded witness confirmed by replay",
+                f"{entry.name}: recorded witness rejected",
+            )
     return rep
 
 
@@ -234,24 +269,11 @@ def run_transport_consistency(
                 else f"{entry.name}: transport seed {seed}: {prop.value} diverged",
             )
             if not originals[prop].holds and not moved.holds:
-                w = originals[prop].witness
-                mapped = Witness(
-                    kind="poly",
-                    p_coeffs=tuple(sigma.apply(c) for c in w.p_coeffs),
-                    q_coeffs=tuple(sigma.apply(c) for c in w.q_coeffs),
-                    pair=w.pair,
-                    monomial=None
-                    if w.monomial is None
-                    else (sigma.apply(w.monomial[0]), w.monomial[1]),
-                    offending=sigma.apply(w.offending),
+                _replay(
+                    rep, other, beta, prop,
+                    _moved(originals[prop].witness, sigma.apply, sigma.apply),
+                    None, f"{entry.name}: transported witness failed to replay",
                 )
-                try:
-                    dec.replay_witness(other, beta, prop, mapped)
-                except dec.RingError as err:
-                    rep.record(
-                        False,
-                        f"{entry.name}: transported witness failed to replay: {err}",
-                    )
     # compress the (large) per-seed log when everything passed
     if rep.ok:
         rep.lines = [
@@ -291,34 +313,6 @@ def run_product_closure(
     return rep
 
 
-def _shift_poly_witness(
-    alpha: Endomorphism, w: Witness, m: int, t: int
-) -> Witness:
-    """Shift a quasi-skew witness by x^m on the left of p and x^t on the right
-    of q: coefficients of p pick up the twist alpha^m and all exponents move.
-
-    The shift is a formal operation on coefficient sequences (no ring
-    identity needed); the violated conclusion instance moves along with it.
-    """
-    p2 = tuple(alpha.power_apply(m, c) for c in (w.p_coeffs or ()))
-    q2 = tuple(w.q_coeffs or ())
-    i, j = w.pair
-    pair = (i + m, j + t)
-    mono = None
-    if w.monomial is not None:
-        mono = (alpha.power_apply(m, w.monomial[0]), pair[0])
-    return Witness(
-        kind="laurent" if w.p_min + m < 0 or w.q_min + t < 0 else "poly",
-        p_coeffs=p2,
-        p_min=w.p_min + m,
-        q_coeffs=q2,
-        q_min=w.q_min + t,
-        pair=pair,
-        monomial=mono,
-        offending=alpha.power_apply(m, w.offending),
-    )
-
-
 def run_laurent_consistency(
     entry: CorpusEntry, degree: int = 2, budget: int = dec.DEFAULT_TUPLE_BUDGET
 ) -> Report:
@@ -331,37 +325,31 @@ def run_laurent_consistency(
         rep.note(f"{entry.name}: twist not invertible, Laurent check skipped")
         return rep
     window = (1, degree - 1, 1, degree - 1)
-    try:
-        vp = dec.check_armendariz_family(
+    verdicts = _agree(
+        rep, f"{entry.name}: Laurent window {window}", f"plain degree {degree}",
+        lambda: dec.check_laurent_q_alpha_skew(ring, alpha, window, budget),
+        lambda: dec.check_armendariz_family(
             ring, alpha, degree, PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, budget
-        )
-        vl = dec.check_laurent_q_alpha_skew(ring, alpha, window, budget)
-    except dec.BudgetExceededError:
-        rep.note(
-            f"{entry.name}: Laurent window {window} vs plain degree {degree} "
-            "not evaluated (budget)"
-        )
-        return rep
-    rep.record(
-        vp.holds == vl.holds,
-        f"{entry.name}: Laurent window {window} agrees with plain degree {degree} "
-        f"({'holds' if vp.holds else 'fails'})",
+        ),
     )
+    if verdicts is None:
+        return rep
+    vl, vp = verdicts
     m, t = window[0], window[2]
     if not vl.holds:
-        shifted = _shift_poly_witness(alpha, vl.witness, m, t)
-        try:
-            dec.replay_witness(ring, alpha, PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, shifted)
-            rep.record(True, f"{entry.name}: shifted Laurent witness replays as plain")
-        except dec.RingError as err:
-            rep.record(False, f"{entry.name}: shifted Laurent witness rejected: {err}")
+        _replay(
+            rep, ring, alpha, PropertyId.Q_ALPHA_SKEW_ARMENDARIZ,
+            _moved(vl.witness, lambda c: alpha.power_apply(m, c), lambda c: c, m, t),
+            f"{entry.name}: shifted Laurent witness replays as plain",
+            f"{entry.name}: shifted Laurent witness rejected",
+        )
     if not vp.holds:
-        shifted = _shift_poly_witness(alpha, vp.witness, -m, -t)
-        try:
-            dec.replay_witness(ring, alpha, PropertyId.LAURENT_Q_ALPHA_SKEW, shifted)
-            rep.record(True, f"{entry.name}: plain witness replays in the Laurent window")
-        except dec.RingError as err:
-            rep.record(False, f"{entry.name}: shifted plain witness rejected: {err}")
+        _replay(
+            rep, ring, alpha, PropertyId.LAURENT_Q_ALPHA_SKEW,
+            _moved(vp.witness, lambda c: alpha.power_apply(-m, c), lambda c: c, -m, -t),
+            f"{entry.name}: plain witness replays in the Laurent window",
+            f"{entry.name}: shifted plain witness rejected",
+        )
     return rep
 
 
@@ -375,20 +363,12 @@ def run_series_consistency(
     if not alpha.is_automorphism:
         rep.note(f"{entry.name}: twist not invertible, series check skipped")
         return rep
-    try:
-        vp = dec.check_powerseries_q_alpha_skew(ring, alpha, truncation, budget=budget)
-        vl = dec.check_powerseries_q_alpha_skew(
+    _agree(
+        rep, f"{entry.name}: Laurent series [-1,{truncation - 1})",
+        f"plain series at order {truncation}",
+        lambda: dec.check_powerseries_q_alpha_skew(
             ring, alpha, truncation - 1, laurent=True, min_exp=-1, budget=budget
-        )
-    except dec.BudgetExceededError:
-        rep.note(
-            f"{entry.name}: Laurent series [-1,{truncation - 1}) vs plain series "
-            f"at order {truncation} not evaluated (budget)"
-        )
-        return rep
-    rep.record(
-        vp.holds == vl.holds,
-        f"{entry.name}: Laurent series [-1,{truncation - 1}) agrees with plain "
-        f"series at order {truncation} ({'holds' if vp.holds else 'fails'})",
+        ),
+        lambda: dec.check_powerseries_q_alpha_skew(ring, alpha, truncation, budget=budget),
     )
     return rep

@@ -5,6 +5,7 @@ import pytest
 
 from skewarm import (
     PropertyId,
+    Witness,
     corpus,
     deciders,
     identity_endomorphism,
@@ -199,6 +200,53 @@ def test_a_laurent_series_verdict_that_disagrees_fails(monkeypatch):
     monkeypatch.setattr(deciders, "check_powerseries_q_alpha_skew", laurent_holds)
     (line,) = failures(run_series_consistency(entry_by_name("example2"), truncation=2))
     assert "agrees with plain series at order 2 (fails)" in line
+
+
+def _laurent(entry):
+    return run_laurent_consistency(entry, degree=2)
+
+
+@pytest.mark.parametrize(
+    "run, line",
+    [
+        (run_expectations, "decider witness replay"),
+        (lambda e: run_transport_consistency(e, seeds=range(1)), "transported witness failed to replay"),
+        (_laurent, "shifted Laurent witness rejected"),
+        (_laurent, "shifted plain witness rejected"),
+    ],
+)
+def test_every_relation_records_a_witness_that_fails_to_replay(monkeypatch, run, line):
+    def rejected(ring, alpha, prop, witness):
+        raise deciders.ReplayMismatch("forced")
+
+    monkeypatch.setattr(deciders, "replay_witness", rejected)
+    assert f"FAIL example2: {line}: forced" in failures(run(entry_by_name("example2")))
+
+
+def test_the_laurent_shift_twists_p_and_moves_both_exponents(monkeypatch):
+    # the failing window (1,1,1,1) witness of example2, shifted by x on both
+    # sides into R[x;alpha]: p's coefficients pick up alpha (1 -> 3), q's do not
+    entry = entry_by_name("example2")
+    assert entry.endo.apply(1) == 3
+    replay, replayed = deciders.replay_witness, []
+
+    def spy(ring, alpha, prop, witness):
+        replayed.append((prop, witness))
+        return replay(ring, alpha, prop, witness)
+
+    monkeypatch.setattr(deciders, "replay_witness", spy)
+    rep = run_laurent_consistency(entry, degree=2)
+    assert rep.ok, "\n".join(rep.lines)
+    (shifted,) = [w for prop, w in replayed if prop is PropertyId.Q_ALPHA_SKEW_ARMENDARIZ]
+    assert shifted == Witness(
+        kind="poly",
+        p_coeffs=(0, 3, 8),
+        q_coeffs=(0, 1, 8),
+        pair=(1, 2),
+        monomial=(4, 1),
+        offending=2,
+    )
+    replay(entry.ring, entry.endo, PropertyId.Q_ALPHA_SKEW_ARMENDARIZ, shifted)
 
 
 # Each corpus ring rebuilt from its mathematical definition, independently of
