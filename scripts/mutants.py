@@ -44,6 +44,9 @@ SWEEP = "tests/test_rank.py::test_screen_matches_the_kernel_on_every_endomorphis
 COUNTS = "tests/test_rank.py::test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat"
 BASIS = "tests/test_rank.py::test_fp_vector_spaces_get_a_basis_wherever_the_zero_sits"
 HARNESS = "tests/test_corpus.py::"
+ORACLE = "tests/test_oracle.py::test_decider_matches_reference"
+SPLIT = "tests/test_kernel.py::test_split_kernel_matches_reference"
+ORACLE_SWEEP = "tests/test_kernel.py::test_every_endomorphism_matches_reference"
 
 
 @dataclass(frozen=True)
@@ -149,6 +152,28 @@ MUTANTS = [
             "null space of the sandwich H(p) is the same at every lowest exponent, since k runs "
             "over a whole period; no test can tell, and the key keeps it"
         ),
+    ),
+    # the prefix rule read at the top of p and q
+    Mutant(
+        "kernel-top-table-at-the-lowest-exponent",  # not at p's last coefficient
+        DECIDERS,
+        "top, p_lasts = tables.head_tables(amin + lp - 1)",
+        "top, p_lasts = tables.head_tables(amin)",
+        (ORACLE, SPLIT, ORACLE_SWEEP),
+    ),
+    Mutant(
+        "screen-top-filter-at-the-lowest-exponent",
+        DECIDERS,
+        "lasts = tables.head_tables(amin + lp - 1)[1]",
+        "lasts = tables.head_tables(amin)[1]",
+        (SWEEP,),
+    ),
+    Mutant(
+        "free-top-at-the-last-slot",  # not at the last nonzero coefficient
+        DECIDERS,
+        "last = ps.shape[1] - 1 - (ps[:, ::-1] != tables.zero).argmax(axis=1)",
+        "last = np.full(len(ps), ps.shape[1] - 1)",
+        ("tests/test_kernel.py::test_least_series_witness_may_end_in_a_zero_coefficient",),
     ),
     # the walk of (R,+) (rings._additive_walk)
     Mutant(

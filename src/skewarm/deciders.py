@@ -22,18 +22,25 @@ The search takes p a level at a time, a level being the p whose first
 nonzero coefficient sits at one position, in batches across heads against
 one list of q: those whose head the prefix rule lets some head of the
 level meet (``_least_violation``); a head it refuses outright is never
-built.  The q are built in bounded chunks in the enumeration order
-(``_tuple_chunks``).  A step's (p × q) mask keeps the pairs that violate
-the conclusion and whose q head p's head allows; the prefix rule and the
-hypothesis only drop pairs that fail the hypothesis, and the conclusion
-only pairs that satisfy it, so none can drop a witness.  The surviving
-pairs are tested in row-major order, so within a chunk the first is the
-least; across chunks a p that hits later beats a larger p that hit earlier.
+built.  One table of the prefix rule serves both ends of p and q
+(``_TwistTables.head_tables``): the lowest and the highest coefficient of
+p (r x^k) q are each a single term, of the heads and of the last nonzero
+coefficients (the tops).  So on exact shapes a top of p that meets no
+q, or a top of q that no top of p meets, is never built either; on free
+shapes a p whose top meets no q is dropped.  The q are built in bounded
+chunks in the enumeration order (``_tuple_chunks``).  A step's (p × q)
+mask keeps the pairs that violate the conclusion and whose q head and q
+top p's head and top allow; the prefix rule and the hypothesis only drop
+pairs that fail the hypothesis, and the conclusion only pairs that
+satisfy it, so none can drop a witness.  The surviving pairs are tested
+in row-major order, so within a chunk the first is the least; across
+chunks a p that hits later beats a larger p that hit earlier.
 ``_conclusion_violation`` then names the violated instance.  The plain
-hypothesis pq = 0 is the sandwich with the single left factor a and k = 0,
-so the kernel, the rank screen and the naming read their tables from one
-left-factor table (``_TwistTables.left``); a sandwich table takes r over the
-additive generators of R only, at most log2 |R| of them.
+hypothesis pq = 0 is the sandwich with the single left factor a and
+k = 0, so the kernel, the rank screen and the naming read their tables
+from one left-factor table (``_TwistTables.left``); a sandwich table
+takes r over the additive generators of R only, at most log2 |R| of
+them.
 
 The statements of one kind of hypothesis differ only in the twist of their
 conclusion, so everything a search derives from the ring, the twist and the
@@ -482,12 +489,13 @@ def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -
 # --------------------------------------------------------------------------
 # enumeration helpers
 #
-# Coefficient tuples of one shape (length, and whether the last entry is
-# nonzero) are enumerated in one fixed order: grouped into levels by the
+# Coefficient tuples of one shape (length, and the ascending values its last
+# entry may take: every value for a free shape, nonzero ones for an exact
+# shape) are enumerated in one fixed order: grouped into levels by the
 # position f of their first nonzero coefficient, highest f first; within a
 # level by that head value, then by the tail after it as a base-n numeral,
-# except that the last digit of an exact-length tail runs over the nonzero
-# values only.  When the zero is index 0 this is raw lexicographic order.
+# except that the last digit runs over the allowed last values only.  When
+# the zero is index 0 this is raw lexicographic order.
 
 # Bounds on the kernel's memory: cells (entries) of one q chunk, and of the
 # (p × q) conclusion mask and the (pairs × generators) hypothesis arrays of
@@ -505,47 +513,68 @@ _FIRST_RANK_ROWS = 32
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _tails_per_head(n: int, width: int, last_nonzero: bool) -> int:
+def _tails_per_head(n: int, width: int, n_lasts: int) -> int:
     """How many tuples of one level share one head value and have ``width``
-    coefficients after it."""
-    if last_nonzero and width:
-        return n ** (width - 1) * (n - 1)
-    return n**width
+    coefficients after it, the last of them one of ``n_lasts`` values."""
+    return n ** (width - 1) * n_lasts if width else 1
 
 
-def _level_rows(n, length, last_nonzero, zero, f, heads, lo, hi, dtype):
+def _level(n, length, lasts, f, heads):
+    """Level f of a shape whose last coefficient is in ``lasts``, keeping
+    the head values ``heads``: the heads it keeps (at f = length - 1 the
+    head is the last coefficient, so those in ``lasts``), its rows, and the
+    rows that ``lasts`` leaves out of the level with every nonzero last
+    value.  A free shape's ``lasts`` is every value and leaves none out."""
+    width = length - 1 - f
+    kept = heads if width else np.intersect1d(heads, lasts, assume_unique=True)
+    rows = len(kept) * _tails_per_head(n, width, len(lasts))
+    # an exact shape's lasts are nonzero, at most n - 1 of them; a free one's are all n
+    every = len(heads) * _tails_per_head(n, width, max(n - 1, len(lasts)))
+    return kept, rows, every - rows
+
+
+def _level_rows(n, length, lasts, zero, f, heads, lo, hi, dtype):
     """Rows ``lo:hi`` of level f (first nonzero coefficient at position f)
-    of the enumeration order when only the ascending head values
-    ``heads`` are kept: row k has head ``heads[k // size]`` and tail number
-    ``k % size`` (see ``_tuple_chunks``)."""
-    size = _tails_per_head(n, length - 1 - f, last_nonzero)
+    of the enumeration order when only the ascending head values ``heads``
+    (as ``_level`` keeps them) and last values ``lasts`` are kept: row k
+    has head ``heads[k // size]`` and tail number ``k % size`` (see
+    ``_tuple_chunks``)."""
+    size = _tails_per_head(n, length - 1 - f, len(lasts))
     # a row number never reaches 2**63, so a larger size only means h = 0
     h, t = np.divmod(np.arange(lo, hi, dtype=np.int64), min(size, _INT64_MAX))
     rows = np.full((hi - lo, length), zero, dtype=dtype)
     rows[:, f] = heads[h]
-    for c in range(length - 1, f, -1):
-        if last_nonzero and c == length - 1:
-            t, d = np.divmod(t, n - 1)
-            rows[:, c] = d + (d >= zero)  # the d-th nonzero value
-        else:
-            t, rows[:, c] = np.divmod(t, n)
+    if f < length - 1:
+        t, d = np.divmod(t, len(lasts))
+        rows[:, -1] = lasts[d]
+    for c in range(length - 2, f, -1):
+        t, rows[:, c] = np.divmod(t, n)
     return rows
 
 
-def _tuple_chunks(n, length, last_nonzero, zero, heads, step, dtype):
-    """The nonzero tuples of one shape whose first nonzero coefficient, at
-    position f, is in ``heads(f)`` (an ascending array), in the enumeration
-    order, as arrays of at most ``step`` rows.  The kept rows of a level are
-    numbered head by head, so the rows with another head are never built.
+def _levels(n, length, lasts, heads):
+    """The levels of a shape whose first nonzero coefficient, at position
+    f, is in ``heads(f)`` and whose last coefficient is in ``lasts``
+    (ascending arrays), highest f first, each as f and what ``_level``
+    gives."""
+    return [(f, *_level(n, length, lasts, f, heads(f))) for f in range(length - 1, -1, -1)]
+
+
+def _tuple_chunks(n, length, lasts, zero, levels, step, dtype):
+    """The nonzero tuples of one shape, with its ``levels`` (``_levels``)
+    and last values ``lasts``, in the enumeration order, as arrays of at
+    most ``step`` rows.  The kept rows of a level are numbered head by head
+    and last value by last value, so the rows with another head or another
+    last value are never built.  One table of the prefix rule
+    (``_TwistTables.head_tables``) serves both ends: it gives the heads at
+    the low end and the last values at the top.
     """
     pieces, rows = [], 0
-    for f in range(length - 1, -1, -1):
-        level_heads = heads(f)
-        total = len(level_heads) * _tails_per_head(n, length - 1 - f, last_nonzero)
+    for f, level_heads, total, _ in levels:
         lo = 0
         while lo < total:
             hi = min(total, lo + step - rows)
-            pieces.append(_level_rows(n, length, last_nonzero, zero, f, level_heads, lo, hi, dtype))
+            pieces.append(_level_rows(n, length, lasts, zero, f, level_heads, lo, hi, dtype))
             rows, lo = rows + hi - lo, hi
             if rows == step:
                 yield np.concatenate(pieces)
@@ -632,32 +661,35 @@ class _TwistTables:
     def power_row(self, e: int) -> np.ndarray:
         return self.pow_np[self.red(e)]
 
-    def candidates(self, length: int, last_nonzero: bool, allowed: np.ndarray, counts):
+    def candidates(self, length: int, lasts: np.ndarray, allowed: np.ndarray, counts):
         """The rows of the largest chunk of every q of one shape whose head
-        value ``allowed`` keeps, and a function giving those chunks, each with
-        the head of each of its q, in enumeration order.  The chunks of one
-        head set and chunk size are kept for later calls while the room
-        allows; otherwise each call of the function builds them afresh, one
-        at a time.  ``counts`` counts the chunks built and reused."""
+        value ``allowed`` keeps and whose last coefficient is in ``lasts``,
+        and a function giving those chunks, each with the first and the last
+        nonzero coefficient of each of its q, in enumeration order.  The
+        chunks of one head set, last set and chunk size are kept for later
+        calls while the room allows; otherwise each call of the function
+        builds them afresh, one at a time.  ``counts`` counts the chunks
+        built and reused, and the q that ``lasts`` leaves out."""
         step = max(1, _CHUNK_CELLS // max(self.n, length))
-        key = (length, last_nonzero, step, allowed.tobytes())
+        key = (length, lasts.tobytes(), step, allowed.tobytes())
         heads = np.flatnonzero(allowed).astype(self.dtype)
-        tails = sum(_tails_per_head(self.n, w, last_nonzero) for w in range(length))
-        rows = len(heads) * tails
+        levels = _levels(self.n, length, lasts, lambda f: heads)
+        rows = sum(level[2] for level in levels)
+        counts["q_tops_refused"] += sum(level[3] for level in levels)
 
         def chunks():
-            for qs in _tuple_chunks(
-                self.n, length, last_nonzero, self.zero, lambda f: heads, step, self.dtype
-            ):
+            for qs in _tuple_chunks(self.n, length, lasts, self.zero, levels, step, self.dtype):
                 counts["q_chunks_built"] += 1
-                yield qs, qs[np.arange(len(qs)), (qs != self.zero).argmax(axis=1)]
+                at, nonzero = np.arange(len(qs)), qs != self.zero
+                last = length - 1 - nonzero[:, ::-1].argmax(axis=1)
+                yield qs, qs[at, nonzero.argmax(axis=1)], qs[at, last]
 
         def reread():
             for chunk in self._chunks[key]:
                 counts["q_chunks_reused"] += 1
                 yield chunk
 
-        cells = rows * (length + 1)
+        cells = rows * (length + 2)
         if key not in self._chunks and cells <= self.room:  # list them only if kept
             self.keep(self._chunks, key, list(chunks()), cells)
         return min(rows, step), reread if key in self._chunks else chunks
@@ -675,6 +707,12 @@ class _TwistTables:
         For a surjective twist α^e(r) ranges over R, so the sandwich rule is
         a·R·α^k(v) = 0 over one period of k and does not depend on e; the
         rule for pq = 0 does.
+
+        One table serves both ends: the highest nonzero coefficient of
+        p (r x^k) q is the same single term of p's last nonzero coefficient
+        a, at exponent e, and q's last nonzero coefficient v.  So read at
+        the exponent of p's last nonzero coefficient, ``allowed[a, v]`` says
+        which tops may meet, and ``heads`` which tops of p meet any q.
         """
         surj = self.gens is not None and self.surjective
         key = None if surj else self.red(e)
@@ -750,11 +788,13 @@ class _Scanner:
     ``counts`` keeps what the search did, deterministically and outside any
     verdict.  The kernel's: "p_batches", "steps" (p batch × q chunk),
     "q_chunks_built", "q_chunks_reused" (read from the shared memo),
-    "mask_cells", and the pairs ``_passing`` tested and passed
-    ("pairs_tested", "pairs_passed").  The rank screen's: "rank_batches",
-    the p it tested ("screen_p"), and of those the p whose null space of
-    H(p) it eliminated ("null_spaces_built") or read from the shared store
-    ("null_spaces_reused").
+    "mask_cells", the pairs ``_passing`` tested and passed
+    ("pairs_tested", "pairs_passed"), and the p and q rows the prefix rule
+    at the top refused ("p_tops_refused", "q_tops_refused").  The rank
+    screen's: "rank_batches", the p it tested ("screen_p") and the p it
+    skipped by their top ("screen_tops_refused"), and of those tested the p
+    whose null space of H(p) it eliminated ("null_spaces_built") or read
+    from the shared store ("null_spaces_reused").
     """
 
     def __init__(self, ring: FiniteRing, endo: Endomorphism, variant: PropertyId):
@@ -790,7 +830,8 @@ class _RankScreen:
     b ↦ a_i·α^t(b)) over p's coefficients, the twists t and the g.
 
     H and K are linear in p as well, so one p per F_p^× multiple is tested;
-    the p whose head the prefix rule refuses have Q(p) = 0 and are skipped.
+    the p whose head or top the prefix rule refuses have Q(p) = 0 and are
+    skipped.
 
     One screen serves every search on its twist tables: H(p), its tables and
     its null spaces belong to the hypothesis, K(p)'s tables to the
@@ -859,7 +900,18 @@ class _RankScreen:
 
         def stream():
             for index, (lp, exact) in enumerate(shapes):
-                for chunk in _tuple_chunks(tables.n, lp, exact, tables.zero, heads, cap, tables.dtype):
+                if exact:
+                    lasts = tables.head_tables(amin + lp - 1)[1]
+                else:
+                    lasts = np.arange(tables.n, dtype=tables.dtype)
+                levels = _levels(tables.n, lp, lasts, heads)
+                sc.counts["screen_tops_refused"] += sum(level[3] for level in levels)
+                chunks = _tuple_chunks(tables.n, lp, lasts, tables.zero, levels, cap, tables.dtype)
+                for chunk in chunks:
+                    if not exact:  # Q(p) = 0 when p's last nonzero coefficient meets no q
+                        keep = _tops(tables, chunk, amin).any(axis=1)
+                        sc.counts["screen_tops_refused"] += len(chunk) - int(keep.sum())
+                        chunk = chunk[keep]
                     ps = np.full((len(chunk), width), tables.zero, dtype=tables.dtype)
                     ps[:, :lp] = chunk
                     yield ps, np.full(len(chunk), index)
@@ -986,38 +1038,76 @@ def _least_violation(sc: _Scanner, amin: int, p_shape, q_shape):
     The p are taken a level at a time (first nonzero coefficient at position
     f), in batches across heads, against one list of q: those whose head
     some head of the level allows by the prefix rule (a head that allows
-    none is never built).  A batch times the rows of a q chunk stays within
-    ``_PAIR_CELLS`` unless a single p exceeds it (``_least_in_batch``).
+    none is never built).  The rule read at the top does the same for the
+    last coefficients of exact shapes: a p top that meets no q top, and a q
+    top that no p top meets, is never built.  On free shapes each p is
+    dropped when its last nonzero coefficient meets no q.  Both shapes of a
+    block are exact (``family_blocks``) or both free.  A batch times the
+    rows of a q chunk stays within ``_PAIR_CELLS`` unless a single p exceeds
+    it (``_least_in_batch``).
     """
     tables = sc.tables
-    lp, p_exact = p_shape
+    lp, exact = p_shape
+    if exact:  # both shapes, as in every block of ``family_blocks``
+        top, p_lasts = tables.head_tables(amin + lp - 1)
+        q_lasts = np.flatnonzero(top.any(axis=0)).astype(tables.dtype)
+    else:
+        p_lasts = q_lasts = np.arange(tables.n, dtype=tables.dtype)
     for f in range(lp - 1, -1, -1):
         allowed, heads = tables.head_tables(amin + f)
-        if not len(heads):
+        heads, total, refused = _level(tables.n, lp, p_lasts, f, heads)
+        sc.counts["p_tops_refused"] += refused
+        if not total:
             continue
-        chunk_rows, chunks = tables.candidates(*q_shape, allowed[heads].any(axis=0), sc.counts)
-        total = len(heads) * _tails_per_head(tables.n, lp - 1 - f, p_exact)
+        q_heads = allowed[heads].any(axis=0)
+        chunk_rows, chunks = tables.candidates(q_shape[0], q_lasts, q_heads, sc.counts)
+        if not chunk_rows:
+            continue
         batch = max(1, _PAIR_CELLS // chunk_rows)
         for lo in range(0, total, batch):
             hi = min(total, lo + batch)
-            ps = _level_rows(tables.n, lp, p_exact, tables.zero, f, heads, lo, hi, tables.dtype)
+            ps = _level_rows(tables.n, lp, p_lasts, tables.zero, f, heads, lo, hi, tables.dtype)
+            if exact:
+                tops = top[ps[:, -1]]
+            else:  # drop the p whose last nonzero coefficient meets no q
+                tops = _tops(tables, ps, amin)
+                keep = tops.any(axis=1)
+                sc.counts["p_tops_refused"] += len(ps) - int(keep.sum())
+                ps, tops = ps[keep], tops[keep]
+                if not len(ps):
+                    continue
             sc.counts["p_batches"] += 1
-            hit = _least_in_batch(sc, ps, f, amin, allowed, chunks())
+            hit = _least_in_batch(sc, ps, tops, f, amin, allowed, chunks())
             if hit is not None:
                 return hit
     return None
 
 
-def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, chunks):
-    """The least (p, q) with p in ``ps`` (rows of one level, in order) and
-    (q, q head) in ``chunks``, or None.  The chunks come in enumeration
-    order, so once a p has hit, only the p before it need the later chunks."""
+def _tops(tables: _TwistTables, ps: np.ndarray, amin: int) -> np.ndarray:
+    """tops[x, v]: the prefix rule read at the top of ``ps[x]``, of a free
+    shape with lowest exponent ``amin``: whether a q whose last nonzero
+    coefficient is v may pass the hypothesis against it.  It is the row of
+    p's last nonzero coefficient in ``head_tables(E)``, E being that
+    coefficient's exponent."""
+    last = ps.shape[1] - 1 - (ps[:, ::-1] != tables.zero).argmax(axis=1)
+    tops = np.empty((len(ps), tables.n), dtype=bool)
+    for i in range(ps.shape[1]):
+        at = last == i
+        tops[at] = tables.head_tables(amin + i)[0][ps[at, i]]
+    return tops
+
+
+def _least_in_batch(sc: _Scanner, ps: np.ndarray, tops, f: int, amin: int, allowed, chunks):
+    """The least (p, q) with p in ``ps`` (rows of one level, in order, with
+    their rows ``tops`` of the rule at the top) and (q, q head, q top) in
+    ``chunks``, or None.  The chunks come in enumeration order, so once a p
+    has hit, only the p before it need the later chunks."""
     best = None
-    for qs, qh in chunks:
-        cut = ps if best is None else ps[: best[0]]
-        if not len(cut):
+    for qs, qh, qt in chunks:
+        cut = len(ps) if best is None else best[0]
+        if not cut:
             break
-        hit = _least_in_chunk(sc, cut, f, amin, allowed, qs, qh)
+        hit = _least_in_chunk(sc, ps[:cut], tops[:cut], f, amin, allowed, qs, qh, qt)
         if hit is not None:
             best = hit[0], qs[hit[1]]
     if best is None:
@@ -1025,16 +1115,17 @@ def _least_in_batch(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, ch
     return tuple(ps[best[0]].tolist()), tuple(best[1].tolist())
 
 
-def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, qs, qh):
+def _least_in_chunk(sc: _Scanner, ps: np.ndarray, tops, f: int, amin: int, allowed, qs, qh, qt):
     """Indices (into ``ps``, ``qs``) of the least pair that passes the
     hypothesis and violates the conclusion, or None.
 
     The conclusion mask ORs the ``bad_table`` rows of p's coefficients into
     one row per p and reads it at q's coefficients; the prefix rule then
-    keeps only the pairs whose q head ``qh`` p's head allows (``allowed``).
-    The surviving pairs, in row-major order, go to ``_passing`` in slices
-    that keep the (pairs × generators) arrays within ``_PAIR_CELLS``; the
-    first pair to pass is the least.
+    keeps only the pairs whose q head ``qh`` p's head allows (``allowed``)
+    and whose q top ``qt`` p's top allows (``tops``).  The surviving pairs,
+    in row-major order, go to ``_passing`` in slices that keep the
+    (pairs × generators) arrays within ``_PAIR_CELLS``; the first pair to
+    pass is the least.
     """
     bad = sc.bad_table(amin + f)[ps[:, f]]
     for i in range(f + 1, ps.shape[1]):
@@ -1043,6 +1134,7 @@ def _least_in_chunk(sc: _Scanner, ps: np.ndarray, f: int, amin: int, allowed, qs
     for j in range(1, qs.shape[1]):
         mask |= bad[:, qs[:, j]]
     mask &= allowed[ps[:, f]][:, qh]
+    mask &= tops[:, qt]
     sc.counts.update(steps=1, mask_cells=mask.size)
     hits = np.flatnonzero(mask)  # several times faster than np.nonzero of a 2-d mask
     step = max(1, _PAIR_CELLS // max(1, sc.tables.width))

@@ -1,9 +1,10 @@
 """The block kernel of the search deciders: its chunked enumeration keeps
 the order of ``iter_tuples``, its memory and time stay bounded on lopsided
 Laurent windows, its batching boundaries (batches of p across heads, q
-chunks) do not change the least witness, its work counts repeat, and its
-sandwich tables built on additive generators equal their every-r
-versions."""
+chunks) do not change the least witness, the search names the reference's
+least witness on every endomorphism of small carriers, its work counts
+repeat, and its sandwich tables built on additive generators equal their
+every-r versions."""
 
 import itertools
 import time
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_oracle import FAMILY, RINGS, carriers, reference
+from test_oracle import FAMILY, RINGS, carriers, reference, zero_moved
+from test_rank import dual_numbers_f2
 from test_validator import relabelled_carriers
 
 from skewarm import (
@@ -32,7 +34,7 @@ from skewarm import (
     zero_endomorphism,
 )
 from skewarm.corpus import entry_by_name
-from skewarm.deciders import _tuple_chunks
+from skewarm.deciders import _levels, _tuple_chunks
 from skewarm.rings import _additive_walk
 
 
@@ -85,6 +87,8 @@ def first_nonzero(t, zero):
 )
 @pytest.mark.parametrize("step", [1, 7, 1 << 20])
 def test_chunks_follow_iter_tuples(n, length, last_nonzero, zero, step):
+    # the tuples kept at both ends: the head at the low end, from a set that
+    # may change with its position, and the last coefficient at the top
     dtype = np.min_scalar_type(n - 1)
     values = [v for v in range(n) if v != zero]
     per_level = (
@@ -95,26 +99,23 @@ def test_chunks_follow_iter_tuples(n, length, last_nonzero, zero, step):
         lambda f: values[f % 2 :: 2],  # a different set at each position
         lambda f: values if f == length - 1 else [],
     )
+    every = values if last_nonzero else list(range(n))
+    last_sets = (every, every[1::2], every[-1:], [])
     for heads in per_level:
         kept = [set(heads(f)) for f in range(length)]
-        expected = []
+        filtered = []
         for t in iter_tuples(n, length, last_nonzero, zero):
             f, v = first_nonzero(t, zero)
             if v in kept[f]:
-                expected.append(t)
-        chunks = list(
-            _tuple_chunks(
-                n,
-                length,
-                last_nonzero,
-                zero,
-                lambda f: np.array(heads(f), dtype=dtype),
-                step,
-                dtype,
-            )
-        )
-        assert all(1 <= len(c) <= step and c.dtype == dtype for c in chunks)
-        assert [tuple(row) for c in chunks for row in c.tolist()] == expected
+                filtered.append(t)
+        for lasts in last_sets:
+            kept_lasts = set(lasts)
+            expected = [t for t in filtered if t[-1] in kept_lasts]
+            last_values = np.array(lasts, dtype=dtype)
+            levels = _levels(n, length, last_values, lambda f: np.array(heads(f), dtype=dtype))
+            chunks = list(_tuple_chunks(n, length, last_values, zero, levels, step, dtype))
+            assert all(1 <= len(c) <= step and c.dtype == dtype for c in chunks)
+            assert [tuple(row) for c in chunks for row in c.tolist()] == expected
 
 
 def decide_with_peak(ring, window):
@@ -264,6 +265,41 @@ def test_level_batches_across_heads_match_reference(tables, prop, chunk_cells, p
         assert check_property(ring, endo, prop, degree=1).witness == expected
 
 
+# every endomorphism of small carriers, F_p or not, as built and with the
+# zero moved, with the screen on: the least witness or holds must be the
+# reference decider's, and every witness must replay
+ORACLE_SWEEP = {
+    "Z4": lambda: make_zmod(4),
+    "Z8": lambda: make_zmod(8),
+    "F2[e]": dual_numbers_f2,
+    "UT2(Z2)": ut2_z2,
+    "example1": lambda: entry_by_name("example1").ring,
+}
+ORACLE_SWEEP_REQUESTS = [(prop, {"degree": 1}) for prop in FAMILY] + [
+    (PropertyId.LAURENT_Q_ALPHA_SKEW, {"window": (1, 1, 1, 1)}),
+    (PropertyId.POWERSERIES_Q_ALPHA_SKEW, {"truncation": 2}),
+]
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["as-built", "zero-moved"])
+@pytest.mark.parametrize("name", list(ORACLE_SWEEP))
+def test_every_endomorphism_matches_reference(name, moved):
+    ring = ORACLE_SWEEP[name]()
+    if moved:
+        ring, _ = zero_moved(ring, seed=len(name))
+        assert ring.zero != 0
+    for endo in all_endomorphisms(ring):
+        for prop, envelope in ORACLE_SWEEP_REQUESTS:
+            # Laurent polynomials need an automorphism
+            if prop is PropertyId.LAURENT_Q_ALPHA_SKEW and not endo.is_automorphism:
+                continue
+            expected = reference(ring, endo, prop, **envelope)
+            verdict = check_property(ring, endo, prop, **envelope)
+            assert verdict.witness == expected, (endo.images, prop.value)
+            if expected is not None:
+                replay_witness(ring, endo, prop, verdict.witness)
+
+
 def test_an_earlier_head_in_the_batch_may_refuse_the_witness_q_head(monkeypatch):
     # UT2(Z2) with α(a, b, c) = (0, 0, a): α(e11) = e22 and α(e22) = 0.  The
     # least q-α-skew witness at degree 1 is p = e11·x, q = e11 (indices
@@ -294,11 +330,28 @@ def test_an_earlier_head_in_the_batch_may_refuse_the_witness_q_head(monkeypatch)
     replay_witness(ring, endo, prop, w)
 
 
+def test_least_series_witness_may_end_in_a_zero_coefficient():
+    # UT2(Z2) with α(a, b, c) = (0, 0, a) again, at truncation 3: the least
+    # q-α-skew witness is p = e11·x, q = e11·x^2 (indices (0, 4, 0) and
+    # (0, 0, 4)).  α is not injective, so x·p, whose last slot is nonzero,
+    # is no witness.  The prefix rule at the top of a free shape must read
+    # p's last nonzero coefficient, e11 at x^1, not the zero in its last
+    # slot, whose table row refuses every q.
+    ring = ut2_z2()
+    endo = table_endomorphism(ring, (0, 0, 0, 0, 1, 1, 1, 1), "a-to-c")
+    prop = PropertyId.POWERSERIES_Q_ALPHA_SKEW
+    w = check_property(ring, endo, prop, truncation=3).witness
+    assert (w.p_coeffs, w.q_coeffs) == ((0, 4, 0), (0, 0, 4))
+    assert w == reference(ring, endo, prop, truncation=3)
+    replay_witness(ring, endo, prop, w)
+
+
 def test_kernel_counts_of_a_witness_are_pinned_and_repeat(monkeypatch):
     # example2 = T(Z4, Z4) is no F_p carrier, so the kernel decides all four
     # blocks at degree 1: six levels of p, each one batch against one q
     # chunk.  The two q lists (one per q shape) are built once and read from
-    # the memo six times.
+    # the memo six times.  The prefix rule read at the top leaves out the
+    # p and q of degree 1 whose last coefficient meets nothing.
     scanners = []
 
     class Recording(deciders._Scanner):
@@ -317,9 +370,11 @@ def test_kernel_counts_of_a_witness_are_pinned_and_repeat(monkeypatch):
         "steps": 6,
         "q_chunks_built": 2,
         "q_chunks_reused": 6,
-        "mask_cells": 14161,
-        "pairs_tested": 6424,
+        "mask_cells": 3969,
+        "pairs_tested": 336,
         "pairs_passed": 96,
+        "p_tops_refused": 112,
+        "q_tops_refused": 168,
     }
 
 
@@ -429,13 +484,15 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
     for amin in sorted({low, 0}):
         for f in (1, 0):
             for a in sc.head_tables(amin + f)[1].tolist():
+                every = np.arange(ring.size, dtype=sc.dtype)
                 ps = deciders._level_rows(
-                    ring.size, 2, False, ring.zero, f, np.array([a], dtype=sc.dtype),
+                    ring.size, 2, every, ring.zero, f, np.array([a], dtype=sc.dtype),
                     0, ring.size ** (1 - f), sc.dtype,
                 )
-                _, chunks = sc.candidates(2, False, sc.head_tables(amin + f)[0][a], Counter())
-                qs, qh = (np.concatenate(parts) for parts in zip(*chunks()))
+                _, chunks = sc.candidates(2, every, sc.head_tables(amin + f)[0][a], Counter())
+                qs, qh, qt = (np.concatenate(parts) for parts in zip(*chunks()))
                 assert qh.tolist() == [first_nonzero(q, ring.zero)[1] for q in qs.tolist()]
+                assert qt.tolist() == [first_nonzero(q[::-1], ring.zero)[1] for q in qs.tolist()]
                 pi, qi = np.nonzero(np.ones((len(ps), len(qs)), dtype=bool))
                 got = deciders._passing(sc, ps, f, amin, qs, pi, qi)
                 expected = every_r_passes(

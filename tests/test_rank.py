@@ -577,7 +577,8 @@ def test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat(monk
     # alpha-armendariz and alpha-skew-armendariz share the hypothesis pq = 0,
     # so on one twist object the second search reads the null spaces of H(p)
     # that the first eliminated; both hold at degree 1, the screen clearing
-    # both p shapes in one batch of 10 p
+    # both p shapes in one batch of 4 p, after the prefix rule at the top
+    # skipped the 6 p of degree 1 whose last coefficient meets no q
     scanners = []
 
     class Recording(deciders._Scanner):
@@ -592,8 +593,9 @@ def test_screen_counts_of_two_statements_on_one_twist_are_pinned_and_repeat(monk
         for prop in (P.ALPHA_ARMENDARIZ, P.ALPHA_SKEW_ARMENDARIZ):
             assert check_property(entry.ring, endo, prop, degree=1).holds
     counts = [sc.counts for sc in scanners]
-    assert counts[0] == counts[2] == {"rank_batches": 1, "screen_p": 10, "null_spaces_built": 10}
-    assert counts[1] == counts[3] == {"rank_batches": 1, "screen_p": 10, "null_spaces_reused": 10}
+    screen = {"rank_batches": 1, "screen_p": 4, "screen_tops_refused": 6}
+    assert counts[0] == counts[2] == {**screen, "null_spaces_built": 4}
+    assert counts[1] == counts[3] == {**screen, "null_spaces_reused": 4}
 
 
 # --------------------------------------------------------------------------
