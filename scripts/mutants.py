@@ -47,6 +47,7 @@ HARNESS = "tests/test_corpus.py::"
 ORACLE = "tests/test_oracle.py::test_decider_matches_reference"
 SPLIT = "tests/test_kernel.py::test_split_kernel_matches_reference"
 ORACLE_SWEEP = "tests/test_kernel.py::test_every_endomorphism_matches_reference"
+ONE_RULE = "tests/test_deciders.py::test_check_and_replay_read_alpha_by_one_rule"
 
 
 @dataclass(frozen=True)
@@ -273,6 +274,27 @@ MUTANTS = [
             "tests/test_acceptance.py::test_criterion_3_implication_matrix",
             "tests/test_acceptance.py::test_criterion_5_laurent_and_series_consistency",
         ),
+    ),
+    # the twist rule (deciders._twist_for)
+    Mutant(
+        "missing-alpha-read-as-the-identity",
+        DECIDERS,
+        'raise RingError(f"{prop.value} needs an endomorphism")',
+        "return identity_endomorphism(ring)",
+        (
+            ONE_RULE,
+            "tests/test_deciders.py::test_deciders_that_read_alpha_refuse_none",
+            "tests/test_cli.py::"
+            "test_replay_of_a_property_that_reads_alpha_needs_the_endomorphism",
+        ),
+    ),
+    Mutant(
+        "alpha-over-another-ring-accepted",
+        DECIDERS,
+        "    if alpha.ring.ring_id != ring.ring_id:\n"
+        '        raise RingError("endomorphism is not over the given ring")\n',
+        "",
+        (ONE_RULE, "tests/test_deciders.py::test_rigid_replay_refuses_a_twist_over_another_ring"),
     ),
 ]
 

@@ -143,6 +143,7 @@ def cmd_check(args) -> int:
 def cmd_replay(args) -> int:
     doc = formats.read_json(args.file, "verdict record")
     ring, endo, prop, _env, witness, holds = formats.parse_verdict_record(doc)
+    dec._twist_for(ring, endo, prop)  # refuses, holding or not, what check refuses
     if holds:
         print("verdict records a holding outcome; nothing to replay")
         return EXIT_HOLDS

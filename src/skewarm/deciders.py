@@ -18,6 +18,12 @@ hypothesis uses the twist exponents of one orbit window
 (``_TwistTables.orbit``).  Each element property's violation is one formula in
 ``_ELEMENT_LAWS``, which both its predicate and replay evaluate.
 
+One rule says what each property reads of α, and every entry point that
+takes α asks it (``_twist_for``): ``rigid`` and every statement not
+``alpha_free`` refuse a missing α or one over another ring; the others
+ignore whatever α is given.  So a decider, its replay, ``skewarm check``
+and ``skewarm replay`` refuse the same requests.
+
 The search takes p a level at a time, a level being the p whose first
 nonzero coefficient sits at one position, in batches across heads against
 one list of q: those whose head the prefix rule lets some head of the
@@ -468,21 +474,25 @@ def is_symmetric(ring: FiniteRing) -> Verdict:
 
 def is_rigid(ring: FiniteRing, alpha: Endomorphism) -> Verdict:
     """r·alpha(r) = 0 forces r = 0."""
-    _require_over(ring, alpha)
+    alpha = _twist_for(ring, alpha, PropertyId.RIGID)
     products = ring.mul_array[np.arange(ring.size), alpha.images]
     return _element_verdict(PropertyId.RIGID, ring, alpha, _first_scalar(ring, products))
 
 
-def _require_over(ring: FiniteRing, alpha: Endomorphism) -> None:
+def _twist_for(
+    ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId
+) -> Endomorphism | None:
+    """The endomorphism ``prop`` is read over.  A property that reads α
+    (``rigid`` and every statement not ``alpha_free``) needs ``alpha``, over
+    ``ring``; the others ignore it: a polynomial statement twists by the
+    identity and an element law by None."""
+    stmt = _STATEMENTS.get(prop)
+    if prop is not PropertyId.RIGID and (stmt is None or stmt.alpha_free):
+        return None if stmt is None else identity_endomorphism(ring)
+    if alpha is None:
+        raise RingError(f"{prop.value} needs an endomorphism")
     if alpha.ring.ring_id != ring.ring_id:
         raise RingError("endomorphism is not over the given ring")
-
-
-def _twist_for(ring: FiniteRing, alpha: Endomorphism | None, prop: PropertyId) -> Endomorphism:
-    """The endomorphism a witness of ``prop`` is read over: the identity when
-    none is given or the property ignores it, else ``alpha``."""
-    if alpha is None or (prop in _STATEMENTS and _STATEMENTS[prop].alpha_free):
-        return identity_endomorphism(ring)
     return alpha
 
 
@@ -623,7 +633,7 @@ class _TwistTables:
         self.mul_np = ring.mul_array
         self.pow_np = np.asarray(endo.pow_maps, dtype=self.dtype)
         if sandwich:
-            self.gens = np.array([g for g in ring.generators if g != ring.zero], dtype=np.intp)
+            self.gens = _nonzero_generators(ring.generators, ring.zero)
             self.ks = self.orbit
         else:
             self.gens, self.ks = None, range(1)
@@ -1288,10 +1298,7 @@ def check_armendariz_family(
         raise RingError(f"{variant.value} is not a bounded-degree polynomial property")
     if degree < 0:
         raise RingError("degree bound must be nonnegative")
-    if alpha is None and not _STATEMENTS[variant].alpha_free:
-        raise RingError(f"{variant.value} needs an endomorphism")
     alpha = _twist_for(ring, alpha, variant)
-    _require_over(ring, alpha)
     _require_budget(ring.size, 2 * (degree + 1), budget)
     blocks = family_blocks(degree)
     return _search(ring, alpha, variant, Envelope(degree=degree), blocks, 0, 0)
@@ -1307,13 +1314,13 @@ def check_laurent_q_alpha_skew(
     hypothesis sandwiches r x^k over one twist period (negative k add
     nothing for an automorphism) and the conclusion is
     a_i R alpha^i(b_j) = 0 at the actual exponents."""
-    _require_over(ring, alpha)
+    prop = PropertyId.LAURENT_Q_ALPHA_SKEW
+    alpha = _twist_for(ring, alpha, prop)
     if not alpha.is_automorphism:
         raise RingError("the Laurent decider needs an automorphism")
     m, nn, t, s = (int(x) for x in window)
     if min(m, nn, t, s) < 0:
         raise RingError("window entries must be nonnegative")
-    prop = PropertyId.LAURENT_Q_ALPHA_SKEW
     _require_budget(ring.size, m + nn + t + s + 2, budget)
     blocks = [((m + nn + 1, False), (t + s + 1, False))]
     return _search(ring, alpha, prop, Envelope(window=(m, nn, t, s)), blocks, -m, -t)
@@ -1333,19 +1340,19 @@ def check_powerseries_q_alpha_skew(
     over every stored coefficient pair.  The verdict is explicitly a
     statement about that coefficient window, never about full series.
     """
-    _require_over(ring, alpha)
+    prop = PropertyId.POWERSERIES_Q_ALPHA_SKEW
+    if laurent:
+        prop = PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW
+    alpha = _twist_for(ring, alpha, prop)
     if truncation < 1:
         raise RingError("truncation order must be at least 1")
+    lo = 0
     if laurent:
         lo = -1 if min_exp is None else int(min_exp)
         if lo >= 0:
             raise RingError("the Laurent series variant needs a negative lower exponent")
         if not alpha.is_automorphism:
             raise RingError("negative exponents need an automorphism")
-        prop = PropertyId.LAURENT_POWERSERIES_Q_ALPHA_SKEW
-    else:
-        lo = 0
-        prop = PropertyId.POWERSERIES_Q_ALPHA_SKEW
     width = truncation - lo
     if width < 1:
         raise RingError("empty coefficient window")
@@ -1368,8 +1375,6 @@ def check_property(
     """Dispatch a property id to its decider with the matching envelope."""
     if prop in ELEMENT_PROPERTIES:
         if prop is PropertyId.RIGID:
-            if alpha is None:
-                raise RingError("rigidity needs an endomorphism")
             return is_rigid(ring, alpha)
         fn = {
             PropertyId.REDUCED: is_reduced,
@@ -1387,11 +1392,7 @@ def check_property(
     if kind == "poly":
         return check_armendariz_family(ring, alpha, degree, prop, budget)
     if kind == "laurent":
-        if alpha is None:
-            raise RingError("the Laurent property needs an endomorphism")
         return check_laurent_q_alpha_skew(ring, alpha, window, budget)
-    if alpha is None:
-        raise RingError("series properties need an endomorphism")
     return check_powerseries_q_alpha_skew(
         ring,
         alpha,
@@ -1456,8 +1457,7 @@ def replay_witness(
         for e in els:
             if not 0 <= e < ring.size:
                 raise RingError(f"witness element {e} out of range")
-        if prop is PropertyId.RIGID and alpha is None:
-            raise RingError("rigidity replay needs the endomorphism")
+        alpha = _twist_for(ring, alpha, prop)
         law = _ELEMENT_LAWS[prop]
         values = law.values(ring, alpha, els)
         if values is None:

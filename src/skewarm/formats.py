@@ -38,14 +38,6 @@ from .rings import (
 
 SCHEMA_VERSION = "1"
 
-BUILTIN_ENDOMORPHISMS = (
-    "identity",
-    "negation",
-    "swap",
-    "negate_second_component",
-    "frobenius",
-)
-
 
 class FormatError(RingError):
     """A document does not conform to the schema."""

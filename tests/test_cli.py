@@ -215,6 +215,31 @@ def test_replay_rejects_out_of_range_index(ex2_file, tmp_path, capsys):
     assert main(["replay", str(vfile)]) == 2
 
 
+def test_replay_of_a_property_that_reads_alpha_needs_the_endomorphism(
+    ex2_file, tmp_path, capsys
+):
+    # example2's armendariz witness relabelled as alpha-armendariz, and its
+    # holding q-alpha-skew verdict at degree 0, each with no endomorphism:
+    # check refuses such a request, and so does replay
+    for checked, deg, code, renamed in (
+        ("armendariz", "1", 1, "alpha-armendariz"),
+        ("q-alpha-skew-armendariz", "0", 0, "q-alpha-skew-armendariz"),
+    ):
+        assert main(["check", ex2_file, "--property", checked, "--deg", deg,
+                     "--format", "structured"]) == code
+        record = json.loads(capsys.readouterr().out)
+        record["property"] = renamed
+        record["endomorphism"] = None
+        vfile = tmp_path / "renamed.json"
+        vfile.write_text(json.dumps(record))
+        assert main(["replay", str(vfile)]) == 2
+        assert capsys.readouterr().err == f"error: {renamed} needs an endomorphism\n"
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in EX2.items() if k != "endomorphism"}))
+    assert main(["check", str(bare), "--property", "alpha-armendariz", "--deg", "1"]) == 2
+    assert capsys.readouterr().err == "error: alpha-armendariz needs an endomorphism\n"
+
+
 def test_negative_transport_seeds_are_invalid_input(capsys):
     assert main(["corpus", "--all", "--transport-seeds", "-2"]) == 2
     out = capsys.readouterr()

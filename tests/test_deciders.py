@@ -34,6 +34,7 @@ from skewarm import (
     twisted_chain_product,
     zero_endomorphism,
 )
+from skewarm.deciders import ELEMENT_PROPERTIES
 
 P = PropertyId
 
@@ -405,3 +406,75 @@ def test_check_property_dispatch(z2xz2, swap):
 
     with pytest.raises(RingError):
         check_property(z2xz2, swap, P.Q_ALPHA_SKEW_ARMENDARIZ)  # missing degree
+
+
+# ---------------------------------------------------------------- the twist rule
+
+# the properties of the paper that ignore α; every other one reads (R, α)
+IGNORE_ALPHA = {
+    P.REDUCED, P.DOMAIN, P.COMMUTATIVE, P.SEMICOMMUTATIVE, P.REVERSIBLE,
+    P.SYMMETRIC, P.ARMENDARIZ, P.QUASI_ARMENDARIZ,
+}
+ENVELOPES = {
+    P.LAURENT_Q_ALPHA_SKEW: {"window": (0, 1, 0, 1)},
+    P.POWERSERIES_Q_ALPHA_SKEW: {"truncation": 2},
+    P.LAURENT_POWERSERIES_Q_ALPHA_SKEW: {"truncation": 1},
+}
+
+
+def _envelope(prop):
+    return {} if prop in ELEMENT_PROPERTIES else ENVELOPES.get(prop, {"degree": 1})
+
+
+def _refusal(call) -> str:
+    from skewarm import RingError
+
+    with pytest.raises(RingError) as err:
+        call()
+    return str(err.value)
+
+
+@pytest.mark.parametrize("prop", list(P), ids=lambda p: p.value)
+def test_check_and_replay_read_alpha_by_one_rule(t_z4, negate_second, swap, prop):
+    # example2 with its own twist, with none, and with the swap of Z2 × Z2:
+    # a property that reads α refuses the last two, in check and replay
+    # alike; the others decide and replay as with example2's own twist
+    envelope = _envelope(prop)
+    own = check_property(t_z4, negate_second, prop, **envelope)
+    for alpha, message in (
+        (None, f"{prop.value} needs an endomorphism"),
+        (swap, "endomorphism is not over the given ring"),
+    ):
+        if prop in IGNORE_ALPHA:
+            verdict = check_property(t_z4, alpha, prop, **envelope)
+            assert (verdict.holds, verdict.witness) == (own.holds, own.witness)
+            if not own.holds:
+                replay_witness(t_z4, alpha, prop, own.witness)
+            continue
+        assert _refusal(lambda: check_property(t_z4, alpha, prop, **envelope)) == message
+        if not own.holds:
+            assert _refusal(lambda: replay_witness(t_z4, alpha, prop, own.witness)) == message
+
+
+def test_deciders_that_read_alpha_refuse_none(z4):
+    assert _refusal(lambda: check_laurent_q_alpha_skew(z4, None, (1, 1, 1, 1))) == (
+        "laurent-q-alpha-skew needs an endomorphism"
+    )
+    assert _refusal(lambda: check_powerseries_q_alpha_skew(z4, None, 2)) == (
+        "powerseries-q-alpha-skew needs an endomorphism"
+    )
+    assert _refusal(lambda: check_powerseries_q_alpha_skew(z4, None, 2, laurent=True)) == (
+        "laurent-powerseries-q-alpha-skew needs an endomorphism"
+    )
+    assert _refusal(lambda: is_rigid(z4, None)) == "rigid needs an endomorphism"
+
+
+def test_rigid_replay_refuses_a_twist_over_another_ring(z4, z4_id):
+    # 2·2 = 0 in Z4: the least witness under the identity is r = 2, which
+    # indexes past the identity of Z2 and which the zero map of Z8 kills
+    witness = is_rigid(z4, z4_id).witness
+    assert witness.elements == (2,)
+    for foreign in (identity_endomorphism(make_zmod(2)), zero_endomorphism(make_zmod(8))):
+        assert _refusal(lambda: replay_witness(z4, foreign, P.RIGID, witness)) == (
+            "endomorphism is not over the given ring"
+        )

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_oracle import FAMILY, RINGS, carriers, reference, zero_moved
 from test_rank import dual_numbers_f2
-from test_validator import relabelled_carriers
+from test_validator import _scaled_zmod, relabelled_carriers
 
 from skewarm import (
     PropertyId,
@@ -274,6 +274,9 @@ ORACLE_SWEEP = {
     "F2[e]": dual_numbers_f2,
     "UT2(Z2)": ut2_z2,
     "example1": lambda: entry_by_name("example1").ring,
+    "Z9": lambda: make_zmod(9),
+    "Z6 with ab=3ab": lambda: make_table_ring(*_scaled_zmod(6, 3)),
+    "Z5 null": lambda: make_table_ring(*_scaled_zmod(5, 0)),
 }
 ORACLE_SWEEP_REQUESTS = [(prop, {"degree": 1}) for prop in FAMILY] + [
     (PropertyId.LAURENT_Q_ALPHA_SKEW, {"window": (1, 1, 1, 1)}),
@@ -468,7 +471,9 @@ def assert_generator_tables_match(ring, endo, prop=PropertyId.Q_ALPHA_SKEW_ARMEN
     sc = deciders._Scanner(ring, endo, prop).tables
     sandwich = deciders._STATEMENTS[prop].sandwich
     if sandwich:
-        assert ring.zero not in sc.gens.tolist()
+        # G′: the nonzero additive generators; the zero ring keeps its one
+        nonzero = [g for g in ring.generators if g != ring.zero]
+        assert sc.gens.tolist() == (nonzero or [ring.zero])
     assert np.array_equal(sc.ann, every_r_annihilators(ring, sandwich))
     orbit = range(endo.preperiod + endo.period)
     ks = orbit if sandwich else (0,)
